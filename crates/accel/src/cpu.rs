@@ -61,21 +61,13 @@ impl CpuSpec {
     }
 }
 
-/// Run the MKL-like baseline on `Z = A · B`.
+/// Run the MKL-like baseline on `Z = A · B`. The body of the registry's
+/// `cpu-mkl` spec.
 ///
 /// # Panics
 ///
 /// Panics when inner dimensions disagree.
-pub fn run_mkl_like(a: &CsMatrix, b: &CsMatrix, spec: &CpuSpec) -> RunReport {
-    run_mkl_like_with(a, b, spec, &SizeModel::default(), &Probe::disabled())
-}
-
-/// [`run_mkl_like`] with an explicit size model and instrumentation probe.
-///
-/// # Panics
-///
-/// Panics when inner dimensions disagree.
-pub fn run_mkl_like_with(
+pub(crate) fn run_mkl_like(
     a: &CsMatrix,
     b: &CsMatrix,
     spec: &CpuSpec,
@@ -157,13 +149,19 @@ pub fn run_mkl_like_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
+    use crate::spec::AccelSpec;
     use drt_kernels::spmspm::gustavson;
     use drt_workloads::patterns::unstructured;
+
+    fn run_mkl(a: &CsMatrix, spec: CpuSpec) -> RunReport {
+        Session::new(AccelSpec::cpu_mkl()).cpu(spec).run_spmspm(a, a).expect("run")
+    }
 
     #[test]
     fn output_matches_reference() {
         let a = unstructured(96, 96, 600, 2.0, 1);
-        let r = run_mkl_like(&a, &a, &CpuSpec::default());
+        let r = run_mkl(&a, CpuSpec::default());
         assert!(r.output.as_ref().expect("out").approx_eq(&gustavson(&a, &a).z, 1e-9));
     }
 
@@ -171,7 +169,7 @@ mod tests {
     fn big_llc_gives_compulsory_only_b_traffic() {
         let a = unstructured(96, 96, 600, 2.0, 2);
         let sm = SizeModel::default();
-        let big = run_mkl_like(&a, &a, &CpuSpec::default());
+        let big = run_mkl(&a, CpuSpec::default());
         // Everything fits: B traffic is compulsory only — bounded by the
         // line-rounded footprint (≤ one cache line per occupied row extra).
         let line_rounded = sm.cs_matrix_bytes(&a) as u64 + 64 * a.nrows() as u64;
@@ -181,8 +179,8 @@ mod tests {
     #[test]
     fn small_llc_increases_b_traffic() {
         let a = unstructured(128, 128, 1500, 2.0, 3);
-        let big = run_mkl_like(&a, &a, &CpuSpec::default());
-        let tiny = run_mkl_like(&a, &a, &CpuSpec { llc_bytes: 1024, ..CpuSpec::default() });
+        let big = run_mkl(&a, CpuSpec::default());
+        let tiny = run_mkl(&a, CpuSpec { llc_bytes: 1024, ..CpuSpec::default() });
         assert!(tiny.traffic.reads_of("B") > big.traffic.reads_of("B"));
         assert!(tiny.seconds >= big.seconds);
     }
@@ -191,7 +189,7 @@ mod tests {
     fn runtime_respects_both_roofs() {
         let a = unstructured(96, 96, 900, 2.0, 4);
         let spec = CpuSpec::default();
-        let r = run_mkl_like(&a, &a, &spec);
+        let r = run_mkl(&a, spec);
         let mem =
             r.traffic.total() as f64 / (spec.bandwidth_bytes_per_sec * spec.bandwidth_efficiency);
         let cmp = r.maccs as f64 / spec.peak_maccs_per_sec;
@@ -203,7 +201,7 @@ mod tests {
         // A one-nnz row costs a whole cache line on first touch.
         let a = unstructured(64, 64, 80, 2.0, 5);
         let spec = CpuSpec { llc_bytes: 0, ..CpuSpec::default() };
-        let r = run_mkl_like(&a, &a, &spec);
+        let r = run_mkl(&a, spec);
         let sm = SizeModel::default();
         assert!(r.traffic.reads_of("B") >= sm.cs_matrix_bytes(&a) as u64 / 2);
     }

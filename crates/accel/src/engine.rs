@@ -197,8 +197,8 @@ impl EngineConfig {
     /// # Panics
     ///
     /// Panics when the spec resolves to a closed-form analytic model —
-    /// those have no engine configuration; run them via
-    /// [`AccelSpec::run`] or [`crate::session::Session`] instead.
+    /// those have no engine configuration; run them through a
+    /// [`crate::session::Session`] instead.
     pub fn new(spec: impl Into<AccelSpec>) -> EngineConfig {
         let spec = spec.into();
         match &spec.kind {

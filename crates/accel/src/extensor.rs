@@ -16,161 +16,31 @@
 //! LLB (§6.6: "The dataflow at this level is B stationary") and the §5.2.4
 //! configuration: static partitions shared by all workloads and 32 × 32
 //! micro tiles (micro-tile shape only matters to the DRT variant).
-
-use crate::engine::{run_spmspm_best_suc_exec, run_spmspm_exec, EngineConfig, ExecPolicy, Tiling};
-use crate::report::RunReport;
-use crate::spec::{AccelSpec, PartitionPreset, RunCtx, SpecKind, TilingSpec};
-use drt_core::config::{DrtConfig, Partitions};
-use drt_core::extractor::ExtractorModel;
-use drt_core::probe::Probe;
-use drt_core::CoreError;
-use drt_sim::intersect_unit::IntersectUnit;
-use drt_sim::memory::HierarchySpec;
-use drt_tensor::CsMatrix;
-use std::collections::BTreeMap;
-
-/// The paper's static LLB partitioning (§6.6 / Figure 14: a small A
-/// partition, B around 45%, the rest for output partials).
-pub fn paper_partitions(llb_bytes: u64) -> Partitions {
-    PartitionPreset::ExtensorPaper.partitions(llb_bytes)
-}
+//!
+//! The variants are registry data ([`crate::spec::AccelSpec::extensor`],
+//! [`crate::spec::AccelSpec::extensor_op`],
+//! [`crate::spec::AccelSpec::extensor_op_drt`]) and run through
+//! [`crate::session::Session`]. Design-space sweeps perturb a spec's
+//! [`crate::spec::EngineSpec`] fields (intersection unit, extractor,
+//! micro shape, a verbatim `DrtConfig`).
 
 /// Number of S-U-C candidate shapes swept per workload (the paper sweeps
 /// static shapes and reports the best, §5.2.1).
 pub const SUC_SWEEP_CANDIDATES: usize = 8;
 
-/// Original ExTensor: best-swept S-U-C shape, serial skip intersection.
-///
-/// # Errors
-///
-/// Propagates engine/tiling configuration errors.
-pub fn run_extensor(
-    a: &CsMatrix,
-    b: &CsMatrix,
-    hier: &HierarchySpec,
-) -> Result<RunReport, CoreError> {
-    AccelSpec::extensor().run(a, b, &RunCtx::new(hier))
-}
-
-/// Original ExTensor, returning the best swept shape alongside the report
-/// so subsequent similar runs (e.g. BFS levels of one workload) can reuse
-/// the offline sweep via [`run_extensor_fixed`].
-///
-/// # Errors
-///
-/// Propagates engine/tiling configuration errors.
-pub fn run_extensor_with_shape(
-    a: &CsMatrix,
-    b: &CsMatrix,
-    hier: &HierarchySpec,
-) -> Result<(RunReport, BTreeMap<char, u32>), CoreError> {
-    let spec = AccelSpec::extensor();
-    let SpecKind::Engine(es) = &spec.kind else { unreachable!("extensor is engine-simulated") };
-    let cfg = spec.engine_config(es, hier);
-    run_spmspm_best_suc_exec(a, b, &cfg, SUC_SWEEP_CANDIDATES, &ExecPolicy::serial())
-}
-
-/// Original ExTensor with a fixed (already swept) tile shape.
-///
-/// # Errors
-///
-/// Propagates engine/tiling configuration errors, including shapes that
-/// violate the worst-case capacity rule for these operands.
-pub fn run_extensor_fixed(
-    a: &CsMatrix,
-    b: &CsMatrix,
-    hier: &HierarchySpec,
-    sizes: &BTreeMap<char, u32>,
-) -> Result<RunReport, CoreError> {
-    let mut spec = AccelSpec::extensor();
-    if let SpecKind::Engine(es) = &mut spec.kind {
-        es.tiling = TilingSpec::SucFixed(sizes.clone());
-        // Quantize the kernel like the sweep does so sub-micro shapes
-        // remain representable.
-        let q = sizes.values().copied().min().unwrap_or(32).clamp(1, 32);
-        es.micro = (q, q);
-    }
-    spec.run(a, b, &RunCtx::new(hier))
-}
-
-/// ExTensor-OP: best-swept S-U-C shape, parallel intersection,
-/// multiply-and-merge.
-///
-/// # Errors
-///
-/// Propagates engine/tiling configuration errors.
-pub fn run_extensor_op(
-    a: &CsMatrix,
-    b: &CsMatrix,
-    hier: &HierarchySpec,
-) -> Result<RunReport, CoreError> {
-    AccelSpec::extensor_op().run(a, b, &RunCtx::new(hier))
-}
-
-/// ExTensor-OP-DRT (TACTile): ExTensor-OP with DRT tile extraction.
-///
-/// # Errors
-///
-/// Propagates engine/tiling configuration errors.
-pub fn run_tactile(
-    a: &CsMatrix,
-    b: &CsMatrix,
-    hier: &HierarchySpec,
-) -> Result<RunReport, CoreError> {
-    AccelSpec::extensor_op_drt().run(a, b, &RunCtx::new(hier))
-}
-
-/// ExTensor-OP-DRT with an explicit intersection unit and extractor model
-/// (Figure 12's unit sweep and §6.5's ideal-extractor comparison).
-///
-/// # Errors
-///
-/// Propagates engine/tiling configuration errors.
-pub fn run_tactile_with(
-    a: &CsMatrix,
-    b: &CsMatrix,
-    hier: &HierarchySpec,
-    intersect: IntersectUnit,
-    extractor: ExtractorModel,
-) -> Result<RunReport, CoreError> {
-    let mut spec = AccelSpec::extensor_op_drt();
-    if let SpecKind::Engine(es) = &mut spec.kind {
-        es.intersect = intersect;
-        es.extractor = extractor;
-    }
-    spec.run(a, b, &RunCtx::new(hier))
-}
-
-/// ExTensor-OP-DRT with custom partitions, growth order, and micro-tile
-/// shape — the §6.6 design-space knobs (Figures 14–17).
-///
-/// # Errors
-///
-/// Propagates engine/tiling configuration errors.
-pub fn run_tactile_custom(
-    a: &CsMatrix,
-    b: &CsMatrix,
-    hier: &HierarchySpec,
-    drt: DrtConfig,
-    micro: (u32, u32),
-) -> Result<RunReport, CoreError> {
-    let mut cfg = EngineConfig {
-        loop_order: vec!['j', 'k', 'i'],
-        hier: *hier,
-        micro,
-        ..EngineConfig::new(("ExTensor-OP-DRT", Tiling::Drt, drt))
-    };
-    cfg.intersect = IntersectUnit::Parallel(32);
-    cfg.merge_lanes = 16;
-    run_spmspm_exec(a, b, &cfg, &Probe::disabled(), &ExecPolicy::serial())
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::report::RunReport;
+    use crate::session::Session;
+    use crate::spec::{AccelSpec, PartitionPreset};
     use drt_kernels::spmspm::gustavson;
-    use drt_sim::memory::BufferSpec;
+    use drt_sim::memory::{BufferSpec, HierarchySpec};
+    use drt_tensor::CsMatrix;
     use drt_workloads::patterns::unstructured;
+
+    fn run(spec: AccelSpec, a: &CsMatrix) -> RunReport {
+        Session::new(spec).hierarchy(&hier()).run_spmspm(a, a).expect("run")
+    }
 
     fn hier() -> HierarchySpec {
         HierarchySpec {
@@ -183,12 +53,11 @@ mod tests {
     #[test]
     fn all_three_variants_agree_functionally() {
         let a = unstructured(160, 160, 1100, 2.0, 11);
-        let h = hier();
         let reference = gustavson(&a, &a).z;
         for r in [
-            run_extensor(&a, &a, &h).expect("extensor"),
-            run_extensor_op(&a, &a, &h).expect("op"),
-            run_tactile(&a, &a, &h).expect("tactile"),
+            run(AccelSpec::extensor(), &a),
+            run(AccelSpec::extensor_op(), &a),
+            run(AccelSpec::extensor_op_drt(), &a),
         ] {
             assert!(
                 r.output.as_ref().expect("functional").approx_eq(&reference, 1e-9),
@@ -201,9 +70,8 @@ mod tests {
     #[test]
     fn drt_variant_reduces_traffic_and_time() {
         let a = unstructured(256, 256, 1800, 2.0, 12);
-        let h = hier();
-        let op = run_extensor_op(&a, &a, &h).expect("op");
-        let drt = run_tactile(&a, &a, &h).expect("tactile");
+        let op = run(AccelSpec::extensor_op(), &a);
+        let drt = run(AccelSpec::extensor_op_drt(), &a);
         assert!(
             drt.traffic.total() < op.traffic.total(),
             "DRT traffic {} vs S-U-C {}",
@@ -216,9 +84,8 @@ mod tests {
     #[test]
     fn op_variant_no_slower_than_original() {
         let a = unstructured(128, 128, 900, 2.0, 13);
-        let h = hier();
-        let ext = run_extensor(&a, &a, &h).expect("extensor");
-        let op = run_extensor_op(&a, &a, &h).expect("op");
+        let ext = run(AccelSpec::extensor(), &a);
+        let op = run(AccelSpec::extensor_op(), &a);
         // Same tiling; better intersection/merge hardware → never slower.
         assert!(op.compute_cycles <= ext.compute_cycles);
         assert!(op.seconds <= ext.seconds * 1.0001);
@@ -226,7 +93,7 @@ mod tests {
 
     #[test]
     fn partitions_follow_paper_shares() {
-        let p = paper_partitions(1000);
+        let p = PartitionPreset::ExtensorPaper.partitions(1000);
         assert_eq!(p.get("A"), 50);
         assert_eq!(p.get("B"), 450);
         assert_eq!(p.get("Z"), 500);

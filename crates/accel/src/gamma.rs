@@ -19,22 +19,13 @@ use drt_tensor::{CsMatrix, MajorAxis};
 use std::collections::HashMap;
 
 /// Run the GAMMA-like model on `Z = A · B` (DRAM-bound runtime, like the
-/// Study 2 portability models).
+/// Study 2 portability models); FiberCache misses surface as `fetch`
+/// events, hits as `hit`. The body of the registry's `gamma` spec.
 ///
 /// # Panics
 ///
 /// Panics when inner dimensions disagree.
-pub fn run_gamma_like(a: &CsMatrix, b: &CsMatrix, hier: &HierarchySpec) -> RunReport {
-    run_gamma_like_with(a, b, hier, &SizeModel::default(), &Probe::disabled())
-}
-
-/// [`run_gamma_like`] with an explicit size model and instrumentation
-/// probe (FiberCache misses surface as `fetch` events, hits as `hit`).
-///
-/// # Panics
-///
-/// Panics when inner dimensions disagree.
-pub fn run_gamma_like_with(
+pub(crate) fn run_gamma_like(
     a: &CsMatrix,
     b: &CsMatrix,
     hier: &HierarchySpec,
@@ -116,9 +107,15 @@ pub fn run_gamma_like_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
+    use crate::spec::AccelSpec;
     use drt_kernels::spmspm::gustavson;
     use drt_sim::memory::BufferSpec;
     use drt_workloads::patterns::unstructured;
+
+    fn run(spec: AccelSpec, a: &CsMatrix, h: &HierarchySpec) -> RunReport {
+        Session::new(spec).hierarchy(h).run_spmspm(a, a).expect("run")
+    }
 
     fn hier(kib: u64) -> HierarchySpec {
         HierarchySpec {
@@ -130,7 +127,7 @@ mod tests {
     #[test]
     fn output_matches_reference() {
         let a = unstructured(96, 96, 700, 2.0, 1);
-        let r = run_gamma_like(&a, &a, &hier(16));
+        let r = run(AccelSpec::gamma(), &a, &hier(16));
         assert!(r.output.as_ref().expect("out").approx_eq(&gustavson(&a, &a).z, 1e-9));
     }
 
@@ -138,8 +135,8 @@ mod tests {
     fn fibercache_beats_untiled_matraptor_on_b_traffic() {
         let a = unstructured(128, 128, 1200, 2.0, 2);
         let h = hier(16);
-        let gamma = run_gamma_like(&a, &a, &h);
-        let untiled = crate::matraptor::run_untiled(&a, &a, &h);
+        let gamma = run(AccelSpec::gamma(), &a, &h);
+        let untiled = run(AccelSpec::matraptor(), &a, &h);
         assert!(
             gamma.traffic.reads_of("B") < untiled.traffic.reads_of("B"),
             "FiberCache reuse ({}) must beat no reuse ({})",
@@ -151,7 +148,7 @@ mod tests {
     #[test]
     fn big_cache_gives_compulsory_b_traffic() {
         let a = unstructured(64, 64, 500, 2.0, 3);
-        let r = run_gamma_like(&a, &a, &hier(1024));
+        let r = run(AccelSpec::gamma(), &a, &hier(1024));
         let sm = SizeModel::default();
         // With everything cached, B is read at most once.
         assert!(r.traffic.reads_of("B") <= sm.cs_matrix_bytes(&a) as u64 + 64);
@@ -160,8 +157,8 @@ mod tests {
     #[test]
     fn tiny_cache_degrades_toward_untiled() {
         let a = unstructured(128, 128, 1200, 2.0, 4);
-        let big = run_gamma_like(&a, &a, &hier(64));
-        let tiny = run_gamma_like(&a, &a, &hier(1));
+        let big = run(AccelSpec::gamma(), &a, &hier(64));
+        let tiny = run(AccelSpec::gamma(), &a, &hier(1));
         assert!(tiny.traffic.reads_of("B") >= big.traffic.reads_of("B"));
     }
 }

@@ -3,12 +3,19 @@
 //! Every machine the paper evaluates (§5.2), modelled at the paper's own
 //! fidelity (bandwidth/queuing, §5.2.1) on top of `drt-sim`:
 //!
+//! Every SpMSpM machine is a registered [`spec::AccelSpec`] — data, not a
+//! function family — and runs through one door,
+//! [`session::Session::run_ref`]. The per-machine modules hold the
+//! models behind those specs:
+//!
 //! * [`extensor`] — ExTensor (S-U-C tiling, skip-based intersection), the
 //!   improved ExTensor-OP, and ExTensor-OP-DRT (a.k.a. TACTile), all
 //!   cycle-accounted and functionally validated.
-//! * [`outerspace`] — OuterSPACE (outer-product dataflow): untiled
-//!   original, S-U-C-tiled, and DRT-tiled variants (Study 2, DRAM-bound).
-//! * [`matraptor`] — MatRaptor (row-wise Gustavson): untiled, S-U-C, DRT.
+//! * [`outerspace`] — OuterSPACE (outer-product dataflow): the untiled
+//!   original's closed-form model; its S-U-C- and DRT-tiled variants are
+//!   engine specs (Study 2, DRAM-bound).
+//! * [`matraptor`] — MatRaptor (row-wise Gustavson): the untiled model;
+//!   S-U-C and DRT variants are engine specs.
 //! * [`gamma`] — extension: a GAMMA-like row-granular design with a
 //!   FiberCache (the §7 related work the paper calls nascent D-N-C).
 //! * [`hier2`] — two-level (DRAM → LLB → PE) traffic analysis composing
@@ -19,7 +26,8 @@
 //!   68.25 GB/s) every speedup figure normalizes to.
 //! * [`taco`] — the TACO-like CPU baseline for the Gram kernel (Figure 9).
 //! * [`gram`] — ExTensor-OP(-DRT) running the 3-D Gram contraction.
-//! * [`sw`] — Study 3's software S-U-C/DRT memory-traffic oracle.
+//! * [`sw`] — Study 3's software S-U-C/DRT memory-traffic oracle (the
+//!   `sw-suc` / `sw-dnc` specs).
 //! * [`spec`] — declarative accelerator specs ([`spec::AccelSpec`]), the
 //!   §5.2.4 partition presets, and the name → variant [`spec::Registry`]
 //!   every bench driver selects machines through.
@@ -33,7 +41,8 @@
 //!   a cross-run plan cache plus content-addressed per-task result
 //!   splicing, bit-identical to from-scratch runs.
 //! * [`session`] — the unified run API ([`session::Session`]): the one
-//!   blessed entry point fronting the engine and every registered variant.
+//!   execution door fronting the engine, every registered variant, and
+//!   every staged pipeline.
 //! * [`pipeline`] — multi-stage fused pipelines over one co-tiling
 //!   ([`pipeline::PipelineSpec`]): MTTKRP over CSF, fused SDDMM→SpMM,
 //!   and A·B·C chains, with tile-resident inter-stage intermediates and

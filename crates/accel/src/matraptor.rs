@@ -9,9 +9,7 @@
 //! Study 2 idealizes on-chip behaviour: DRAM-bound runtimes.
 
 use crate::report::{PhaseBreakdown, RunReport};
-use crate::spec::{AccelSpec, RunCtx};
 use drt_core::probe::{Event, Probe};
-use drt_core::CoreError;
 use drt_sim::energy::ActionCounts;
 use drt_sim::memory::HierarchySpec;
 use drt_sim::traffic::TrafficCounter;
@@ -21,21 +19,13 @@ use drt_tensor::{CsMatrix, MajorAxis};
 /// Untiled MatRaptor: `A` and `Z` once; `B` row `k` re-streamed per
 /// touching `A` non-zero, except rows still resident in the (small) B
 /// buffer slice — modelled as rows re-read once per distinct `A` row that
-/// touches them beyond the first.
+/// touches them beyond the first. The body of the registry's `matraptor`
+/// spec.
 ///
 /// # Panics
 ///
 /// Panics when inner dimensions disagree.
-pub fn run_untiled(a: &CsMatrix, b: &CsMatrix, hier: &HierarchySpec) -> RunReport {
-    run_untiled_with(a, b, hier, &SizeModel::default(), &Probe::disabled())
-}
-
-/// [`run_untiled`] with an explicit size model and instrumentation probe.
-///
-/// # Panics
-///
-/// Panics when inner dimensions disagree.
-pub fn run_untiled_with(
+pub(crate) fn run_untiled(
     a: &CsMatrix,
     b: &CsMatrix,
     hier: &HierarchySpec,
@@ -94,30 +84,18 @@ pub fn run_untiled_with(
     }
 }
 
-/// MatRaptor with a single level of S-U-C tiling (best-swept shape).
-///
-/// # Errors
-///
-/// Propagates engine/tiling configuration errors.
-pub fn run_suc(a: &CsMatrix, b: &CsMatrix, hier: &HierarchySpec) -> Result<RunReport, CoreError> {
-    AccelSpec::matraptor_suc().run(a, b, &RunCtx::new(hier))
-}
-
-/// MatRaptor with DRT tiling.
-///
-/// # Errors
-///
-/// Propagates engine/tiling configuration errors.
-pub fn run_drt(a: &CsMatrix, b: &CsMatrix, hier: &HierarchySpec) -> Result<RunReport, CoreError> {
-    AccelSpec::matraptor_drt().run(a, b, &RunCtx::new(hier))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
+    use crate::spec::AccelSpec;
     use drt_kernels::spmspm::gustavson;
     use drt_sim::memory::BufferSpec;
     use drt_workloads::patterns::unstructured;
+
+    fn run(spec: AccelSpec, a: &CsMatrix, h: &HierarchySpec) -> RunReport {
+        Session::new(spec).hierarchy(h).run_spmspm(a, a).expect("run")
+    }
 
     fn hier() -> HierarchySpec {
         HierarchySpec {
@@ -129,7 +107,7 @@ mod tests {
     #[test]
     fn untiled_b_traffic_scales_with_a_nnz() {
         let a = unstructured(96, 96, 800, 2.0, 1);
-        let r = run_untiled(&a, &a, &hier());
+        let r = run(AccelSpec::matraptor(), &a, &hier());
         let sm = SizeModel::default();
         // B is streamed per A non-zero: traffic well above one footprint.
         assert!(r.traffic.reads_of("B") > sm.cs_matrix_bytes(&a) as u64);
@@ -142,8 +120,8 @@ mod tests {
     fn tiling_restores_b_reuse() {
         let a = unstructured(160, 160, 1400, 2.0, 2);
         let h = hier();
-        let untiled = run_untiled(&a, &a, &h);
-        let drt = run_drt(&a, &a, &h).expect("drt");
+        let untiled = run(AccelSpec::matraptor(), &a, &h);
+        let drt = run(AccelSpec::matraptor_drt(), &a, &h);
         assert!(
             drt.traffic.reads_of("B") < untiled.traffic.reads_of("B"),
             "DRT B reads {} vs untiled {}",
@@ -158,9 +136,9 @@ mod tests {
         let h = hier();
         let reference = gustavson(&a, &a).z;
         for r in [
-            run_untiled(&a, &a, &h),
-            run_suc(&a, &a, &h).expect("suc"),
-            run_drt(&a, &a, &h).expect("drt"),
+            run(AccelSpec::matraptor(), &a, &h),
+            run(AccelSpec::matraptor_suc(), &a, &h),
+            run(AccelSpec::matraptor_drt(), &a, &h),
         ] {
             assert!(r.output.as_ref().expect("out").approx_eq(&reference, 1e-9), "{}", r.name);
         }

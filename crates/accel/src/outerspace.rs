@@ -11,9 +11,7 @@
 //! DRAM-bound runtime.
 
 use crate::report::{PhaseBreakdown, RunReport};
-use crate::spec::{AccelSpec, RunCtx};
 use drt_core::probe::{Event, Probe};
-use drt_core::CoreError;
 use drt_sim::energy::ActionCounts;
 use drt_sim::memory::HierarchySpec;
 use drt_sim::traffic::TrafficCounter;
@@ -21,21 +19,13 @@ use drt_tensor::format::SizeModel;
 use drt_tensor::CsMatrix;
 
 /// Untiled OuterSPACE: inputs once, all partial products spilled and
-/// re-read, final output written once.
+/// re-read, final output written once. The body of the registry's
+/// `outerspace` spec.
 ///
 /// # Panics
 ///
 /// Panics when inner dimensions disagree.
-pub fn run_untiled(a: &CsMatrix, b: &CsMatrix, hier: &HierarchySpec) -> RunReport {
-    run_untiled_with(a, b, hier, &SizeModel::default(), &Probe::disabled())
-}
-
-/// [`run_untiled`] with an explicit size model and instrumentation probe.
-///
-/// # Panics
-///
-/// Panics when inner dimensions disagree.
-pub fn run_untiled_with(
+pub(crate) fn run_untiled(
     a: &CsMatrix,
     b: &CsMatrix,
     hier: &HierarchySpec,
@@ -86,30 +76,18 @@ pub fn run_untiled_with(
     }
 }
 
-/// OuterSPACE with a single level of S-U-C tiling (best-swept shape).
-///
-/// # Errors
-///
-/// Propagates engine/tiling configuration errors.
-pub fn run_suc(a: &CsMatrix, b: &CsMatrix, hier: &HierarchySpec) -> Result<RunReport, CoreError> {
-    AccelSpec::outerspace_suc().run(a, b, &RunCtx::new(hier))
-}
-
-/// OuterSPACE with DRT tiling.
-///
-/// # Errors
-///
-/// Propagates engine/tiling configuration errors.
-pub fn run_drt(a: &CsMatrix, b: &CsMatrix, hier: &HierarchySpec) -> Result<RunReport, CoreError> {
-    AccelSpec::outerspace_drt().run(a, b, &RunCtx::new(hier))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
+    use crate::spec::AccelSpec;
     use drt_kernels::spmspm::gustavson;
     use drt_sim::memory::BufferSpec;
     use drt_workloads::patterns::unstructured;
+
+    fn run(spec: AccelSpec, a: &CsMatrix, h: &HierarchySpec) -> RunReport {
+        Session::new(spec).hierarchy(h).run_spmspm(a, a).expect("run")
+    }
 
     fn hier() -> HierarchySpec {
         HierarchySpec {
@@ -121,7 +99,7 @@ mod tests {
     #[test]
     fn untiled_charges_all_partials() {
         let a = unstructured(96, 96, 700, 2.0, 1);
-        let r = run_untiled(&a, &a, &hier());
+        let r = run(AccelSpec::outerspace(), &a, &hier());
         let sm = SizeModel::default();
         let partials = drt_kernels::spmspm::outer_product(&a, &a).partial_products;
         assert!(r.traffic.of("Z") >= 2 * sm.coo_bytes(partials as usize, 2) as u64);
@@ -137,8 +115,8 @@ mod tests {
             llb: BufferSpec { capacity_bytes: 64 * 1024, ports: 2 },
             ..HierarchySpec::default()
         };
-        let untiled = run_untiled(&a, &a, &h);
-        let drt = run_drt(&a, &a, &h).expect("drt");
+        let untiled = run(AccelSpec::outerspace(), &a, &h);
+        let drt = run(AccelSpec::outerspace_drt(), &a, &h);
         assert!(
             drt.traffic.of("Z") < untiled.traffic.of("Z"),
             "DRT Z traffic {} vs untiled {}",
@@ -152,8 +130,8 @@ mod tests {
     fn drt_at_least_matches_suc() {
         let a = unstructured(160, 160, 1200, 2.0, 3);
         let h = hier();
-        let suc = run_suc(&a, &a, &h).expect("suc");
-        let drt = run_drt(&a, &a, &h).expect("drt");
+        let suc = run(AccelSpec::outerspace_suc(), &a, &h);
+        let drt = run(AccelSpec::outerspace_drt(), &a, &h);
         assert!(drt.traffic.total() <= suc.traffic.total() * 11 / 10);
         // Functional agreement across all three variants.
         let reference = gustavson(&a, &a).z;
@@ -165,7 +143,7 @@ mod tests {
     fn ideal_on_chip_runtime_is_dram_bound() {
         let a = unstructured(96, 96, 500, 2.0, 4);
         let h = hier();
-        let r = run_drt(&a, &a, &h).expect("drt");
+        let r = run(AccelSpec::outerspace_drt(), &a, &h);
         assert!((r.seconds - r.dram_bound_seconds(&h)).abs() / r.seconds < 1e-2);
     }
 }

@@ -1,7 +1,8 @@
 //! Multi-stage fused pipelines over one DRT co-tiling (the §7 outlook:
 //! "DRT is not specific to SpMSpM"): MTTKRP over CSF, the fused
 //! SDDMM→SpMM "GNN attention layer", and A·B·C chains, all runnable
-//! through [`crate::session::Session::run_pipeline`].
+//! through [`crate::session::Session::run_ref`] as a
+//! [`crate::workload::WorkloadRef::Pipeline`].
 //!
 //! A [`PipelineSpec`] is a list of 1..N [`Stage`]s applied to one sparse
 //! input. Single-stage SpMSpM is the degenerate case and delegates
@@ -185,14 +186,15 @@ fn bad(detail: String) -> DrtError {
 /// Single-stage SpMSpM delegates to [`AccelSpec::run_ft`] (all registered
 /// variants, reports bit-identical to `Session::run_spmspm`). Every other
 /// pipeline shape requires an engine-backed spec and runs through the
-/// modeled stage streams described in the module docs.
+/// modeled stage streams described in the module docs. The body of
+/// `Session::run_ref` for spec-backed pipeline workloads.
 ///
 /// # Errors
 ///
 /// [`DrtError::Core`] with `BadConfig` for unsupported input/stage
 /// combinations or analytic (non-engine) specs on multi-stage pipelines;
 /// tiling configuration errors propagate from `drt-core`.
-pub fn run_pipeline(
+pub(crate) fn run_pipeline(
     input: PipelineInput<'_>,
     pipe: &PipelineSpec,
     spec: &AccelSpec,
@@ -860,8 +862,17 @@ fn run_ttv(
 mod tests {
     use super::*;
     use crate::session::Session;
+    use crate::workload::WorkloadRef;
     use drt_workloads::patterns::unstructured;
     use drt_workloads::tensor3::{dense_factor, skewed_tensor};
+
+    fn run(
+        session: &Session,
+        input: PipelineInput<'_>,
+        pipe: &PipelineSpec,
+    ) -> Result<RunReport, DrtError> {
+        session.run_ref(WorkloadRef::Pipeline { input, pipe }).map(RunOutcome::into_report)
+    }
 
     fn small_hier() -> HierarchySpec {
         HierarchySpec::default().scaled_down(256)
@@ -875,8 +886,7 @@ mod tests {
                 .hierarchy(&small_hier())
                 .threads(threads);
             let direct = session.run_spmspm(&a, &a).expect("direct");
-            let piped = session
-                .run_pipeline(PipelineInput::Matrix(&a), &PipelineSpec::spmspm(a.clone()))
+            let piped = run(&session, PipelineInput::Matrix(&a), &PipelineSpec::spmspm(a.clone()))
                 .expect("piped");
             assert!(direct.bit_diff(&piped).is_none(), "{:?}", direct.bit_diff(&piped));
             assert!(piped.stages.is_empty(), "degenerate pipeline keeps stages empty");
@@ -889,15 +899,9 @@ mod tests {
         let b = unstructured(64, 64, 600, 2.0, 3);
         let c = unstructured(64, 64, 600, 2.0, 4);
         let session = Session::new(AccelSpec::extensor_op_drt()).hierarchy(&small_hier());
-        let fused = session
-            .run_pipeline(PipelineInput::Matrix(&a), &PipelineSpec::abc(b.clone(), c.clone()))
-            .expect("fused");
-        let unfused = session
-            .run_pipeline(
-                PipelineInput::Matrix(&a),
-                &PipelineSpec::abc(b.clone(), c.clone()).unfused(),
-            )
-            .expect("unfused");
+        let pipe = PipelineSpec::abc(b.clone(), c.clone());
+        let fused = run(&session, PipelineInput::Matrix(&a), &pipe).expect("fused");
+        let unfused = run(&session, PipelineInput::Matrix(&a), &pipe.unfused()).expect("unfused");
         let t = drt_kernels::spmspm::gustavson(&a, &b).z;
         assert!(t.nnz() > 0, "intermediate must be non-empty for this test");
         assert!(
@@ -921,10 +925,9 @@ mod tests {
         let h = dense_factor(40, 5, 8);
         let session = Session::new(AccelSpec::extensor_op_drt()).hierarchy(&small_hier());
         let pipe = PipelineSpec::sddmm_spmm(u.clone(), v.clone(), h.clone());
-        let fused = session.run_pipeline(PipelineInput::Matrix(&a), &pipe).expect("fused");
-        let unfused = session
-            .run_pipeline(PipelineInput::Matrix(&a), &pipe.clone().unfused())
-            .expect("unfused");
+        let fused = run(&session, PipelineInput::Matrix(&a), &pipe).expect("fused");
+        let unfused =
+            run(&session, PipelineInput::Matrix(&a), &pipe.clone().unfused()).expect("unfused");
         assert!(fused.traffic.total() < unfused.traffic.total());
         let want = drt_kernels::sddmm::fused_sddmm_spmm(&a, &u, &v, &h).z.to_sparse(MajorAxis::Row);
         assert!(fused.output.as_ref().expect("out").approx_eq(&want, 1e-9));
@@ -938,7 +941,9 @@ mod tests {
         let b = dense_factor(24, 4, 10);
         let c = dense_factor(28, 4, 11);
         let session = Session::new(AccelSpec::extensor_op_drt()).hierarchy(&small_hier());
-        let r = session.run_mttkrp(&x, &b, &c).expect("mttkrp");
+        let r =
+            run(&session, PipelineInput::Tensor(&x), &PipelineSpec::mttkrp(b.clone(), c.clone()))
+                .expect("mttkrp");
         assert_eq!(r.maccs, drt_kernels::mttkrp::mttkrp_maccs(&x, 4));
         let want = drt_kernels::mttkrp::mttkrp(&x, &b, &c).m.to_sparse(MajorAxis::Row);
         assert!(r.output.as_ref().expect("out").approx_eq(&want, 1e-9));
@@ -953,7 +958,8 @@ mod tests {
         let want = drt_kernels::ttv::ttv(&x, &v);
         for spec in [AccelSpec::extensor_op_drt(), AccelSpec::extensor_op()] {
             let session = Session::new(spec).hierarchy(&small_hier());
-            let r = session.run_ttv(&x, &v).expect("ttv");
+            let r = run(&session, PipelineInput::Tensor(&x), &PipelineSpec::ttv(v.clone()))
+                .expect("ttv");
             assert_eq!(r.maccs, x.nnz() as u64);
             assert!(r.output.as_ref().expect("out").approx_eq(&want, 1e-9));
             assert!(r.phase_partition_violation().is_none());
@@ -966,7 +972,8 @@ mod tests {
         let b = dense_factor(8, 2, 1);
         let c = dense_factor(8, 2, 2);
         let session = Session::new(AccelSpec::outerspace());
-        let err = session.run_mttkrp(&x, &b, &c).expect_err("analytic must reject");
+        let err = run(&session, PipelineInput::Tensor(&x), &PipelineSpec::mttkrp(b, c))
+            .expect_err("analytic must reject");
         assert!(err.to_string().contains("engine-backed"), "{err}");
     }
 }

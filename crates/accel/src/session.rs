@@ -18,9 +18,26 @@
 //!
 //! A session accepts anything `Into<AccelSpec>` — a registered spec, or
 //! the ad-hoc `(name, Tiling, DrtConfig)` triple — or a hand-built
-//! [`EngineConfig`] via [`Session::from_engine_config`]. Multi-stage
-//! pipelines (MTTKRP, fused SDDMM→SpMM, A·B·C chains) run through the
-//! same session via [`Session::run_pipeline`].
+//! [`EngineConfig`] via [`Session::from_engine_config`]. Every run —
+//! SpMSpM, multi-stage pipelines (MTTKRP, fused SDDMM→SpMM, A·B·C
+//! chains), typed requests — lands in [`Session::run_ref`]:
+//!
+//! ```rust
+//! use drt_accel::pipeline::{PipelineInput, PipelineSpec};
+//! use drt_accel::session::Session;
+//! use drt_accel::workload::WorkloadRef;
+//! use drt_workloads::patterns::unstructured;
+//!
+//! # fn main() -> Result<(), drt_accel::error::DrtError> {
+//! let a = unstructured(96, 96, 700, 2.0, 1);
+//! let session = Session::from_registry("extensor-op-drt")?;
+//! let pipe = PipelineSpec::abc(a.clone(), a.clone());
+//! let input = PipelineInput::Matrix(&a);
+//! let chain = session.run_ref(WorkloadRef::Pipeline { input, pipe: &pipe })?;
+//! assert!(!chain.is_degraded());
+//! # Ok(())
+//! # }
+//! ```
 
 use crate::cpu::CpuSpec;
 use crate::engine::{run_spmspm_ft, EngineConfig, ExecPolicy, ShardSchedule};
@@ -36,7 +53,7 @@ use drt_core::plancache::PlanCache;
 use drt_core::probe::Probe;
 use drt_core::CoreError;
 use drt_sim::memory::HierarchySpec;
-use drt_tensor::{CsMatrix, CsfTensor, DenseMatrix};
+use drt_tensor::CsMatrix;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -228,8 +245,8 @@ impl Session {
     ///
     /// A degraded run (expired deadline, cancellation, exhausted budget)
     /// is still `Ok`: its report carries a `degradation` record saying
-    /// why and how far it got. Use [`Session::run_spmspm_ft`] to branch
-    /// on completeness explicitly.
+    /// why and how far it got. Use [`Session::run_ref`] to branch on
+    /// completeness explicitly. The operands are borrowed, never cloned.
     ///
     /// # Errors
     ///
@@ -237,30 +254,29 @@ impl Session {
     /// that panicked through every retry as [`DrtError::ShardPanicked`].
     /// Analytic models are infallible.
     pub fn run_spmspm(&self, a: &CsMatrix, b: &CsMatrix) -> Result<RunReport, DrtError> {
-        self.run_spmspm_ft(a, b).map(RunOutcome::into_report)
+        self.run_ref(WorkloadRef::Spmspm { a, b }).map(RunOutcome::into_report)
     }
 
-    /// Simulate `Z = A · B`, distinguishing complete from degraded runs.
+    /// **The** execution path: every session entry point —
+    /// [`Session::run_spmspm`], owned [`Workload`]s, queued [`Request`]s
+    /// — lowers to a [`WorkloadRef`] and lands here, so a workload
+    /// produces the same report bit for bit no matter which door it came
+    /// in through.
     ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Session::run_spmspm`].
-    pub fn run_spmspm_ft(&self, a: &CsMatrix, b: &CsMatrix) -> Result<RunOutcome, DrtError> {
-        self.run_ref(WorkloadRef::Spmspm { a, b })
-    }
-
-    /// **The** execution path: every session entry point — the legacy
-    /// `run_*` wrappers, owned [`Workload`]s, queued [`Request`]s —
-    /// lowers to a [`WorkloadRef`] and lands here, so a workload produces
-    /// the same report bit for bit no matter which door it came in
-    /// through.
+    /// A single-stage SpMSpM pipeline is the degenerate case and produces
+    /// a report bit-identical to the plain SpMSpM run (traces included).
+    /// Multi-stage and tensor pipelines require a spec-backed session
+    /// around an engine variant; their reports additionally carry
+    /// per-stage phase breakdowns in `report.stages`.
     ///
     /// # Errors
     ///
     /// Engine/tiling configuration errors as [`DrtError::Core`]; a shard
     /// that panicked through every retry as [`DrtError::ShardPanicked`];
-    /// `BadConfig` for pipeline shapes the session target cannot run
-    /// (multi-stage pipelines need a spec-backed engine session).
+    /// `BadConfig` for pipeline shapes the session target cannot run:
+    /// unsupported input/stage combinations, analytic specs on
+    /// multi-stage pipelines, or multi-stage pipelines on a
+    /// [`Session::from_engine_config`] session.
     pub fn run_ref(&self, w: WorkloadRef<'_>) -> Result<RunOutcome, DrtError> {
         match (w, &self.target) {
             (WorkloadRef::Spmspm { a, b }, Target::Spec(spec)) => spec.run_ft(a, b, &self.ctx),
@@ -284,10 +300,10 @@ impl Session {
         }
     }
 
-    /// Run an owned [`Workload`] — the typed-request form of the `run_*`
-    /// wrappers. MTTKRP and TTV workloads lower to their one-stage
-    /// pipelines, exactly as [`Session::run_mttkrp`] / [`Session::run_ttv`]
-    /// always did, so reports are bit-identical either way.
+    /// Run an owned [`Workload`]. MTTKRP and TTV workloads lower to their
+    /// one-stage [`PipelineSpec::mttkrp`] / [`PipelineSpec::ttv`]
+    /// pipelines, so reports are bit-identical to running those
+    /// pipelines through [`Session::run_ref`].
     ///
     /// # Errors
     ///
@@ -354,55 +370,6 @@ impl Session {
         s
     }
 
-    /// Run a staged [`PipelineSpec`] on `input` under this session's
-    /// target and context.
-    ///
-    /// A single-stage SpMSpM pipeline is the degenerate case and produces
-    /// a report bit-identical to [`Session::run_spmspm`] (traces
-    /// included). Multi-stage and tensor pipelines require a spec-backed
-    /// session around an engine variant; their reports additionally carry
-    /// per-stage phase breakdowns in `report.stages`.
-    ///
-    /// # Errors
-    ///
-    /// `BadConfig` (as [`DrtError::Core`]) for unsupported input/stage
-    /// combinations, analytic specs on multi-stage pipelines, or
-    /// multi-stage pipelines on a [`Session::from_engine_config`]
-    /// session; engine/tiling errors propagate as usual.
-    pub fn run_pipeline(
-        &self,
-        input: PipelineInput<'_>,
-        pipe: &PipelineSpec,
-    ) -> Result<RunReport, DrtError> {
-        self.run_ref(WorkloadRef::Pipeline { input, pipe }).map(RunOutcome::into_report)
-    }
-
-    /// MTTKRP over a CSF 3-tensor: `M_ir = Σ_jk χ_ijk · B_jr · C_kr`.
-    /// Shorthand for a one-stage [`PipelineSpec::mttkrp`] pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Session::run_pipeline`].
-    pub fn run_mttkrp(
-        &self,
-        x: &CsfTensor,
-        b: &DenseMatrix,
-        c: &DenseMatrix,
-    ) -> Result<RunReport, DrtError> {
-        self.run_pipeline(PipelineInput::Tensor(x), &PipelineSpec::mttkrp(b.clone(), c.clone()))
-    }
-
-    /// Tensor-times-vector over a CSF 3-tensor's last mode:
-    /// `Y_ij = Σ_k χ_ijk · v_k`. Shorthand for a one-stage
-    /// [`PipelineSpec::ttv`] pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Session::run_pipeline`].
-    pub fn run_ttv(&self, x: &CsfTensor, v: &[f64]) -> Result<RunReport, DrtError> {
-        self.run_pipeline(PipelineInput::Tensor(x), &PipelineSpec::ttv(v.to_vec()))
-    }
-
     /// The declarative spec this session targets, when built from one
     /// (`None` for [`Session::from_engine_config`] sessions).
     pub fn spec(&self) -> Option<&AccelSpec> {
@@ -444,7 +411,10 @@ mod tests {
     fn registry_session_matches_direct_spec_run() {
         let a = unstructured(96, 96, 700, 2.0, 3);
         let hier = HierarchySpec::default().scaled_down(256);
-        let direct = AccelSpec::extensor_op_drt().run(&a, &a, &RunCtx::new(&hier)).expect("direct");
+        let direct = AccelSpec::extensor_op_drt()
+            .run_ft(&a, &a, &RunCtx::new(&hier))
+            .expect("direct")
+            .into_report();
         let via_session = Session::from_registry("tactile")
             .expect("alias must resolve")
             .hierarchy(&hier)
@@ -498,23 +468,30 @@ mod tests {
     }
 
     #[test]
-    fn workload_forms_match_their_legacy_wrappers() {
+    fn workload_forms_match_their_pipeline_lowering() {
         use crate::workload::Workload;
         use drt_workloads::tensor3::{dense_factor, Tensor3Gen};
         let hier = HierarchySpec::default().scaled_down(256);
         let session = Session::new(AccelSpec::extensor_op()).hierarchy(&hier);
         let x = Tensor3Gen::mode_skewed(24, 20, 22, 600, 5).generate();
         let (b, c) = (dense_factor(20, 8, 1), dense_factor(22, 8, 2));
-        let legacy = session.run_mttkrp(&x, &b, &c).expect("legacy mttkrp");
+        let run_pipe = |pipe: &PipelineSpec| {
+            session
+                .run_ref(WorkloadRef::Pipeline { input: PipelineInput::Tensor(&x), pipe })
+                .expect("pipeline")
+                .into_report()
+        };
+        let staged = run_pipe(&PipelineSpec::mttkrp(b.clone(), c.clone()));
         let typed = session
-            .run_workload(&Workload::mttkrp(x.clone(), b.clone(), c.clone()))
+            .run_workload(&Workload::mttkrp(x.clone(), b, c))
             .expect("typed mttkrp")
             .into_report();
-        assert!(legacy.bit_diff(&typed).is_none(), "{:?}", legacy.bit_diff(&typed));
+        assert!(staged.bit_diff(&typed).is_none(), "{:?}", staged.bit_diff(&typed));
 
         let v: Vec<f64> = (0..22).map(|k| 1.0 + k as f64 * 0.25).collect();
-        let legacy = session.run_ttv(&x, &v).expect("legacy ttv");
-        let typed = session.run_workload(&Workload::ttv(x, v)).expect("typed ttv").into_report();
-        assert!(legacy.bit_diff(&typed).is_none(), "{:?}", legacy.bit_diff(&typed));
+        let staged = run_pipe(&PipelineSpec::ttv(v.clone()));
+        let typed =
+            session.run_workload(&Workload::ttv(x.clone(), v)).expect("typed ttv").into_report();
+        assert!(staged.bit_diff(&typed).is_none(), "{:?}", staged.bit_diff(&typed));
     }
 }

@@ -17,29 +17,15 @@ use drt_sim::traffic::TrafficCounter;
 use drt_tensor::format::SizeModel;
 use drt_tensor::CsMatrix;
 
-/// Run the SpArch-like model on `Z = A · B` (DRAM-bound runtime).
+/// Run the SpArch-like model on `Z = A · B` (DRAM-bound runtime). The
+/// body of the registry's `sparch` spec.
 ///
 /// `merge_ways` is the merger's fan-in (SpArch uses a 64-way tree).
 ///
 /// # Panics
 ///
 /// Panics when inner dimensions disagree or `merge_ways < 2`.
-pub fn run_sparch_like(
-    a: &CsMatrix,
-    b: &CsMatrix,
-    hier: &HierarchySpec,
-    merge_ways: u32,
-) -> RunReport {
-    run_sparch_like_with(a, b, hier, merge_ways, &SizeModel::default(), &Probe::disabled())
-}
-
-/// [`run_sparch_like`] with an explicit size model and instrumentation
-/// probe.
-///
-/// # Panics
-///
-/// Panics when inner dimensions disagree or `merge_ways < 2`.
-pub fn run_sparch_like_with(
+pub(crate) fn run_sparch_like(
     a: &CsMatrix,
     b: &CsMatrix,
     hier: &HierarchySpec,
@@ -112,9 +98,19 @@ pub fn run_sparch_like_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
+    use crate::spec::{AccelSpec, SpecKind};
     use drt_kernels::spmspm::gustavson;
     use drt_sim::memory::BufferSpec;
     use drt_workloads::patterns::unstructured;
+
+    fn run(spec: AccelSpec, a: &CsMatrix, h: &HierarchySpec) -> RunReport {
+        Session::new(spec).hierarchy(h).run_spmspm(a, a).expect("run")
+    }
+
+    fn sparch(merge_ways: u32) -> AccelSpec {
+        AccelSpec { kind: SpecKind::SpArchLike { merge_ways }, ..AccelSpec::sparch() }
+    }
 
     fn hier(kib: u64) -> HierarchySpec {
         HierarchySpec {
@@ -126,7 +122,7 @@ mod tests {
     #[test]
     fn output_matches_reference() {
         let a = unstructured(96, 96, 700, 2.0, 1);
-        let r = run_sparch_like(&a, &a, &hier(16), 64);
+        let r = run(sparch(64), &a, &hier(16));
         assert!(r.output.as_ref().expect("out").approx_eq(&gustavson(&a, &a).z, 1e-9));
     }
 
@@ -137,8 +133,8 @@ mod tests {
         // exceed the fan-in only logarithmically.
         let a = unstructured(128, 128, 3000, 2.0, 2);
         let h = hier(4);
-        let sparch = run_sparch_like(&a, &a, &h, 64);
-        let os = crate::outerspace::run_untiled(&a, &a, &h);
+        let sparch = run(sparch(64), &a, &h);
+        let os = run(AccelSpec::outerspace(), &a, &h);
         // With a 64-way merger, one pass suffices here, matching
         // OuterSPACE's 2x partial traffic — never worse.
         assert!(sparch.traffic.of("Z") <= os.traffic.of("Z") * 3);
@@ -148,7 +144,7 @@ mod tests {
     #[test]
     fn everything_on_chip_needs_no_merge_passes() {
         let a = unstructured(48, 48, 150, 2.0, 3);
-        let r = run_sparch_like(&a, &a, &hier(1024), 64);
+        let r = run(sparch(64), &a, &hier(1024));
         let sm = SizeModel::default();
         // Partials written once + final output once.
         let partials = sm
@@ -165,8 +161,8 @@ mod tests {
     fn narrower_merger_pays_more_passes() {
         let a = unstructured(160, 160, 4000, 2.0, 4);
         let h = hier(1);
-        let wide = run_sparch_like(&a, &a, &h, 64);
-        let narrow = run_sparch_like(&a, &a, &h, 2);
+        let wide = run(sparch(64), &a, &h);
+        let narrow = run(sparch(2), &a, &h);
         assert!(narrow.traffic.of("Z") >= wide.traffic.of("Z"));
     }
 }

@@ -6,14 +6,14 @@
 //! byte-accounting [`SizeModel`]. [`Registry::standard`] maps stable
 //! variant names (`"extensor-op-drt"`, `"outerspace"`, …) to specs so
 //! bench drivers and tests can select machines by name instead of
-//! hard-wiring per-module `run_*` calls; those `run_*` entry points are
-//! now thin wrappers over [`AccelSpec::run`].
+//! hard-wiring per-module `run_*` calls. Specs are data: every run goes
+//! through [`crate::session::Session`].
 //!
 //! The spec layer is also where the paper's static buffer-partition
 //! tables live ([`PartitionPreset`], §5.2.4 / §6.6) — previously each
 //! accelerator module carried its own `Partitions::split` literal.
 
-use crate::cpu::{run_mkl_like_with, CpuSpec};
+use crate::cpu::{run_mkl_like, CpuSpec};
 use crate::engine::{
     expiry_reason, run_spmspm_best_suc_exec, run_spmspm_ft, EngineConfig, ExecPolicy, FaultPolicy,
     Tiling,
@@ -94,8 +94,8 @@ pub enum TilingSpec {
 }
 
 /// Declarative configuration of an engine-simulated variant. Resolved
-/// against a [`RunCtx`]'s hierarchy into an [`EngineConfig`] by
-/// [`AccelSpec::run`].
+/// against a [`RunCtx`]'s hierarchy into an [`EngineConfig`] when a
+/// [`crate::session::Session`] runs the spec.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineSpec {
     /// Report label (the paper's machine name, e.g. `"ExTensor-OP-DRT"`).
@@ -361,44 +361,34 @@ fn engine_preflight(a: &CsMatrix, b: &CsMatrix, cfg: &EngineConfig) -> Result<()
     TaskStream::build(&kernel, opts).map(|_| ())
 }
 
-impl AccelSpec {
-    /// Run this variant on `Z = A · B`.
-    ///
-    /// A thin wrapper over [`AccelSpec::run_ft`] that flattens the
-    /// outcome (a degraded run's report carries its `degradation` field)
-    /// and unwraps [`DrtError::Core`]. A shard that exhausted its retries
-    /// panics here, preserving the legacy contract; use `run_ft` to
-    /// handle it as a typed error instead.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine/tiling configuration errors; analytic models are
-    /// infallible and always return `Ok`.
-    pub fn run(&self, a: &CsMatrix, b: &CsMatrix, ctx: &RunCtx) -> Result<RunReport, CoreError> {
-        match self.run_ft(a, b, ctx) {
-            Ok(out) => Ok(out.into_report()),
-            Err(DrtError::Core(e)) => Err(e),
-            Err(DrtError::ShardPanicked { task_range, message, .. }) => panic!(
-                "parallel worker panicked on tasks {}..{}: {}",
-                task_range.start, task_range.end, message
-            ),
-            Err(e) => Err(CoreError::BadConfig { detail: e.to_string() }),
-        }
-    }
+/// Pin `cfg` to an S-U-C sweep's winning shape, quantizing the kernel's
+/// micro shape like the sweep does so sub-micro shapes stay representable.
+fn use_suc_winner(cfg: &mut EngineConfig, shape: BTreeMap<RankId, u32>) {
+    let q = shape.values().copied().min().unwrap_or(32).clamp(1, 32);
+    cfg.micro = (q, q);
+    cfg.tiling = Tiling::Suc(shape);
+}
 
+impl AccelSpec {
     /// Fault-tolerant run of this variant on `Z = A · B`: the full
     /// outcome taxonomy of `engine::run_spmspm_ft`, made uniform across
     /// every registered variant. An expired token or a zero task budget
     /// degrades — never panics — for analytic models too; engine
     /// variants additionally degrade mid-run (DRT → S-U-C fallback on
     /// budget exhaustion, clean stops at task boundaries) and isolate
-    /// and retry panicked shards.
+    /// and retry panicked shards. [`crate::session::Session::run_ref`] is
+    /// the public door to it.
     ///
     /// # Errors
     ///
     /// Configuration errors as [`DrtError::Core`]; a shard that kept
     /// panicking after every retry as [`DrtError::ShardPanicked`].
-    pub fn run_ft(&self, a: &CsMatrix, b: &CsMatrix, ctx: &RunCtx) -> Result<RunOutcome, DrtError> {
+    pub(crate) fn run_ft(
+        &self,
+        a: &CsMatrix,
+        b: &CsMatrix,
+        ctx: &RunCtx,
+    ) -> Result<RunOutcome, DrtError> {
         if let Some(kind) = ctx.cancel.expiry_kind() {
             return Ok(degraded_entry(
                 &self.name,
@@ -423,12 +413,16 @@ impl AccelSpec {
         match &self.kind {
             SpecKind::Engine(es) => self.run_engine_ft(es, a, b, ctx),
             SpecKind::OuterSpaceUntiled => Ok(RunOutcome::Complete(
-                crate::outerspace::run_untiled_with(a, b, &ctx.hier, &self.size_model, &ctx.probe),
+                crate::outerspace::run_untiled(a, b, &ctx.hier, &self.size_model, &ctx.probe),
             )),
-            SpecKind::MatRaptorUntiled => Ok(RunOutcome::Complete(
-                crate::matraptor::run_untiled_with(a, b, &ctx.hier, &self.size_model, &ctx.probe),
-            )),
-            SpecKind::GammaLike => Ok(RunOutcome::Complete(crate::gamma::run_gamma_like_with(
+            SpecKind::MatRaptorUntiled => Ok(RunOutcome::Complete(crate::matraptor::run_untiled(
+                a,
+                b,
+                &ctx.hier,
+                &self.size_model,
+                &ctx.probe,
+            ))),
+            SpecKind::GammaLike => Ok(RunOutcome::Complete(crate::gamma::run_gamma_like(
                 a,
                 b,
                 &ctx.hier,
@@ -436,7 +430,7 @@ impl AccelSpec {
                 &ctx.probe,
             ))),
             SpecKind::SpArchLike { merge_ways } => {
-                Ok(RunOutcome::Complete(crate::sparch::run_sparch_like_with(
+                Ok(RunOutcome::Complete(crate::sparch::run_sparch_like(
                     a,
                     b,
                     &ctx.hier,
@@ -445,13 +439,9 @@ impl AccelSpec {
                     &ctx.probe,
                 )))
             }
-            SpecKind::CpuRoofline => Ok(RunOutcome::Complete(run_mkl_like_with(
-                a,
-                b,
-                &ctx.cpu,
-                &self.size_model,
-                &ctx.probe,
-            ))),
+            SpecKind::CpuRoofline => {
+                Ok(RunOutcome::Complete(run_mkl_like(a, b, &ctx.cpu, &self.size_model, &ctx.probe)))
+            }
         }
     }
 
@@ -486,9 +476,10 @@ impl AccelSpec {
         }
     }
 
-    /// The concrete [`EngineConfig`] a `run(a, b, ctx)` call would
-    /// execute, with every data-dependent knob resolved: the S-U-C sweep's
-    /// winning shape (found by running the sweep, as `run` does) and the
+    /// The concrete [`EngineConfig`] a run of this spec on `(a, b)` under
+    /// `ctx` would execute, with every data-dependent knob resolved: the
+    /// S-U-C sweep's winning shape (found by running the sweep, as the run
+    /// does) and the
     /// adapt-micro halving (resolved by the same capacity preflight the
     /// engine applies). `None` for analytic (non-engine) variants.
     ///
@@ -498,7 +489,7 @@ impl AccelSpec {
     ///
     /// # Errors
     ///
-    /// Propagates tiling configuration errors, exactly as `run` would.
+    /// Propagates tiling configuration errors, exactly as the run would.
     pub fn resolved_engine_config(
         &self,
         a: &CsMatrix,
@@ -513,9 +504,7 @@ impl AccelSpec {
         match &es.tiling {
             TilingSpec::SucSweep { candidates } => {
                 let (_, shape) = run_spmspm_best_suc_exec(a, b, &cfg, *candidates, &ctx.exec)?;
-                let q = shape.values().copied().min().unwrap_or(32).clamp(1, 32);
-                cfg.micro = (q, q);
-                cfg.tiling = Tiling::Suc(shape);
+                use_suc_winner(&mut cfg, shape);
             }
             TilingSpec::Drt if es.adapt_micro => {
                 let mut m = cfg.micro.0.max(cfg.micro.1);
@@ -564,11 +553,8 @@ impl AccelSpec {
                 }
                 // Re-run the winning shape with the probe and fault policy
                 // attached so the trace and degradation accounting reflect
-                // the reported run. The sweep quantizes the kernel's micro
-                // shape the same way.
-                let q = shape.values().copied().min().unwrap_or(32).clamp(1, 32);
-                cfg.micro = (q, q);
-                cfg.tiling = Tiling::Suc(shape);
+                // the reported run.
+                use_suc_winner(&mut cfg, shape);
                 run_spmspm_ft(a, b, &cfg, &ctx.probe, &ctx.exec, &fault)
             }
             TilingSpec::Drt if es.adapt_micro => {

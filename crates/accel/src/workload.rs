@@ -3,15 +3,13 @@
 //! [`Request`] (workload + priority + deadline + budget) and answered
 //! with a [`Response`] (a [`RunOutcome`]).
 //!
-//! Before this module, the session grew five divergent entry points
-//! (`run_spmspm`, `run_spmspm_ft`, `run_pipeline`, `run_mttkrp`,
-//! `run_ttv`), each with its own parameter shape — fine for one-shot
-//! callers, but a serving layer needs a single owned, queueable,
-//! cheaply-clonable description of "what to run". That is exactly what
-//! [`Workload`] is: operands ride behind [`Arc`]s so a request can be
-//! queued, retried, or fanned out without copying matrix data, and
-//! [`crate::session::Session::execute`] runs any of them through the same
-//! code path the legacy methods now delegate to. A request executed by
+//! A serving layer needs a single owned, queueable, cheaply-clonable
+//! description of "what to run". That is exactly what [`Workload`] is:
+//! operands ride behind [`Arc`]s so a request can be queued, retried, or
+//! fanned out without copying matrix data, and
+//! [`crate::session::Session::execute`] runs any of them through the one
+//! code path every session run takes ([`crate::session::Session::run_ref`]
+//! over the borrowed [`WorkloadRef`]). A request executed by
 //! `drt-serve` and the same request executed by a standalone session
 //! produce bit-identical [`crate::report::RunReport`]s — that is the
 //! serving layer's conformance contract.
@@ -114,10 +112,9 @@ impl WorkloadInput {
 
 /// The borrowed twin of [`Workload`]: what the session's single
 /// execution path ([`crate::session::Session::run_ref`]) actually runs.
-/// Every public entry point — the legacy `run_*` wrappers, owned
+/// Every public entry point — `Session::run_spmspm`, owned
 /// [`Workload`]s, and [`Request`]s — lowers to one of these two shapes
-/// (MTTKRP and TTV lower to their one-stage pipelines, exactly as their
-/// legacy wrappers always did).
+/// (MTTKRP and TTV lower to their one-stage pipelines).
 #[derive(Debug, Clone, Copy)]
 pub enum WorkloadRef<'a> {
     /// `Z = A · B`, sparse × sparse.
@@ -141,23 +138,21 @@ pub enum WorkloadRef<'a> {
 /// O(1) (queues, retries, and fan-out never copy matrix data).
 #[derive(Debug, Clone)]
 pub enum Workload {
-    /// `Z = A · B`, sparse × sparse (the paper's core kernel; formerly
-    /// `Session::run_spmspm` / `run_spmspm_ft`).
+    /// `Z = A · B`, sparse × sparse (the paper's core kernel).
     Spmspm {
         /// Left operand.
         a: Arc<CsMatrix>,
         /// Right operand.
         b: Arc<CsMatrix>,
     },
-    /// A staged [`PipelineSpec`] over one sparse input (formerly
-    /// `Session::run_pipeline`).
+    /// A staged [`PipelineSpec`] over one sparse input.
     Pipeline {
         /// The sparse input of the first stage.
         input: WorkloadInput,
         /// The stages and fusion discipline.
         pipe: Arc<PipelineSpec>,
     },
-    /// MTTKRP over a CSF 3-tensor (formerly `Session::run_mttkrp`).
+    /// MTTKRP over a CSF 3-tensor (lowers to [`PipelineSpec::mttkrp`]).
     Mttkrp {
         /// The sparse 3-tensor.
         x: Arc<CsfTensor>,
@@ -166,8 +161,8 @@ pub enum Workload {
         /// Mode-2 dense factor, `K × R`.
         c: Arc<DenseMatrix>,
     },
-    /// Tensor-times-vector over a CSF 3-tensor's last mode (formerly
-    /// `Session::run_ttv`).
+    /// Tensor-times-vector over a CSF 3-tensor's last mode (lowers to
+    /// [`PipelineSpec::ttv`]).
     Ttv {
         /// The sparse 3-tensor.
         x: Arc<CsfTensor>,

@@ -3,15 +3,14 @@
 //! kernel (the paper's §5.2.1 MKL cross-check, applied uniformly), and
 //! every report must satisfy the task-count and traffic invariants.
 //!
-//! Also pins the registry refactor's bit-identity contract: resolving a
-//! variant by name through [`Registry`] yields the same `RunReport`
-//! numbers as the legacy `run_*` wrapper entry points, and attaching an
-//! instrumentation probe never changes the simulated numbers.
+//! Also pins the determinism contracts across the whole registry:
+//! attaching an instrumentation probe never changes the simulated numbers,
+//! and sharded runs are bit-identical to serial ones.
 
 use drt_accel::engine::{ExecPolicy, ShardSchedule};
 use drt_accel::report::RunReport;
 use drt_accel::session::Session;
-use drt_accel::spec::{AccelSpec, Registry, RunCtx};
+use drt_accel::spec::{AccelSpec, Registry};
 use drt_core::probe::{CountingSink, JsonlSink, Probe};
 use drt_kernels::spmspm::gustavson;
 use drt_sim::memory::HierarchySpec;
@@ -50,12 +49,12 @@ fn check_invariants(name: &str, wl: &str, r: &RunReport) {
 #[test]
 fn every_registered_variant_matches_gustavson() {
     let registry = Registry::standard();
-    let ctx = RunCtx::new(&test_hier());
     for (wl, a) in test_workloads() {
         let reference = gustavson(&a, &a).z;
         for spec in registry.iter() {
-            let r = spec
-                .run(&a, &a, &ctx)
+            let r = Session::new(spec.clone())
+                .hierarchy(&test_hier())
+                .run_spmspm(&a, &a)
                 .unwrap_or_else(|err| panic!("{wl}/{}: run failed: {err:?}", spec.name));
             check_invariants(&spec.name, wl, &r);
             let z = r
@@ -71,45 +70,15 @@ fn every_registered_variant_matches_gustavson() {
     }
 }
 
-/// Registry-resolved runs must be bit-identical to the legacy wrapper
-/// entry points — the refactor moved the drivers, not the numbers.
-#[test]
-fn registry_matches_legacy_wrappers() {
-    let hier = test_hier();
-    let ctx = RunCtx::new(&hier);
-    let a = rmat(128, 2_000, 0.57, 0.19, 0.19, 7);
-    let registry = Registry::standard();
-    let legacy: Vec<(&str, RunReport)> = vec![
-        ("extensor", drt_accel::extensor::run_extensor(&a, &a, &hier).expect("extensor")),
-        ("extensor-op", drt_accel::extensor::run_extensor_op(&a, &a, &hier).expect("op")),
-        ("extensor-op-drt", drt_accel::extensor::run_tactile(&a, &a, &hier).expect("drt")),
-        ("outerspace-drt", drt_accel::outerspace::run_drt(&a, &a, &hier).expect("os-drt")),
-        ("matraptor-drt", drt_accel::matraptor::run_drt(&a, &a, &hier).expect("mr-drt")),
-    ];
-    for (name, want) in legacy {
-        let got = registry
-            .get(name)
-            .expect("registered")
-            .run(&a, &a, &ctx)
-            .unwrap_or_else(|err| panic!("{name}: {err:?}"));
-        assert_eq!(got.traffic, want.traffic, "{name}: traffic diverged");
-        assert_eq!(got.compute_cycles, want.compute_cycles, "{name}: cycles diverged");
-        assert_eq!(got.seconds.to_bits(), want.seconds.to_bits(), "{name}: seconds diverged");
-        assert_eq!(got.tasks, want.tasks, "{name}: task count diverged");
-        assert_eq!(got.skipped_tasks, want.skipped_tasks, "{name}: skip count diverged");
-    }
-}
-
 /// Attaching a probe observes the run — it must never perturb it.
 #[test]
 fn probe_does_not_perturb_reports() {
     let hier = test_hier();
     let a = diamond_band(96, 1_500, 13);
-    let spec = AccelSpec::extensor_op_drt();
-    let plain = spec.run(&a, &a, &RunCtx::new(&hier)).expect("plain");
+    let session = Session::new(AccelSpec::extensor_op_drt()).hierarchy(&hier);
+    let plain = session.run_spmspm(&a, &a).expect("plain");
     let sink = Arc::new(CountingSink::new());
-    let probed_ctx = RunCtx::new(&hier).with_probe(Probe::new(sink.clone()));
-    let probed = spec.run(&a, &a, &probed_ctx).expect("probed");
+    let probed = session.probe(Probe::new(sink.clone())).run_spmspm(&a, &a).expect("probed");
     assert_eq!(plain.traffic, probed.traffic);
     assert_eq!(plain.seconds.to_bits(), probed.seconds.to_bits());
     assert_eq!(plain.tasks, probed.tasks);
@@ -123,37 +92,43 @@ fn probe_does_not_perturb_reports() {
 
 /// The parallel determinism contract, across the whole registry: running
 /// any variant on 2, 4, or 8 threads (and under work stealing) must
-/// produce a report bit-identical to the single-threaded run.
+/// produce a report bit-identical to the single-threaded run, on a skewed
+/// power-law input, a banded one, and a mildly skewed one.
 #[test]
 fn every_variant_bit_identical_across_thread_counts() {
     let hier = test_hier();
-    let a = rmat(128, 1_400, 0.57, 0.19, 0.19, 17);
-    for spec in Registry::standard().iter() {
-        let serial = Session::new(spec.clone())
-            .hierarchy(&hier)
-            .run_spmspm(&a, &a)
-            .unwrap_or_else(|err| panic!("{}: serial run failed: {err:?}", spec.name));
-        for exec in [
-            ExecPolicy::threads(2),
-            ExecPolicy::threads(4),
-            ExecPolicy::threads(8),
-            ExecPolicy {
-                threads: 3,
-                schedule: ShardSchedule::WorkStealing { tasks_per_shard: 2 },
-                max_retries: 0,
-            },
-        ] {
-            let sharded = Session::new(spec.clone())
+    let inputs = [
+        ("rmat-17", rmat(128, 1_400, 0.57, 0.19, 0.19, 17)),
+        ("rmat-skewed", rmat(128, 2_000, 0.57, 0.19, 0.19, 7)),
+        ("diamond", diamond_band(96, 1_500, 13)),
+    ];
+    for (wl, a) in &inputs {
+        for spec in Registry::standard().iter() {
+            let serial = Session::new(spec.clone())
                 .hierarchy(&hier)
-                .exec(exec.clone())
-                .run_spmspm(&a, &a)
-                .unwrap_or_else(|err| panic!("{}: {exec:?} run failed: {err:?}", spec.name));
-            assert!(
-                serial.bit_diff(&sharded).is_none(),
-                "{} under {exec:?}: {}",
-                spec.name,
-                serial.bit_diff(&sharded).unwrap()
-            );
+                .run_spmspm(a, a)
+                .unwrap_or_else(|err| panic!("{wl}/{}: serial run failed: {err:?}", spec.name));
+            for exec in [
+                ExecPolicy::threads(2),
+                ExecPolicy::threads(4),
+                ExecPolicy::threads(8),
+                ExecPolicy {
+                    threads: 3,
+                    schedule: ShardSchedule::WorkStealing { tasks_per_shard: 2 },
+                    max_retries: 0,
+                },
+            ] {
+                let sharded = Session::new(spec.clone())
+                    .hierarchy(&hier)
+                    .exec(exec.clone())
+                    .run_spmspm(a, a)
+                    .unwrap_or_else(|err| {
+                        panic!("{wl}/{}: {exec:?} run failed: {err:?}", spec.name)
+                    });
+                if let Some(diff) = serial.bit_diff(&sharded) {
+                    panic!("{wl}/{} under {exec:?}: {diff}", spec.name);
+                }
+            }
         }
     }
 }
@@ -208,11 +183,10 @@ fn every_variant_trace_identical_across_thread_counts() {
 /// sum to the total DRAM traffic for every engine-simulated variant.
 #[test]
 fn phase_bytes_sum_to_traffic() {
-    let hier = test_hier();
-    let ctx = RunCtx::new(&hier);
     let a = rmat(64, 800, 0.45, 0.25, 0.2, 11);
     for name in ["extensor", "extensor-op", "extensor-op-drt"] {
-        let r = Registry::standard().get(name).expect("registered").run(&a, &a, &ctx).expect("run");
+        let session = Session::from_registry(name).expect("registered").hierarchy(&test_hier());
+        let r = session.run_spmspm(&a, &a).expect("run");
         assert_eq!(
             r.phases.total_bytes(),
             r.traffic.total(),

@@ -3,11 +3,12 @@
 //! error with a consistent partial report, and DRT budget exhaustion
 //! degrades to S-U-C fallback tiles with the functional output intact.
 
-use drt_accel::engine::{run_spmspm_ft, EngineConfig, ExecPolicy, FaultPolicy, Tiling};
+use drt_accel::engine::{EngineConfig, ExecPolicy, Tiling};
 use drt_accel::error::DrtError;
 use drt_accel::report::{DegradeReason, RunOutcome};
 use drt_accel::session::Session;
 use drt_accel::spec::{AccelSpec, PartitionPreset, Registry};
+use drt_accel::workload::WorkloadRef;
 use drt_core::budget::ExecBudget;
 use drt_core::chaos::FaultInjector;
 use drt_core::config::DrtConfig;
@@ -66,7 +67,7 @@ fn zero_task_budget_degrades_every_variant() {
         for threads in [1usize, 4] {
             let out = session(spec, threads)
                 .budget(ExecBudget::unlimited().with_max_tasks(0))
-                .run_spmspm_ft(&a, &a)
+                .run_ref(WorkloadRef::Spmspm { a: &a, b: &a })
                 .unwrap_or_else(|e| panic!("{}/t{threads}: errored: {e}", spec.name));
             let report = match out {
                 RunOutcome::Degraded(r) => r,
@@ -102,7 +103,7 @@ fn expired_deadline_at_entry_degrades_every_variant() {
         for threads in [1usize, 4] {
             let out = session(spec, threads)
                 .deadline(Duration::from_secs(0))
-                .run_spmspm_ft(&a, &a)
+                .run_ref(WorkloadRef::Spmspm { a: &a, b: &a })
                 .unwrap_or_else(|e| panic!("{}/t{threads}: errored: {e}", spec.name));
             let report = match out {
                 RunOutcome::Degraded(r) => r,
@@ -135,7 +136,7 @@ fn cancel_before_first_shard_degrades_every_variant() {
             let sess = session(spec, threads);
             sess.cancel_token().cancel();
             let out = sess
-                .run_spmspm_ft(&a, &a)
+                .run_ref(WorkloadRef::Spmspm { a: &a, b: &a })
                 .unwrap_or_else(|e| panic!("{}/t{threads}: errored: {e}", spec.name));
             let report = match out {
                 RunOutcome::Degraded(r) => r,
@@ -167,7 +168,7 @@ fn retried_shard_is_bit_identical_to_fault_free() {
         let retried = session(&spec, threads)
             .retries(2)
             .chaos(PanicAt::new(mid, 1))
-            .run_spmspm_ft(&a, &a)
+            .run_ref(WorkloadRef::Spmspm { a: &a, b: &a })
             .expect("retry must recover");
         let retried = match retried {
             RunOutcome::Complete(r) => r,
@@ -192,7 +193,7 @@ fn exhausted_retries_surface_typed_error_with_consistent_partial() {
     let err = session(&spec, 2)
         .retries(1)
         .chaos(PanicAt::new(target, u32::MAX))
-        .run_spmspm_ft(&a, &a)
+        .run_ref(WorkloadRef::Spmspm { a: &a, b: &a })
         .expect_err("must fail after retries");
     let DrtError::ShardPanicked { partial, task_range, message, attempts } = err else {
         panic!("wrong error type: {err}");
@@ -218,7 +219,7 @@ fn drt_plan_budget_falls_back_to_suc_with_intact_output() {
     let spec = AccelSpec::extensor_op_drt();
     let out = session(&spec, 1)
         .budget(ExecBudget::unlimited().with_max_plan_candidates(2))
-        .run_spmspm_ft(&a, &a)
+        .run_ref(WorkloadRef::Spmspm { a: &a, b: &a })
         .expect("budgeted run must not error");
     let report = match out {
         RunOutcome::Degraded(r) => r,
@@ -242,7 +243,7 @@ fn task_budget_falls_back_to_suc_with_intact_output() {
     assert!(clean.tasks > 2, "workload too small to exercise the budget");
     let out = session(&spec, 1)
         .budget(ExecBudget::unlimited().with_max_tasks(2))
-        .run_spmspm_ft(&a, &a)
+        .run_ref(WorkloadRef::Spmspm { a: &a, b: &a })
         .expect("budgeted run must not error");
     let report = match out {
         RunOutcome::Degraded(r) => r,
@@ -267,22 +268,11 @@ fn memory_budget_degrades_to_serial_streaming_bit_identically() {
         hier: test_hier(),
         ..EngineConfig::new(("memcap", Tiling::Drt, DrtConfig::new(parts)))
     };
-    let exec = ExecPolicy::threads(4);
-    let clean = run_spmspm_ft(
-        &a,
-        &a,
-        &cfg,
-        &drt_core::probe::Probe::disabled(),
-        &exec,
-        &FaultPolicy::default(),
-    )
-    .expect("fault-free")
-    .into_report();
-    let fault = FaultPolicy {
-        budget: ExecBudget::unlimited().with_max_resident_bytes(64),
-        ..FaultPolicy::default()
-    };
-    let out = run_spmspm_ft(&a, &a, &cfg, &drt_core::probe::Probe::disabled(), &exec, &fault)
+    let session = Session::from_engine_config(cfg).exec(ExecPolicy::threads(4));
+    let clean = session.run_spmspm(&a, &a).expect("fault-free");
+    let out = session
+        .budget(ExecBudget::unlimited().with_max_resident_bytes(64))
+        .run_ref(WorkloadRef::Spmspm { a: &a, b: &a })
         .expect("capped run must not error");
     let report = match out {
         RunOutcome::Degraded(r) => r,

@@ -7,8 +7,10 @@
 //! numbers and no instrumentation.
 
 use drt_accel::pipeline::{PipelineInput, PipelineSpec};
+use drt_accel::report::RunOutcome;
 use drt_accel::session::Session;
 use drt_accel::spec::{AccelSpec, Registry};
+use drt_accel::workload::WorkloadRef;
 use drt_core::probe::{JsonlSink, Probe};
 use drt_sim::memory::HierarchySpec;
 use drt_tensor::CsMatrix;
@@ -39,8 +41,13 @@ fn one_stage_pipeline_bit_identical_across_registry() {
                 let direct = session.run_spmspm(&a, &a).unwrap_or_else(|err| {
                     panic!("{wl}/{} t{threads}: direct run failed: {err:?}", spec.name)
                 });
+                let pipe = PipelineSpec::spmspm(a.clone());
                 let piped = session
-                    .run_pipeline(PipelineInput::Matrix(&a), &PipelineSpec::spmspm(a.clone()))
+                    .run_ref(WorkloadRef::Pipeline {
+                        input: PipelineInput::Matrix(&a),
+                        pipe: &pipe,
+                    })
+                    .map(RunOutcome::into_report)
                     .unwrap_or_else(|err| {
                         panic!("{wl}/{} t{threads}: piped run failed: {err:?}", spec.name)
                     });
@@ -81,8 +88,9 @@ fn traced(spec: &AccelSpec, a: &CsMatrix, threads: usize, pipeline: bool) -> Str
     let session =
         Session::new(spec.clone()).hierarchy(&test_hier()).threads(threads).probe(Probe::new(sink));
     if pipeline {
+        let pipe = PipelineSpec::spmspm(a.clone());
         session
-            .run_pipeline(PipelineInput::Matrix(a), &PipelineSpec::spmspm(a.clone()))
+            .run_ref(WorkloadRef::Pipeline { input: PipelineInput::Matrix(a), pipe: &pipe })
             .unwrap_or_else(|err| panic!("{}: piped traced run failed: {err:?}", spec.name));
     } else {
         session

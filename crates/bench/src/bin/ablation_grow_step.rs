@@ -3,6 +3,9 @@
 //! tighter but cost more Aggregate metadata reads; coarser steps trade
 //! occupancy for extraction work.
 
+use drt_accel::engine::EngineConfig;
+use drt_accel::session::Session;
+use drt_accel::spec::{AccelSpec, PartitionPreset};
 use drt_bench::{banner, emit_json, geomean, BenchOpts, JsonVal};
 use drt_core::config::DrtConfig;
 use drt_workloads::suite::Catalog;
@@ -11,7 +14,12 @@ fn main() {
     let opts = BenchOpts::from_args();
     banner("Ablation: DRT grow step n (Algorithm 2 line 13)", &opts);
     let hier = opts.hierarchy();
-    let parts = drt_accel::extensor::paper_partitions(hier.llb.capacity_bytes);
+    let parts = PartitionPreset::ExtensorPaper.partitions(hier.llb.capacity_bytes);
+    let ctx = opts.run_ctx();
+    let run = |a: &drt_tensor::CsMatrix, drt: DrtConfig| {
+        let cfg = EngineConfig { drt, hier, ..EngineConfig::new(AccelSpec::extensor_op_drt()) };
+        Session::from_engine_config(cfg).with_run_ctx(ctx.clone()).run_spmspm(a, a)
+    };
 
     let workloads: Vec<_> = if opts.quick {
         Catalog::sweep_subset().into_iter().take(2).collect()
@@ -29,7 +37,7 @@ fn main() {
         for entry in &workloads {
             let a = entry.generate(opts.scale, opts.seed);
             let cfg = DrtConfig::new(parts.clone()).with_grow_step(n);
-            match drt_accel::extensor::run_tactile_custom(&a, &a, &hier, cfg, (32, 32)) {
+            match run(&a, cfg) {
                 Ok(r) => {
                     traffic.push(r.traffic.total() as f64 / 1e6);
                     words.push(r.actions.extractor_words as f64);

@@ -16,7 +16,7 @@ fn main() {
     let opts = BenchOpts::from_args();
     banner("Ablation: buffer occupancy — DRT vs dense-safe S-U-C", &opts);
     let hier = opts.hierarchy();
-    let parts = drt_accel::extensor::paper_partitions(hier.llb.capacity_bytes);
+    let parts = drt_accel::spec::PartitionPreset::ExtensorPaper.partitions(hier.llb.capacity_bytes);
 
     let workloads: Vec<_> = if opts.quick {
         Catalog::sweep_subset().into_iter().take(2).collect()

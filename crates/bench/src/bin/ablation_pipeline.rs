@@ -3,15 +3,16 @@
 //! unpipelined variant (single-ported buffers), and a serial (P = 1)
 //! aggregate — quantifying how much each mechanism hides.
 
+use drt_accel::session::Session;
+use drt_accel::spec::{AccelSpec, SpecKind};
 use drt_bench::{banner, emit_json, geomean, BenchOpts, JsonVal};
 use drt_core::extractor::ExtractorModel;
-use drt_sim::intersect_unit::IntersectUnit;
 use drt_workloads::suite::Catalog;
 
 fn main() {
     let opts = BenchOpts::from_args();
     banner("Ablation: extractor pipelining and read width (§4.2.3)", &opts);
-    let hier = opts.hierarchy();
+    let ctx = opts.run_ctx();
 
     let workloads: Vec<_> = if opts.quick {
         Catalog::sweep_subset().into_iter().take(2).collect()
@@ -30,16 +31,15 @@ fn main() {
     println!("\n{:<20} {:>14} {:>18}", "extractor", "runtime (ms)", "exposed cycles");
     let mut ideal_ms = 0.0;
     for (label, model) in &variants {
+        let mut spec = AccelSpec::extensor_op_drt();
+        if let SpecKind::Engine(es) = &mut spec.kind {
+            es.extractor = *model;
+        }
+        let tactile = Session::new(spec).with_run_ctx(ctx.clone());
         let (mut times, mut exposed) = (Vec::new(), Vec::new());
         for entry in &workloads {
             let a = entry.generate(opts.scale, opts.seed);
-            if let Ok(r) = drt_accel::extensor::run_tactile_with(
-                &a,
-                &a,
-                &hier,
-                IntersectUnit::Parallel(32),
-                *model,
-            ) {
+            if let Ok(r) = tactile.run_spmspm(&a, &a) {
                 times.push(r.seconds * 1e3);
                 exposed.push(r.exposed_extract_cycles as f64 + 1.0);
             }

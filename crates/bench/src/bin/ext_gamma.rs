@@ -2,13 +2,18 @@
 //! Gustavson dataflow — the related work the paper's §7 calls "a nascent
 //! form of D-N-C tiling") against untiled MatRaptor and full DRT.
 
+use drt_accel::session::Session;
 use drt_bench::{banner, emit_json, geomean, BenchOpts, JsonVal};
 use drt_workloads::suite::Catalog;
 
 fn main() {
     let opts = BenchOpts::from_args();
     banner("Extension: GAMMA-like vs MatRaptor vs DRT (S^2, DRAM-bound)", &opts);
-    let hier = opts.hierarchy();
+    let ctx = opts.run_ctx();
+    let session =
+        |name: &str| Session::from_registry(name).expect("registered").with_run_ctx(ctx.clone());
+    let (matraptor, gamma, matraptor_drt) =
+        (session("matraptor"), session("gamma"), session("matraptor-drt"));
 
     let workloads: Vec<_> = if opts.quick {
         Catalog::sweep_subset().into_iter().take(2).collect()
@@ -23,9 +28,9 @@ fn main() {
     let (mut r_mr, mut r_ga, mut r_drt) = (Vec::new(), Vec::new(), Vec::new());
     for entry in &workloads {
         let a = entry.generate(opts.scale, opts.seed);
-        let mr = drt_accel::matraptor::run_untiled(&a, &a, &hier);
-        let ga = drt_accel::gamma::run_gamma_like(&a, &a, &hier);
-        let drt = match drt_accel::matraptor::run_drt(&a, &a, &hier) {
+        let mr = matraptor.run_spmspm(&a, &a).expect("matraptor");
+        let ga = gamma.run_spmspm(&a, &a).expect("gamma");
+        let drt = match matraptor_drt.run_spmspm(&a, &a) {
             Ok(r) => r,
             Err(_) => continue,
         };

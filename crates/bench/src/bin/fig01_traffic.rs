@@ -2,6 +2,7 @@
 //! evaluation matrices, for OuterSPACE, MatRaptor, ExTensor, and
 //! ExTensor-OP-DRT, with the per-design traffic lower bound (red squares).
 
+use drt_accel::session::Session;
 use drt_bench::{banner, emit_json, BenchOpts, JsonVal};
 use drt_sim::traffic::TrafficCounter;
 use drt_workloads::suite::Catalog;
@@ -9,7 +10,7 @@ use drt_workloads::suite::Catalog;
 fn main() {
     let opts = BenchOpts::from_args();
     banner("Figure 1: aggregate DRAM traffic per operand (S^2, B = A)", &opts);
-    let hier = opts.hierarchy();
+    let ctx = opts.run_ctx();
 
     let workloads: Vec<_> =
         if opts.quick { Catalog::sweep_subset() } else { Catalog::figure6_order() };
@@ -25,12 +26,13 @@ fn main() {
     for entry in &workloads {
         let a = entry.generate(opts.scale, opts.seed);
         eprintln!("  {} ({}x{}, {} nnz)…", entry.name, a.nrows(), a.ncols(), a.nnz());
-        let runs = [
-            drt_accel::outerspace::run_untiled(&a, &a, &hier),
-            drt_accel::matraptor::run_untiled(&a, &a, &hier),
-            drt_accel::extensor::run_extensor(&a, &a, &hier).expect("extensor run"),
-            drt_accel::extensor::run_tactile(&a, &a, &hier).expect("tactile run"),
-        ];
+        let runs = ["outerspace", "matraptor", "extensor", "extensor-op-drt"].map(|name| {
+            Session::from_registry(name)
+                .expect("registered")
+                .with_run_ctx(ctx.clone())
+                .run_spmspm(&a, &a)
+                .unwrap_or_else(|e| panic!("{name} run: {e}"))
+        });
         let z = runs[2].output.as_ref().expect("functional output");
         lower.merge(&drt_sim::traffic::spmspm_lower_bound(&a, &a, z, &Default::default()));
         for (slot, run) in totals.iter_mut().zip(runs.iter()) {

@@ -2,6 +2,7 @@
 //! ExTensor-OP-DRT speedup over the CPU baseline, with workloads sorted by
 //! increasing coefficient of row variation of `S` (paper §6.1.2).
 
+use drt_accel::session::Session;
 use drt_bench::{banner, emit_json, geomean, BenchOpts, JsonVal};
 use drt_tensor::stats::sparsity_stats;
 use drt_workloads::msbfs;
@@ -10,8 +11,10 @@ use drt_workloads::suite::Catalog;
 fn main() {
     let opts = BenchOpts::from_args();
     banner("Figure 8: MS-BFS speedup over CPU (all iterations)", &opts);
-    let hier = opts.hierarchy();
-    let cpu = opts.cpu();
+    let ctx = opts.run_ctx();
+    let session =
+        |name: &str| Session::from_registry(name).expect("registered").with_run_ctx(ctx.clone());
+    let (cpu_mkl, tactile) = (session("cpu-mkl"), session("extensor-op-drt"));
     // The paper's 2^7 ratio at full size; the scaled default divides the
     // aspect by the scale factor so the *number of BFS sources* matches a
     // paper-sized run (frontiers would otherwise degenerate to a couple of
@@ -62,31 +65,22 @@ fn main() {
         let workload = msbfs::build(&s, aspect, if opts.quick { 4 } else { 8 }, opts.seed);
         // Sum runtimes across all BFS iterations. The S-U-C shape sweep is
         // an offline, per-workload step (§5.2.1), so sweep once on the
-        // first level and reuse the winning shape for the rest.
+        // first level and pin the winning configuration for the rest.
+        let s = &workload.adjacency;
         let (mut t_cpu, mut t_ext, mut t_drt) = (0.0, 0.0, 0.0);
-        let mut suc_shape: Option<std::collections::BTreeMap<char, u32>> = None;
+        let mut extensor: Option<Session> = None;
         for f in &workload.frontiers {
             if f.nnz() == 0 {
                 continue;
             }
-            t_cpu += drt_accel::cpu::run_mkl_like(f, &workload.adjacency, &cpu).seconds;
-            t_ext += match &suc_shape {
-                None => {
-                    let (r, shape) =
-                        drt_accel::extensor::run_extensor_with_shape(f, &workload.adjacency, &hier)
-                            .expect("extensor");
-                    suc_shape = Some(shape);
-                    r.seconds
-                }
-                Some(shape) => {
-                    drt_accel::extensor::run_extensor_fixed(f, &workload.adjacency, &hier, shape)
-                        .expect("extensor fixed")
-                        .seconds
-                }
-            };
-            t_drt += drt_accel::extensor::run_tactile(f, &workload.adjacency, &hier)
-                .expect("tactile")
-                .seconds;
+            t_cpu += cpu_mkl.run_spmspm(f, s).expect("cpu").seconds;
+            let ext = extensor.get_or_insert_with(|| {
+                let winner = session("extensor").resolved_engine_config(f, s).expect("sweep");
+                Session::from_engine_config(winner.expect("engine variant"))
+                    .with_run_ctx(ctx.clone())
+            });
+            t_ext += ext.run_spmspm(f, s).expect("extensor").seconds;
+            t_drt += tactile.run_spmspm(f, s).expect("tactile").seconds;
         }
         rows.push((cv, name.to_string(), t_cpu / t_ext, t_cpu / t_drt, workload.frontiers.len()));
     }

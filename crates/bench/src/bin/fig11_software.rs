@@ -2,13 +2,20 @@
 //! improvement over the untiled CPU SpMSpM, as input density varies, for
 //! diamond-band and random sparsity patterns.
 
+use drt_accel::error::DrtError;
+use drt_accel::session::Session;
+use drt_accel::spec::AccelSpec;
 use drt_bench::{banner, emit_json, BenchOpts, JsonVal};
+use drt_tensor::CsMatrix;
 use drt_workloads::patterns::{diamond_band, uniform_random};
 
 fn main() {
     let opts = BenchOpts::from_args();
     banner("Figure 11: software tiling traffic improvement over untiled SpMSpM (S^2)", &opts);
-    let cpu = opts.cpu();
+    let ctx = opts.run_ctx();
+    let traffic = |spec: AccelSpec, a: &CsMatrix| -> Result<f64, DrtError> {
+        Ok(Session::new(spec).with_run_ctx(ctx.clone()).run_spmspm(a, a)?.traffic.total() as f64)
+    };
     let micro = (16u32, 16);
     let suc_tile = 64;
 
@@ -31,32 +38,34 @@ fn main() {
             ("diamond", diamond_band(n, nnz, opts.seed)),
             ("random", uniform_random(n, n, nnz, opts.seed)),
         ] {
-            let cmp = match drt_accel::sw::run_comparison(&a, &cpu, suc_tile, micro) {
-                Ok(c) => c,
+            // Traffic improvement of software S-U-C and software DRT over
+            // the untiled CPU run (the `cpu-mkl` model on the same CPU).
+            let improvements = traffic(AccelSpec::cpu_mkl(), &a).and_then(|untiled| {
+                Ok((
+                    untiled / traffic(AccelSpec::sw_suc(suc_tile, micro), &a)?,
+                    untiled / traffic(AccelSpec::sw_dnc(micro), &a)?,
+                ))
+            });
+            let (suc, dnc) = match improvements {
+                Ok(x) => x,
                 Err(e) => {
                     println!("{:<12} {:>10.1e} {:>12} {:>12}  ({e})", pattern, d, "-", "-");
                     continue;
                 }
             };
-            println!(
-                "{:<12} {:>10.1e} {:>12.3} {:>12.3}",
-                pattern,
-                d,
-                cmp.suc_improvement(),
-                cmp.dnc_improvement()
-            );
+            println!("{:<12} {:>10.1e} {:>12.3} {:>12.3}", pattern, d, suc, dnc);
             emit_json(
                 &opts,
                 &[
                     ("figure", JsonVal::S("fig11".into())),
                     ("pattern", JsonVal::S(pattern.into())),
                     ("density", JsonVal::F(d)),
-                    ("suc_improvement", JsonVal::F(cmp.suc_improvement())),
-                    ("dnc_improvement", JsonVal::F(cmp.dnc_improvement())),
+                    ("suc_improvement", JsonVal::F(suc)),
+                    ("dnc_improvement", JsonVal::F(dnc)),
                 ],
             );
-            all_suc.push(cmp.suc_improvement());
-            all_dnc.push(cmp.dnc_improvement());
+            all_suc.push(suc);
+            all_dnc.push(dnc);
         }
     }
     println!(

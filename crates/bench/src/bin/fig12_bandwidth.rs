@@ -2,15 +2,17 @@
 //! ExTensor-OP-DRT with three intersection units: serial skip-based,
 //! parallel, and the serial-optimal oracle (paper Section 6.4).
 
+use drt_accel::session::Session;
+use drt_accel::spec::{AccelSpec, SpecKind};
 use drt_bench::{banner, emit_json, geomean, BenchOpts, JsonVal};
-use drt_core::extractor::ExtractorModel;
 use drt_sim::intersect_unit::IntersectUnit;
 use drt_workloads::suite::Catalog;
 
 fn main() {
     let opts = BenchOpts::from_args();
     banner("Figure 12: speedup over CPU vs DRAM bandwidth, by intersection unit", &opts);
-    let cpu = opts.cpu();
+    let ctx = opts.run_ctx();
+    let cpu_mkl = Session::from_registry("cpu-mkl").expect("registered").with_run_ctx(ctx.clone());
 
     let workloads: Vec<_> = if opts.quick {
         Catalog::sweep_subset().into_iter().take(2).collect()
@@ -24,6 +26,11 @@ fn main() {
     println!("\n{:<16} {:>8} {:>8} {:>8} {:>8}", "unit", "1x", "2x", "4x", "8x");
     let mut table: Vec<(String, Vec<f64>)> = Vec::new();
     for unit in units {
+        let mut spec = AccelSpec::extensor_op_drt();
+        if let SpecKind::Engine(es) = &mut spec.kind {
+            es.intersect = unit;
+        }
+        let tactile = Session::new(spec).with_run_ctx(ctx.clone());
         let mut per_factor = Vec::new();
         for &f in &factors {
             let mut hier = opts.hierarchy();
@@ -31,15 +38,8 @@ fn main() {
             let mut speeds = Vec::new();
             for entry in &workloads {
                 let a = entry.generate(opts.scale, opts.seed);
-                let base = drt_accel::cpu::run_mkl_like(&a, &a, &cpu);
-                let r = drt_accel::extensor::run_tactile_with(
-                    &a,
-                    &a,
-                    &hier,
-                    unit,
-                    ExtractorModel::parallel(),
-                )
-                .expect("tactile");
+                let base = cpu_mkl.run_spmspm(&a, &a).expect("cpu");
+                let r = tactile.clone().hierarchy(&hier).run_spmspm(&a, &a).expect("tactile");
                 speeds.push(r.speedup_over(&base));
             }
             per_factor.push(geomean(&speeds));

@@ -1,7 +1,9 @@
 //! Figure 14: LLB buffer-partition sweep — geomean runtime as the A/B/O
 //! allocation shares vary (B-stationary dataflow; O gets the remainder).
 
-use drt_accel::spec::PartitionPreset;
+use drt_accel::engine::EngineConfig;
+use drt_accel::session::Session;
+use drt_accel::spec::{AccelSpec, PartitionPreset};
 use drt_bench::{banner, emit_json, geomean, BenchOpts, JsonVal};
 use drt_core::config::{DrtConfig, Partitions};
 use drt_workloads::suite::Catalog;
@@ -11,6 +13,14 @@ fn main() {
     banner("Figure 14: A/B/O partition sweep (geomean runtime, ms)", &opts);
     let hier = opts.hierarchy();
     let llb = hier.llb.capacity_bytes;
+    let ctx = opts.run_ctx();
+    // ExTensor-OP-DRT with a verbatim partition table (no micro-shape
+    // adaptation: an infeasible split is reported, not repaired).
+    let run = |a: &drt_tensor::CsMatrix, parts: Partitions| {
+        let drt = DrtConfig::new(parts);
+        let cfg = EngineConfig { drt, hier, ..EngineConfig::new(AccelSpec::extensor_op_drt()) };
+        Session::from_engine_config(cfg).with_run_ctx(ctx.clone()).run_spmspm(a, a)
+    };
 
     let workloads: Vec<_> = if opts.quick {
         Catalog::sweep_subset().into_iter().take(2).collect()
@@ -30,17 +40,7 @@ fn main() {
     let preset = PartitionPreset::ExtensorPaper;
     let baseline: Vec<f64> = matrices
         .iter()
-        .filter_map(|a| {
-            drt_accel::extensor::run_tactile_custom(
-                a,
-                a,
-                &hier,
-                DrtConfig::new(preset.partitions(llb)),
-                (32, 32),
-            )
-            .ok()
-            .map(|r| r.seconds * 1e3)
-        })
+        .filter_map(|a| run(a, preset.partitions(llb)).ok().map(|r| r.seconds * 1e3))
         .collect();
     let baseline_ms = geomean(&baseline);
     let shares = preset.shares();
@@ -76,13 +76,7 @@ fn main() {
             let mut times = Vec::new();
             let mut feasible = true;
             for a in &matrices {
-                match drt_accel::extensor::run_tactile_custom(
-                    a,
-                    a,
-                    &hier,
-                    DrtConfig::new(parts.clone()),
-                    (32, 32),
-                ) {
+                match run(a, parts.clone()) {
                     Ok(r) => times.push(r.seconds * 1e3),
                     Err(_) => {
                         feasible = false;

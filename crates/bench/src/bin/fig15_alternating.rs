@@ -2,6 +2,9 @@
 //! the default greedy contracted-first variant (traffic and runtime
 //! ratios; lower is better, 1.0 = parity).
 
+use drt_accel::engine::EngineConfig;
+use drt_accel::session::Session;
+use drt_accel::spec::{AccelSpec, PartitionPreset};
 use drt_bench::{banner, emit_json, geomean, BenchOpts, JsonVal};
 use drt_core::config::{DrtConfig, GrowthOrder};
 use drt_workloads::suite::Catalog;
@@ -30,29 +33,21 @@ fn main() {
         ]
     };
     let catalog = Catalog::paper_table3();
-    let parts = drt_accel::extensor::paper_partitions(hier.llb.capacity_bytes);
+    let parts = PartitionPreset::ExtensorPaper.partitions(hier.llb.capacity_bytes);
+    let ctx = opts.run_ctx();
+    let run = |a: &drt_tensor::CsMatrix, drt: DrtConfig| {
+        let cfg = EngineConfig { drt, hier, ..EngineConfig::new(AccelSpec::extensor_op_drt()) };
+        Session::from_engine_config(cfg).with_run_ctx(ctx.clone()).run_spmspm(a, a)
+    };
 
     println!("\n{:<20} {:>16} {:>16}", "workload", "traffic overhead", "runtime overhead");
     let (mut t_ovh, mut r_ovh) = (Vec::new(), Vec::new());
     for name in names {
         let entry = catalog.get(name).expect("name in Table 3");
         let a = entry.generate(opts.scale, opts.seed);
-        let greedy = drt_accel::extensor::run_tactile_custom(
-            &a,
-            &a,
-            &hier,
-            DrtConfig::new(parts.clone()),
-            (32, 32),
-        )
-        .expect("greedy");
-        let alt = drt_accel::extensor::run_tactile_custom(
-            &a,
-            &a,
-            &hier,
-            DrtConfig::new(parts.clone()).with_growth(GrowthOrder::Alternating),
-            (32, 32),
-        )
-        .expect("alternating");
+        let greedy = run(&a, DrtConfig::new(parts.clone())).expect("greedy");
+        let alt = run(&a, DrtConfig::new(parts.clone()).with_growth(GrowthOrder::Alternating))
+            .expect("alternating");
         let to = alt.traffic.total() as f64 / greedy.traffic.total() as f64;
         let ro = alt.seconds / greedy.seconds;
         println!("{:<20} {:>16.3} {:>16.3}", name, to, ro);

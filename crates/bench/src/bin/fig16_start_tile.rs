@@ -1,6 +1,9 @@
 //! Figure 16: runtime sensitivity to DRT's starting tile size along the
 //! `J` rank (which shapes the stationary `B` tile before growth begins).
 
+use drt_accel::engine::EngineConfig;
+use drt_accel::session::Session;
+use drt_accel::spec::{AccelSpec, PartitionPreset};
 use drt_bench::{banner, emit_json, BenchOpts, JsonVal};
 use drt_core::config::DrtConfig;
 use drt_workloads::suite::Catalog;
@@ -9,7 +12,12 @@ fn main() {
     let opts = BenchOpts::from_args();
     banner("Figure 16: runtime vs starting tile size (1 x J)", &opts);
     let hier = opts.hierarchy();
-    let parts = drt_accel::extensor::paper_partitions(hier.llb.capacity_bytes);
+    let parts = PartitionPreset::ExtensorPaper.partitions(hier.llb.capacity_bytes);
+    let ctx = opts.run_ctx();
+    let run = |a: &drt_tensor::CsMatrix, drt: DrtConfig| {
+        let cfg = EngineConfig { drt, hier, ..EngineConfig::new(AccelSpec::extensor_op_drt()) };
+        Session::from_engine_config(cfg).with_run_ctx(ctx.clone()).run_spmspm(a, a)
+    };
 
     let names: &[&str] = if opts.quick {
         &["bcsstk17", "scircuit"]
@@ -43,7 +51,7 @@ fn main() {
         print!("{:<20}", name);
         for &s in starts {
             let cfg = DrtConfig::new(parts.clone()).with_initial_size('j', s);
-            match drt_accel::extensor::run_tactile_custom(&a, &a, &hier, cfg, (32, 32)) {
+            match run(&a, cfg) {
                 Ok(r) => {
                     print!(" {:>9.4}", r.seconds * 1e3);
                     emit_json(

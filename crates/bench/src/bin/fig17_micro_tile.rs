@@ -2,6 +2,9 @@
 //! varies. Large micro tiles degenerate toward S-U-C behaviour; tiny ones
 //! pay per-micro-tile metadata overhead.
 
+use drt_accel::engine::EngineConfig;
+use drt_accel::session::Session;
+use drt_accel::spec::{AccelSpec, PartitionPreset};
 use drt_bench::{banner, emit_json, BenchOpts, JsonVal};
 use drt_core::config::DrtConfig;
 use drt_workloads::suite::Catalog;
@@ -10,7 +13,13 @@ fn main() {
     let opts = BenchOpts::from_args();
     banner("Figure 17: traffic vs micro-tile shape (x by x)", &opts);
     let hier = opts.hierarchy();
-    let parts = drt_accel::extensor::paper_partitions(hier.llb.capacity_bytes);
+    let parts = PartitionPreset::ExtensorPaper.partitions(hier.llb.capacity_bytes);
+    let ctx = opts.run_ctx();
+    let run = |a: &drt_tensor::CsMatrix, drt: DrtConfig, micro: (u32, u32)| {
+        let cfg =
+            EngineConfig { drt, micro, hier, ..EngineConfig::new(AccelSpec::extensor_op_drt()) };
+        Session::from_engine_config(cfg).with_run_ctx(ctx.clone()).run_spmspm(a, a)
+    };
 
     let names: &[&str] = if opts.quick {
         &["bcsstk17", "scircuit"]
@@ -42,13 +51,7 @@ fn main() {
         let a = entry.generate(opts.scale, opts.seed);
         print!("{:<20}", name);
         for &s in shapes {
-            match drt_accel::extensor::run_tactile_custom(
-                &a,
-                &a,
-                &hier,
-                DrtConfig::new(parts.clone()),
-                (s, s),
-            ) {
+            match run(&a, DrtConfig::new(parts.clone()), (s, s)) {
                 Ok(r) => {
                     let mb = r.traffic.total() as f64 / 1e6;
                     print!(" {:>10.3}", mb);

@@ -11,9 +11,11 @@
 //! serial and thread-independent, so rows are byte-identical for every
 //! `--threads`/`DRT_BENCH_THREADS` setting.
 
-use drt_accel::pipeline::{run_pipeline, PipelineInput, PipelineSpec};
-use drt_accel::report::RunReport;
+use drt_accel::pipeline::{PipelineInput, PipelineSpec};
+use drt_accel::report::{RunOutcome, RunReport};
+use drt_accel::session::Session;
 use drt_accel::spec::{AccelSpec, RunCtx};
+use drt_accel::workload::WorkloadRef;
 use drt_bench::{banner, emit_json, BenchOpts, JsonVal};
 use drt_workloads::patterns::unstructured;
 use drt_workloads::tensor3::{dense_factor, Tensor3Gen};
@@ -45,10 +47,13 @@ fn run(
     pipe: &PipelineSpec,
     with_baseline: bool,
 ) -> Row {
-    let fused = run_pipeline(input, pipe, spec, ctx)
-        .unwrap_or_else(|e| panic!("{}+{pipeline} on {workload}: {e}", spec.name));
+    let session = Session::new(spec.clone()).with_run_ctx(ctx.clone());
+    let run = |pipe: &PipelineSpec| {
+        session.run_ref(WorkloadRef::Pipeline { input, pipe }).map(RunOutcome::into_report)
+    };
+    let fused = run(pipe).unwrap_or_else(|e| panic!("{}+{pipeline} on {workload}: {e}", spec.name));
     let unfused = with_baseline.then(|| {
-        run_pipeline(input, &pipe.clone().unfused(), spec, ctx)
+        run(&pipe.clone().unfused())
             .unwrap_or_else(|e| panic!("{}+{pipeline} unfused on {workload}: {e}", spec.name))
     });
     Row { pipeline, workload, variant: spec.name.clone(), fused, unfused }

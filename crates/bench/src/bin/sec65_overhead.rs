@@ -4,16 +4,27 @@
 //! ideal 0-cycle extractor (the paper measures < 1% difference), and
 //! reports per-design energy using the Accelergy-like model.
 
+use drt_accel::session::Session;
+use drt_accel::spec::{AccelSpec, SpecKind};
 use drt_bench::{banner, emit_json, geomean, BenchOpts, JsonVal};
 use drt_core::extractor::ExtractorModel;
 use drt_sim::energy::EnergyModel;
-use drt_sim::intersect_unit::IntersectUnit;
 use drt_workloads::suite::Catalog;
 
 fn main() {
     let opts = BenchOpts::from_args();
     banner("Section 6.5: extractor overhead and energy", &opts);
-    let hier = opts.hierarchy();
+    let ctx = opts.run_ctx();
+    let session =
+        |name: &str| Session::from_registry(name).expect("registered").with_run_ctx(ctx.clone());
+    // ExTensor-OP-DRT with an explicit tile-extractor model.
+    let tactile = |extractor: ExtractorModel| {
+        let mut spec = AccelSpec::extensor_op_drt();
+        if let SpecKind::Engine(es) = &mut spec.kind {
+            es.extractor = extractor;
+        }
+        Session::new(spec).with_run_ctx(ctx.clone())
+    };
     let energy = EnergyModel::default();
 
     let workloads: Vec<_> = if opts.quick {
@@ -36,24 +47,10 @@ fn main() {
     let (mut e_ext_r, mut e_op_r, mut e_drt_r) = (Vec::new(), Vec::new(), Vec::new());
     for entry in &workloads {
         let a = entry.generate(opts.scale, opts.seed);
-        let ideal = drt_accel::extensor::run_tactile_with(
-            &a,
-            &a,
-            &hier,
-            IntersectUnit::Parallel(32),
-            ExtractorModel::ideal(),
-        )
-        .expect("ideal");
-        let real = drt_accel::extensor::run_tactile_with(
-            &a,
-            &a,
-            &hier,
-            IntersectUnit::Parallel(32),
-            ExtractorModel::parallel(),
-        )
-        .expect("parallel");
-        let ext = drt_accel::extensor::run_extensor(&a, &a, &hier).expect("extensor");
-        let op = drt_accel::extensor::run_extensor_op(&a, &a, &hier).expect("op");
+        let ideal = tactile(ExtractorModel::ideal()).run_spmspm(&a, &a).expect("ideal");
+        let real = tactile(ExtractorModel::parallel()).run_spmspm(&a, &a).expect("parallel");
+        let ext = session("extensor").run_spmspm(&a, &a).expect("extensor");
+        let op = session("extensor-op").run_spmspm(&a, &a).expect("op");
         let overhead = real.seconds / ideal.seconds - 1.0;
         let (e_ext, e_op, e_drt) = (
             energy.energy_joules(&ext.actions) * 1e3,

@@ -4,6 +4,8 @@
 //! (half the default 30 MB) and to NoC bandwidth (main memory dominates).
 //! At scale `s` the equivalent knee is 15 MB / s.
 
+use drt_accel::session::Session;
+use drt_accel::spec::{AccelSpec, SpecKind};
 use drt_bench::{banner, emit_json, geomean, BenchOpts, JsonVal};
 use drt_core::extractor::ExtractorModel;
 use drt_sim::memory::BufferSpec;
@@ -14,6 +16,7 @@ fn main() {
     banner("Section 6.6: LLB capacity and NoC bandwidth sweeps", &opts);
     let base_hier = opts.hierarchy();
     let full = base_hier.llb.capacity_bytes;
+    let ctx = opts.run_ctx();
 
     let workloads: Vec<_> = if opts.quick {
         Catalog::sweep_subset().into_iter().take(2).collect()
@@ -28,9 +31,11 @@ fn main() {
     for frac in [0.125f64, 0.25, 0.5, 1.0, 2.0] {
         let mut hier = base_hier;
         hier.llb = BufferSpec { capacity_bytes: ((full as f64) * frac) as u64, ports: 2 };
+        let tactile = Session::new(AccelSpec::extensor_op_drt()).with_run_ctx(ctx.clone());
+        let tactile = tactile.hierarchy(&hier);
         let mut times = Vec::new();
         for a in &matrices {
-            if let Ok(r) = drt_accel::extensor::run_tactile(a, a, &hier) {
+            if let Ok(r) = tactile.run_spmspm(a, a) {
                 times.push(r.seconds * 1e3);
             }
         }
@@ -53,15 +58,14 @@ fn main() {
     for noc in [16u32, 32, 64, 128, 256] {
         let extractor =
             ExtractorModel { distribute_bytes_per_cycle: noc, ..ExtractorModel::parallel() };
+        let mut spec = AccelSpec::extensor_op_drt();
+        if let SpecKind::Engine(es) = &mut spec.kind {
+            es.extractor = extractor;
+        }
+        let tactile = Session::new(spec).with_run_ctx(ctx.clone());
         let mut times = Vec::new();
         for a in &matrices {
-            if let Ok(r) = drt_accel::extensor::run_tactile_with(
-                a,
-                a,
-                &base_hier,
-                drt_sim::intersect_unit::IntersectUnit::Parallel(32),
-                extractor,
-            ) {
+            if let Ok(r) = tactile.run_spmspm(a, a) {
                 times.push(r.seconds * 1e3);
             }
         }

@@ -15,10 +15,11 @@
 //! * `--seed S` — workload-generation seed.
 //! * `--json` — additionally emit machine-readable JSON rows.
 //! * `--quick` — shrink workload lists for smoke runs.
-//! * `--threads N` — shard each engine run over `N` worker threads
-//!   (default 1). Reports and traces are bit-identical for every `N` —
-//!   the engine's deterministic-reduction contract — so `--threads` only
-//!   changes wall-clock time.
+//! * `--threads N` — shard each engine run over `N` worker threads.
+//!   Without the flag, `DRT_BENCH_THREADS` sets the count (default 1);
+//!   an explicit `--threads` always wins. Reports and traces are
+//!   bit-identical for every `N` — the engine's deterministic-reduction
+//!   contract — so `--threads` only changes wall-clock time.
 //! * `--trace FILE` — append a JSONL event trace (one JSON object per
 //!   instrumentation event — tile plans, fetches, spills, per-phase
 //!   totals) to `FILE` via [`drt_core::probe::JsonlSink`]. Trace rows and
@@ -68,7 +69,8 @@ pub struct BenchOpts {
     /// Append a JSONL event trace to this path.
     pub trace: Option<String>,
     /// Worker threads per engine run (sharded execution; 1 = serial).
-    pub threads: usize,
+    /// `None` when `--threads` was not given.
+    pub threads: Option<usize>,
     /// Shard retries per engine run (panic recovery; 0 = fail fast).
     pub retries: u32,
     /// Keep running after a failing cell, reporting it as an error row.
@@ -87,7 +89,7 @@ impl Default for BenchOpts {
             json: false,
             quick: false,
             trace: None,
-            threads: 1,
+            threads: None,
             retries: 0,
             keep_going: false,
             priority: Priority::Normal,
@@ -126,7 +128,7 @@ impl BenchOpts {
                 }
                 "--threads" => {
                     if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.threads = v;
+                        opts.threads = Some(v);
                         i += 1;
                     }
                 }
@@ -183,15 +185,11 @@ impl BenchOpts {
     }
 
     /// The shared run context at this scale: hierarchy, CPU, probe, and
-    /// the `--threads` execution policy. `DRT_BENCH_THREADS` overrides a
-    /// default (unset) `--threads`, mirroring the host-parallelism knob of
-    /// [`drt_core::par::thread_count`].
+    /// the execution policy. An explicit `--threads` wins; otherwise
+    /// `DRT_BENCH_THREADS` ([`drt_core::par::env_threads`]) sets the
+    /// engine thread count, and runs are serial when neither is given.
     pub fn run_ctx(&self) -> RunCtx {
-        let threads = if self.threads > 1 {
-            self.threads
-        } else {
-            std::env::var("DRT_BENCH_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
-        };
+        let threads = self.threads.unwrap_or_else(|| drt_core::par::env_threads().unwrap_or(1));
         RunCtx {
             hier: self.hierarchy(),
             cpu: self.cpu(),
@@ -207,12 +205,6 @@ impl BenchOpts {
             priority: self.priority,
             deadline: self.deadline_ms.map(Duration::from_millis),
         }
-    }
-
-    /// Wrap a workload in the typed [`Request`] the serving layer
-    /// schedules, carrying `--priority` / `--deadline-ms`.
-    pub fn request(&self, workload: Workload) -> Request {
-        self.request_opts().wrap(workload)
     }
 }
 
@@ -254,68 +246,14 @@ pub struct SuiteCell {
 pub const SUITE_VARIANTS: [&str; 4] = ["cpu-mkl", "extensor", "extensor-op", "extensor-op-drt"];
 
 /// Run the standard four-variant suite ([`SUITE_VARIANTS`], resolved
-/// through the accelerator [`Registry`]) over independent operand pairs
-/// (`(label, A, B)`), fanning the (variant × dataset) cells out over
-/// worker threads via [`par::par_map`]. Each cell builds its own
-/// micro-tile grids and runs its own simulation; the §5.2.1 functional
-/// cross-check of every DRT output against its CPU reference also runs in
-/// parallel. Results come back in input order, so table rows and `--json`
-/// output are deterministic regardless of thread scheduling.
+/// through the accelerator registry) over independent operand pairs
+/// (`(label, A, B)`), panicking on the first failing row — the
+/// non-`--keep-going` form of [`try_run_suite_cells_req`].
 ///
 /// # Panics
 ///
 /// Panics when an engine run fails or a DRT output diverges from its CPU
 /// reference — a bench run with a broken engine must not report numbers.
-pub fn run_suite_cells(
-    pairs: &[(String, drt_tensor::CsMatrix, drt_tensor::CsMatrix)],
-    hier: &HierarchySpec,
-    cpu: &CpuSpec,
-) -> Vec<SuiteCell> {
-    run_suite_cells_probed(pairs, hier, cpu, &Probe::disabled())
-}
-
-/// [`run_suite_cells`] with an instrumentation probe shared by every cell
-/// (sinks are thread-safe, so parallel cells interleave their events).
-///
-/// # Panics
-///
-/// Same conditions as [`run_suite_cells`].
-pub fn run_suite_cells_probed(
-    pairs: &[(String, drt_tensor::CsMatrix, drt_tensor::CsMatrix)],
-    hier: &HierarchySpec,
-    cpu: &CpuSpec,
-    probe: &Probe,
-) -> Vec<SuiteCell> {
-    let ctx = RunCtx {
-        hier: *hier,
-        cpu: *cpu,
-        probe: probe.clone(),
-        exec: ExecPolicy::serial(),
-        ..RunCtx::default()
-    };
-    run_suite_cells_in(pairs, &ctx)
-}
-
-/// [`run_suite_cells`] against a fully caller-built [`RunCtx`] — the entry
-/// the fig binaries use so `--threads` (sharded engine execution) and
-/// `--trace` compose with the suite's own cell-level fan-out.
-///
-/// # Panics
-///
-/// Same conditions as [`run_suite_cells`].
-pub fn run_suite_cells_in(
-    pairs: &[(String, drt_tensor::CsMatrix, drt_tensor::CsMatrix)],
-    ctx: &RunCtx,
-) -> Vec<SuiteCell> {
-    run_suite_cells_req(pairs, ctx, &RequestOpts::default())
-}
-
-/// [`run_suite_cells_in`] with explicit per-run request parameters
-/// (`--priority` / `--deadline-ms`).
-///
-/// # Panics
-///
-/// Same conditions as [`run_suite_cells`].
 pub fn run_suite_cells_req(
     pairs: &[(String, drt_tensor::CsMatrix, drt_tensor::CsMatrix)],
     ctx: &RunCtx,
@@ -325,25 +263,6 @@ pub fn run_suite_cells_req(
         .into_iter()
         .map(|row| row.unwrap_or_else(|err| panic!("{err}")))
         .collect()
-}
-
-/// Run one registered variant through the fault-tolerant entry point,
-/// mapping degraded outcomes and typed errors to a printable message
-/// instead of panicking — the `--keep-going` building block. The
-/// operands are wrapped in a default-parameter [`Request`] (normal
-/// priority, no deadline); use [`try_run_request`] to carry
-/// `--priority` / `--deadline-ms`.
-///
-/// # Errors
-///
-/// Any run failure or degradation, as one message naming the variant.
-pub fn try_run_variant(
-    name: &str,
-    a: &drt_tensor::CsMatrix,
-    b: &drt_tensor::CsMatrix,
-    ctx: &RunCtx,
-) -> Result<drt_accel::report::RunReport, String> {
-    try_run_request(name, &Request::new(Workload::spmspm(a.clone(), b.clone())), ctx)
 }
 
 /// Run one typed [`Request`] against a registered variant — the exact
@@ -374,21 +293,18 @@ pub fn try_run_request(
     }
 }
 
-/// Fallible, per-row variant of [`run_suite_cells_in`] — the
-/// `--keep-going` path. A row is `Err` when any of its four variant runs
-/// fails (or degrades), or when the DRT output diverges from the CPU
-/// reference; the remaining rows still compute and come back in order.
-pub fn try_run_suite_cells_in(
-    pairs: &[(String, drt_tensor::CsMatrix, drt_tensor::CsMatrix)],
-    ctx: &RunCtx,
-) -> Vec<Result<SuiteCell, String>> {
-    try_run_suite_cells_req(pairs, ctx, &RequestOpts::default())
-}
-
-/// [`try_run_suite_cells_in`] with explicit per-run request parameters.
+/// Run the standard four-variant suite over independent operand pairs,
+/// fanning the (variant × dataset) cells out over worker threads via
+/// [`par::par_map`]; results come back in input order, so table rows and
+/// `--json` output are deterministic regardless of thread scheduling.
 /// Every cell goes through [`try_run_request`] — the serving layer's
 /// execution path — on a per-pair `Arc`-shared workload (the four
 /// variant cells of a pair clone the operands once, not per cell).
+///
+/// A row is `Err` when any of its four variant runs fails (or degrades),
+/// or when the DRT output diverges from the CPU reference (the §5.2.1
+/// functional cross-check, also fanned out); the remaining rows still
+/// compute — the `--keep-going` path.
 pub fn try_run_suite_cells_req(
     pairs: &[(String, drt_tensor::CsMatrix, drt_tensor::CsMatrix)],
     ctx: &RunCtx,
@@ -541,6 +457,18 @@ mod tests {
         // Control characters become \uXXXX like the trace sink's rows.
         let ctrl = json_row(&[("s", JsonVal::S("a\nb\u{1}".into()))]);
         assert_eq!(ctrl, "{\"s\": \"a\\nb\\u0001\"}");
+    }
+
+    #[test]
+    fn explicit_threads_always_win() {
+        // Whatever DRT_BENCH_THREADS holds, an explicit `--threads` value
+        // (including 1) is the engine thread count.
+        for n in [1usize, 3] {
+            let o = BenchOpts { threads: Some(n), ..BenchOpts::default() };
+            assert_eq!(o.run_ctx().exec.threads, n);
+        }
+        let unset = BenchOpts::default().run_ctx().exec.threads;
+        assert_eq!(unset, drt_core::par::env_threads().unwrap_or(1));
     }
 
     #[test]

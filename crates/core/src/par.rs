@@ -12,7 +12,7 @@
 //! * [`par_map`] sizes its pool from `std::thread::available_parallelism`,
 //!   overridable with the `DRT_BENCH_THREADS` environment variable
 //!   (`DRT_BENCH_THREADS=1` forces sequential runs, useful when timing a
-//!   single cell).
+//!   single cell). [`env_threads`] is the one parser of that variable.
 //! * [`par_map_threads`] takes an explicit worker count — the engine's
 //!   sharded execution layer uses this so a `Session`'s `threads(n)` knob
 //!   is authoritative rather than environment-dependent.
@@ -74,12 +74,21 @@ pub fn default_pool_size() -> usize {
     thread_count(usize::MAX)
 }
 
+/// The `DRT_BENCH_THREADS` override, parsed in this one place for every
+/// consumer: `None` when it is unset, unparsable, or 0. Callers pick
+/// their own fallback — host parallelism for [`thread_count`], serial
+/// engine runs for the bench harness.
+pub fn env_threads() -> Option<usize> {
+    parse_threads(std::env::var("DRT_BENCH_THREADS").ok().as_deref())
+}
+
+fn parse_threads(value: Option<&str>) -> Option<usize> {
+    value?.trim().parse::<usize>().ok().filter(|&t| t >= 1)
+}
+
 /// Number of worker threads [`par_map`] will use for `n` items.
 pub fn thread_count(n: usize) -> usize {
-    let hw = std::env::var("DRT_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&t| t >= 1)
+    let hw = env_threads()
         .unwrap_or_else(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1));
     hw.min(n).max(1)
 }
@@ -266,5 +275,16 @@ mod tests {
         assert_eq!(thread_count(0), 1);
         assert!(thread_count(1) == 1);
         assert!(thread_count(1000) >= 1);
+    }
+
+    #[test]
+    fn thread_override_parses_counts_and_rejects_the_rest() {
+        assert_eq!(parse_threads(Some("4")), Some(4));
+        assert_eq!(parse_threads(Some(" 2 ")), Some(2));
+        assert_eq!(parse_threads(Some("1")), Some(1));
+        // Unset, zero, negative, and garbage all mean "no override".
+        for v in [None, Some("0"), Some("-3"), Some("four"), Some("")] {
+            assert_eq!(parse_threads(v), None, "{v:?}");
+        }
     }
 }

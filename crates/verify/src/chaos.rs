@@ -30,6 +30,7 @@ use drt_accel::error::DrtError;
 use drt_accel::report::{DegradeReason, RunOutcome, RunReport};
 use drt_accel::session::Session;
 use drt_accel::spec::AccelSpec;
+use drt_accel::workload::WorkloadRef;
 use drt_core::cancel::CancelToken;
 use drt_core::chaos::FaultInjector;
 use drt_core::probe::{event_json, Event, EventSink, Probe};
@@ -238,7 +239,7 @@ fn check_retry_recovers(
         .probe(Probe::new(sink.clone()))
         .retries(2)
         .chaos(injector)
-        .run_spmspm_ft(a, b);
+        .run_ref(WorkloadRef::Spmspm { a, b });
     let report = match got {
         Ok(RunOutcome::Complete(r)) => r,
         Ok(RunOutcome::Degraded(r)) => {
@@ -269,7 +270,7 @@ fn check_exhausted_retries(a: &CsMatrix, b: &CsMatrix, threads: usize) -> Option
     let got = session(threads)
         .retries(1)
         .chaos(Arc::new(PanicAtTask::new(target, u32::MAX)))
-        .run_spmspm_ft(a, b);
+        .run_ref(WorkloadRef::Spmspm { a, b });
     let (partial, task_range, message, attempts) = match got {
         Err(DrtError::ShardPanicked { partial, task_range, message, attempts }) => {
             (partial, task_range, message, attempts)
@@ -309,7 +310,7 @@ fn check_deadline_degrades(a: &CsMatrix, b: &CsMatrix, threads: usize) -> Option
         .probe(Probe::new(sink.clone()))
         .deadline(Duration::from_millis(1))
         .chaos(Arc::new(SlowTasks { sleep: Duration::from_millis(25) }))
-        .run_spmspm_ft(a, b);
+        .run_ref(WorkloadRef::Spmspm { a, b });
     let report = match got {
         Ok(RunOutcome::Degraded(r)) => r,
         Ok(RunOutcome::Complete(_)) => return Some("completed despite an expired deadline".into()),
@@ -365,7 +366,7 @@ fn check_cancel_prefix(a: &CsMatrix, b: &CsMatrix) -> Option<String> {
         let got = sess
             .probe(Probe::new(sink.clone()))
             .chaos(Arc::new(CancelAtTask { token, task: 0 }))
-            .run_spmspm_ft(a, b);
+            .run_ref(WorkloadRef::Spmspm { a, b });
         (got, sink.lines())
     };
     let (first, first_trace) = run();

@@ -14,9 +14,10 @@ use crate::driver::{verify_hierarchy, Failure, VerifyOptions, VerifySummary};
 use crate::invariants::check_pipeline_report;
 use crate::oracle::{compare_to_dense_tol, dense_abc, dense_mttkrp, dense_sddmm_spmm, dense_ttv};
 use drt_accel::pipeline::{PipelineInput, PipelineSpec};
-use drt_accel::report::RunReport;
+use drt_accel::report::{RunOutcome, RunReport};
 use drt_accel::session::Session;
 use drt_accel::spec::{AccelSpec, Registry, SpecKind};
+use drt_accel::workload::WorkloadRef;
 use drt_tensor::{CsMatrix, CsfTensor, DenseMatrix, MajorAxis};
 use drt_workloads::patterns::unstructured;
 use drt_workloads::tensor3::{dense_factor, Tensor3Gen};
@@ -111,7 +112,8 @@ fn run_threads(
     for &t in threads {
         let session = Session::new(spec.clone()).hierarchy(&verify_hierarchy()).threads(t);
         let report = session
-            .run_pipeline(input, pipe)
+            .run_ref(WorkloadRef::Pipeline { input, pipe })
+            .map(RunOutcome::into_report)
             .map_err(|e| format!("{}+{}: run failed at t{t}: {e}", spec.name, pipe.name))?;
         if let Some(v) = check_pipeline_report(&report).into_iter().next() {
             return Err(format!("{}+{} at t{t}: {v}", spec.name, pipe.name));
@@ -142,7 +144,8 @@ fn check_fusion_win(
 ) -> Result<(), String> {
     let session = Session::new(spec.clone()).hierarchy(&verify_hierarchy());
     let unfused = session
-        .run_pipeline(input, &pipe.clone().unfused())
+        .run_ref(WorkloadRef::Pipeline { input, pipe: &pipe.clone().unfused() })
+        .map(RunOutcome::into_report)
         .map_err(|e| format!("{}+{}: unfused baseline failed: {e}", spec.name, pipe.name))?;
     if fused.traffic.total() >= unfused.traffic.total() {
         return Err(format!(
@@ -430,7 +433,10 @@ mod tests {
         let h = dense_factor(32, 5, 34);
         let pipe = PipelineSpec::sddmm_spmm(u, v, h);
         let session = Session::new(spec.clone()).hierarchy(&verify_hierarchy());
-        let mut fused = session.run_pipeline(PipelineInput::Matrix(&a), &pipe).expect("fused");
+        let mut fused = session
+            .run_ref(WorkloadRef::Pipeline { input: PipelineInput::Matrix(&a), pipe: &pipe })
+            .expect("fused")
+            .into_report();
         assert!(check_fusion_win(&spec, PipelineInput::Matrix(&a), &pipe, &fused).is_ok());
         fused.traffic.read("S", 1 << 30);
         let err = check_fusion_win(&spec, PipelineInput::Matrix(&a), &pipe, &fused)

@@ -7,6 +7,7 @@
 //! ```
 
 use drt_accel::cpu::CpuSpec;
+use drt_accel::session::Session;
 use drt_sim::memory::HierarchySpec;
 use drt_workloads::{msbfs, patterns};
 use std::error::Error;
@@ -29,6 +30,8 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     let hier = HierarchySpec::default().scaled_down(256);
     let cpu = CpuSpec::default().scaled_down(256);
+    let cpu_mkl = Session::from_registry("cpu-mkl")?.cpu(cpu);
+    let tactile = Session::from_registry("extensor-op-drt")?.hierarchy(&hier);
 
     println!(
         "\n{:<7} {:>10} {:>12} {:>12} {:>10}",
@@ -39,8 +42,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         if f.nnz() == 0 {
             continue;
         }
-        let c = drt_accel::cpu::run_mkl_like(f, &workload.adjacency, &cpu);
-        let d = drt_accel::extensor::run_tactile(f, &workload.adjacency, &hier)?;
+        let c = cpu_mkl.run_spmspm(f, &workload.adjacency)?;
+        let d = tactile.run_spmspm(f, &workload.adjacency)?;
         // Validate: the accelerator's product has the same sparsity as the
         // reference expansion.
         let reference = drt_kernels::bfs::frontier_step(f, &workload.adjacency);

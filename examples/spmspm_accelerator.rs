@@ -7,6 +7,7 @@
 //! ```
 
 use drt_accel::cpu::CpuSpec;
+use drt_accel::session::Session;
 use drt_sim::energy::EnergyModel;
 use drt_sim::memory::HierarchySpec;
 use drt_workloads::suite::Catalog;
@@ -34,13 +35,13 @@ fn main() -> Result<(), Box<dyn Error>> {
     let cpu = CpuSpec::default().scaled_down(scale as u64);
     let energy = EnergyModel::default();
 
-    let base = drt_accel::cpu::run_mkl_like(&a, &a, &cpu);
-    let runs = vec![
-        base.clone(),
-        drt_accel::extensor::run_extensor(&a, &a, &hier)?,
-        drt_accel::extensor::run_extensor_op(&a, &a, &hier)?,
-        drt_accel::extensor::run_tactile(&a, &a, &hier)?,
-    ];
+    // Every design is a registered variant run through one door: the
+    // same session builder, differing only in the name.
+    let mut runs = Vec::new();
+    for name in ["cpu-mkl", "extensor", "extensor-op", "extensor-op-drt"] {
+        runs.push(Session::from_registry(name)?.hierarchy(&hier).cpu(cpu).run_spmspm(&a, &a)?);
+    }
+    let base = runs[0].clone();
 
     // Every simulated design must produce the same product (the paper
     // validates against Intel MKL; we validate against the CPU run, which

@@ -2,8 +2,12 @@
 //! right answer, and the paper's headline orderings hold across crates.
 
 use drt_accel::cpu::CpuSpec;
+use drt_accel::report::RunReport;
+use drt_accel::session::Session;
+use drt_accel::spec::AccelSpec;
 use drt_kernels::spmspm::gustavson;
 use drt_sim::memory::{BufferSpec, HierarchySpec};
+use drt_tensor::CsMatrix;
 use drt_workloads::suite::Catalog;
 
 fn hier(llb_kib: u64) -> HierarchySpec {
@@ -14,6 +18,15 @@ fn hier(llb_kib: u64) -> HierarchySpec {
     }
 }
 
+/// Run the registered variant `name` on `A · B` under hierarchy `h`.
+fn run(name: &str, a: &CsMatrix, b: &CsMatrix, h: &HierarchySpec) -> RunReport {
+    Session::from_registry(name)
+        .expect("registered")
+        .hierarchy(h)
+        .run_spmspm(a, b)
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
 #[test]
 fn every_machine_agrees_on_the_product() {
     // One banded and one unstructured catalog surrogate, small scale.
@@ -22,16 +35,17 @@ fn every_machine_agrees_on_the_product() {
         let a = entry.generate(64, 5);
         let h = hier(96);
         let reference = gustavson(&a, &a).z;
-        let runs = vec![
-            drt_accel::cpu::run_mkl_like(&a, &a, &CpuSpec::default()),
-            drt_accel::extensor::run_extensor(&a, &a, &h).expect("extensor"),
-            drt_accel::extensor::run_extensor_op(&a, &a, &h).expect("op"),
-            drt_accel::extensor::run_tactile(&a, &a, &h).expect("tactile"),
-            drt_accel::outerspace::run_untiled(&a, &a, &h),
-            drt_accel::outerspace::run_drt(&a, &a, &h).expect("os-drt"),
-            drt_accel::matraptor::run_untiled(&a, &a, &h),
-            drt_accel::matraptor::run_drt(&a, &a, &h).expect("mr-drt"),
-        ];
+        let runs = [
+            "cpu-mkl",
+            "extensor",
+            "extensor-op",
+            "extensor-op-drt",
+            "outerspace",
+            "outerspace-drt",
+            "matraptor",
+            "matraptor-drt",
+        ]
+        .map(|name| run(name, &a, &a, &h));
         for r in &runs {
             assert!(
                 r.output.as_ref().expect("functional").approx_eq(&reference, 1e-6),
@@ -48,7 +62,7 @@ fn traffic_never_below_lower_bound() {
     let entry = Catalog::paper_table3().get("sx-mathoverflow").expect("in catalog").clone();
     let a = entry.generate(64, 3);
     let h = hier(64);
-    let drt = drt_accel::extensor::run_tactile(&a, &a, &h).expect("tactile");
+    let drt = run("extensor-op-drt", &a, &a, &h);
     let z = drt.output.as_ref().expect("functional");
     let lb = drt_sim::traffic::spmspm_lower_bound(&a, &a, z, &Default::default());
     assert!(drt.traffic.reads_of("A") >= lb.reads_of("A"));
@@ -63,8 +77,8 @@ fn drt_reduces_traffic_versus_static_tiling_on_irregular_input() {
     let entry = Catalog::paper_table3().get("soc-Epinions1").expect("in catalog").clone();
     let a = entry.generate(48, 7);
     let h = hier(48);
-    let suc = drt_accel::extensor::run_extensor_op(&a, &a, &h).expect("op");
-    let drt = drt_accel::extensor::run_tactile(&a, &a, &h).expect("tactile");
+    let suc = run("extensor-op", &a, &a, &h);
+    let drt = run("extensor-op-drt", &a, &a, &h);
     assert!(
         drt.traffic.total() < suc.traffic.total(),
         "DRT {} >= best-S-U-C {}",
@@ -83,9 +97,9 @@ fn figure1_ordering_holds_in_aggregate() {
     let mut bound = 0u64;
     for entry in Catalog::sweep_subset() {
         let a = entry.generate(64, 9);
-        let os = drt_accel::outerspace::run_untiled(&a, &a, &h);
-        let ext = drt_accel::extensor::run_extensor(&a, &a, &h).expect("extensor");
-        let drt = drt_accel::extensor::run_tactile(&a, &a, &h).expect("tactile");
+        let os = run("outerspace", &a, &a, &h);
+        let ext = run("extensor", &a, &a, &h);
+        let drt = run("extensor-op-drt", &a, &a, &h);
         let z = drt.output.as_ref().expect("functional");
         totals[0] += os.traffic.total();
         totals[1] += ext.traffic.total();
@@ -108,8 +122,8 @@ fn energy_tracks_traffic() {
     let a = entry.generate(64, 11);
     let h = hier(48);
     let energy = drt_sim::energy::EnergyModel::default();
-    let suc = drt_accel::extensor::run_extensor_op(&a, &a, &h).expect("op");
-    let drt = drt_accel::extensor::run_tactile(&a, &a, &h).expect("tactile");
+    let suc = run("extensor-op", &a, &a, &h);
+    let drt = run("extensor-op-drt", &a, &a, &h);
     if drt.traffic.total() < suc.traffic.total() {
         assert!(
             energy.energy_joules(&drt.actions) < energy.energy_joules(&suc.actions),
@@ -128,7 +142,7 @@ fn msbfs_workload_and_kernel_agree_through_the_accelerator() {
         if f.nnz() == 0 {
             continue;
         }
-        let r = drt_accel::extensor::run_tactile(f, &w.adjacency, &h).expect("tactile");
+        let r = run("extensor-op-drt", f, &w.adjacency, &h);
         // The accelerator computes the numeric product (path counts); the
         // BFS kernel booleanizes — compare sparsity patterns.
         let got = r.output.as_ref().expect("functional");
@@ -160,11 +174,14 @@ fn gram_pipeline_is_consistent_end_to_end() {
 fn software_study_matches_hardware_direction() {
     let a = drt_workloads::patterns::uniform_random(384, 384, 3_500, 19);
     let cpu = CpuSpec { llc_bytes: 12 * 1024, ..CpuSpec::default() };
-    let cmp = drt_accel::sw::run_comparison(&a, &cpu, 16, (8, 8)).expect("sw");
+    let traffic = |spec: AccelSpec| {
+        Session::new(spec).cpu(cpu).run_spmspm(&a, &a).expect("sw").traffic.total() as f64
+    };
+    let untiled = traffic(AccelSpec::cpu_mkl());
+    let suc = untiled / traffic(AccelSpec::sw_suc(16, (8, 8)));
+    let dnc = untiled / traffic(AccelSpec::sw_dnc((8, 8)));
     assert!(
-        cmp.dnc_improvement() > cmp.suc_improvement(),
-        "software DRT ({:.2}x) must beat software S-U-C ({:.2}x) on random patterns",
-        cmp.dnc_improvement(),
-        cmp.suc_improvement()
+        dnc > suc,
+        "software DRT ({dnc:.2}x) must beat software S-U-C ({suc:.2}x) on random patterns"
     );
 }
