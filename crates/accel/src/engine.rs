@@ -731,7 +731,7 @@ pub(crate) fn budget_degradation(cause: BudgetCause, completed: u64) -> Degradat
 
 /// The degraded outcome for a run whose token was already expired at
 /// entry: an all-zero report, no work, one `aborted` trace record.
-fn degrade_before_work(name: &str, kind: ExpiryKind, probe: &Probe) -> RunOutcome {
+pub(crate) fn degrade_before_work(name: &str, kind: ExpiryKind, probe: &Probe) -> RunOutcome {
     let reason = expiry_reason(kind);
     let mut report = RunReport::empty(name);
     report.degradation = Some(Degradation {

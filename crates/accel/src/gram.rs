@@ -1,38 +1,35 @@
 //! The Gram kernel on ExTensor-OP and ExTensor-OP-DRT (paper §6.1.3,
-//! Figure 9).
+//! Figure 9), run as [`crate::pipeline::PipelineSpec::gram`].
 //!
 //! `G_il = χ_ijk · χ_ljk` binds the same 3-tensor twice (the second
 //! operand with `i` renamed `l`) and contracts over *two* ranks, so DRT
 //! must grow tiles across three dimensions per operand — two of them
-//! contracted. The dataflow keeps the first operand's `i` slab stationary
-//! while `l` sweeps, with the contracted `(j, k)` ranges co-tiled between
-//! the operands.
+//! contracted. The DRT machine runs the pipeline stage loop; this module
+//! holds its per-task MACC counter and the static machine's closed-form
+//! S-U-C model.
 
-use crate::report::{PhaseBreakdown, RunReport};
+use crate::report::{PhaseBreakdown, RunReport, StagePhases};
 use crate::spec::PartitionPreset;
-use crate::zcache::OutputCache;
-use drt_core::config::{DrtConfig, Partitions};
+use drt_core::drt::RankRanges;
 use drt_core::kernel::Kernel;
-use drt_core::probe::{Event, Probe};
-use drt_core::taskgen::{TaskGenOptions, TaskStream};
+use drt_core::micro::{MicroFormat, MicroGrid};
 use drt_core::{CoreError, RankId};
 use drt_sim::energy::ActionCounts;
 use drt_sim::memory::HierarchySpec;
 use drt_sim::traffic::TrafficCounter;
+use drt_tensor::format::SizeModel;
 use drt_tensor::CsfTensor;
 use std::collections::BTreeMap;
-
-const LOOP_ORDER: [RankId; 4] = ['i', 'l', 'j', 'k'];
 
 /// Pre-grouped non-zeros for fast per-task MACC counting:
 /// `j → k → sorted list of i coordinates`.
 #[derive(Debug)]
-struct GramCounter {
+pub(crate) struct GramCounter {
     jk: BTreeMap<u32, BTreeMap<u32, Vec<u32>>>,
 }
 
 impl GramCounter {
-    fn new(x: &CsfTensor) -> GramCounter {
+    pub(crate) fn new(x: &CsfTensor) -> GramCounter {
         let mut jk: BTreeMap<u32, BTreeMap<u32, Vec<u32>>> = BTreeMap::new();
         for (p, _) in x.iter_points() {
             jk.entry(p[1]).or_default().entry(p[2]).or_default().push(p[0]);
@@ -45,16 +42,11 @@ impl GramCounter {
         GramCounter { jk }
     }
 
-    /// `(maccs, output-pair upper bound)` for one task box.
-    fn count(
-        &self,
-        ir: &std::ops::Range<u32>,
-        lr: &std::ops::Range<u32>,
-        jr: &std::ops::Range<u32>,
-        kr: &std::ops::Range<u32>,
-    ) -> (u64, u64) {
+    /// `(maccs, output-pair upper bound)` for one task's `(i, l, j, k)`
+    /// coordinate box.
+    pub(crate) fn count(&self, cr: &RankRanges) -> (u64, u64) {
+        let (ir, lr, jr, kr) = (&cr[&'i'], &cr[&'l'], &cr[&'j'], &cr[&'k']);
         let mut maccs = 0u64;
-        let mut out_pairs = 0u64;
         for (_, ks) in self.jk.range(jr.start..jr.end) {
             for (_, is) in ks.range(kr.start..kr.end) {
                 let ci =
@@ -62,36 +54,15 @@ impl GramCounter {
                 let cl =
                     is.partition_point(|&v| v < lr.end) - is.partition_point(|&v| v < lr.start);
                 maccs += (ci * cl) as u64;
-                out_pairs += (ci * cl) as u64;
             }
         }
         let cells = ir.len() as u64 * lr.len() as u64;
-        (maccs, out_pairs.min(cells))
+        (maccs, maccs.min(cells))
     }
 }
 
-fn partitions(hier: &HierarchySpec) -> Partitions {
-    PartitionPreset::Gram3.partitions(hier.llb.capacity_bytes)
-}
-
-/// Run the Gram kernel with DRT tiling (ExTensor-OP-DRT).
-///
-/// # Errors
-///
-/// Propagates tiling configuration errors.
-pub fn run_gram_drt(
-    x: &CsfTensor,
-    hier: &HierarchySpec,
-    micro: [u32; 3],
-) -> Result<RunReport, CoreError> {
-    let kernel = Kernel::gram(x, &micro)?;
-    let cfg = DrtConfig::new(partitions(hier));
-    let stream = TaskStream::build(&kernel, TaskGenOptions::drt(&LOOP_ORDER, cfg.clone()))?;
-    run_stream(x, hier, &cfg, stream, "ExTensor-OP-DRT")
-}
-
-/// Run the Gram kernel with S-U-C tiling (ExTensor-OP); `tile_sizes` are
-/// per-rank coordinate sizes.
+/// The S-U-C Gram model for one uniform tile shape (`tile_sizes` are
+/// per-rank coordinate sizes), reported under `name`.
 ///
 /// Uniform tiles under the `i → l → (j, k)` dataflow admit a closed-form
 /// traffic model (used here instead of enumerating the task grid, which is
@@ -103,34 +74,22 @@ pub fn run_gram_drt(
 /// * the `Y` operand's tiled footprint streams once per `i` chunk,
 /// * each `(i, l)` output tile is stationary for its whole `(j, k)` sweep,
 ///   so `G` is written once.
-///
-/// # Errors
-///
-/// Propagates tiling configuration errors (including the worst-case-dense
-/// capacity rule).
-pub fn run_gram_suc(
+fn suc(
+    name: &str,
     x: &CsfTensor,
     hier: &HierarchySpec,
     micro: [u32; 3],
+    sm: &SizeModel,
     tile_sizes: &BTreeMap<RankId, u32>,
 ) -> Result<RunReport, CoreError> {
     let kernel = Kernel::gram(x, &micro)?;
-    let cfg = DrtConfig::new(partitions(hier));
-    drt_core::suc::validate_shape(&kernel, tile_sizes, &cfg.partitions, &cfg.size_model)?;
-    let sm = cfg.size_model;
+    let partitions = PartitionPreset::Gram3.partitions(hier.llb.capacity_bytes);
+    drt_core::suc::validate_shape(&kernel, tile_sizes, &partitions, sm)?;
     let (si, sl, sj, sk) = (tile_sizes[&'i'], tile_sizes[&'l'], tile_sizes[&'j'], tile_sizes[&'k']);
     // Tiled footprints from S-U-C grids at the tile shapes themselves
     // (plain T-UC tiles, as the static scheme stores them).
-    let gx = drt_core::micro::MicroGrid::from_csf_fmt(
-        x,
-        &[si, sj, sk],
-        drt_core::micro::MicroFormat::Uc,
-    )?;
-    let gy = drt_core::micro::MicroGrid::from_csf_fmt(
-        x,
-        &[sl, sj, sk],
-        drt_core::micro::MicroFormat::Uc,
-    )?;
+    let gx = MicroGrid::from_csf_fmt(x, &[si, sj, sk], MicroFormat::Uc)?;
+    let gy = MicroGrid::from_csf_fmt(x, &[sl, sj, sk], MicroFormat::Uc)?;
     let shape = x.shape();
     let n_i = shape[0].div_ceil(si) as u64;
     let n_l = shape[0].div_ceil(sl) as u64;
@@ -143,24 +102,17 @@ pub fn run_gram_suc(
     let g_bytes = sm.cs_matrix_bytes(&result.g) as u64;
     traffic.write("G", g_bytes);
     phases.writeback.bytes += g_bytes;
-    let maccs = result.maccs;
-    let seconds = hier.dram.seconds_for(traffic.total());
-    let actions = ActionCounts { dram_bytes: traffic.total(), maccs, ..Default::default() };
-    Ok(RunReport {
-        name: "ExTensor-OP".into(),
-        traffic,
-        maccs,
-        compute_cycles: 0,
-        exposed_extract_cycles: 0,
-        seconds,
-        output: Some(result.g),
-        tasks: n_i * n_l,
-        skipped_tasks: 0,
-        actions,
-        phases,
-        stages: Vec::new(),
-        degradation: None,
-    })
+    let mut report = RunReport::empty(name);
+    report.seconds = hier.dram.seconds_for(traffic.total());
+    report.actions =
+        ActionCounts { dram_bytes: traffic.total(), maccs: result.maccs, ..Default::default() };
+    report.traffic = traffic;
+    report.maccs = result.maccs;
+    report.output = Some(result.g);
+    report.tasks = n_i * n_l;
+    report.phases = phases;
+    report.stages = vec![StagePhases { stage: "gram".into(), phases }];
+    Ok(report)
 }
 
 /// Best swept S-U-C configuration over a small shape menu — Figure 9's
@@ -169,10 +121,12 @@ pub fn run_gram_suc(
 /// # Errors
 ///
 /// Returns `BadConfig` when no swept shape satisfies the capacity rule.
-pub fn run_gram_best_suc(
+pub(crate) fn best_suc(
+    name: &str,
     x: &CsfTensor,
     hier: &HierarchySpec,
     micro: [u32; 3],
+    sm: &SizeModel,
 ) -> Result<RunReport, CoreError> {
     let mut best: Option<RunReport> = None;
     for mult in [1u32, 2, 4, 8] {
@@ -182,7 +136,7 @@ pub fn run_gram_best_suc(
             ('j', micro[1] * mult),
             ('k', micro[2] * mult),
         ]);
-        if let Ok(r) = run_gram_suc(x, hier, micro, &sizes) {
+        if let Ok(r) = suc(name, x, hier, micro, sm, &sizes) {
             if best.as_ref().is_none_or(|b| r.traffic.total() < b.traffic.total()) {
                 best = Some(r);
             }
@@ -191,77 +145,13 @@ pub fn run_gram_best_suc(
     best.ok_or(CoreError::BadConfig { detail: "no feasible S-U-C Gram shape".into() })
 }
 
-fn run_stream(
-    x: &CsfTensor,
-    hier: &HierarchySpec,
-    cfg: &DrtConfig,
-    mut stream: TaskStream<'_>,
-    name: &str,
-) -> Result<RunReport, CoreError> {
-    let sm = cfg.size_model;
-    let probe = Probe::disabled();
-    let counter = GramCounter::new(x);
-    let mut traffic = TrafficCounter::new();
-    let mut phases = PhaseBreakdown::default();
-    let mut zcache = OutputCache::new(cfg.partitions.get("G"));
-    let mut maccs = 0u64;
-    let mut last_ranges: BTreeMap<String, Vec<u32>> = BTreeMap::new();
-
-    for task in &mut stream {
-        let ir = task.plan.coord_ranges[&'i'].clone();
-        let lr = task.plan.coord_ranges[&'l'].clone();
-        let jr = task.plan.coord_ranges[&'j'].clone();
-        let kr = task.plan.coord_ranges[&'k'].clone();
-        for tile in &task.plan.tiles {
-            let ranges: Vec<u32> = match tile.name.as_str() {
-                "X" => vec![ir.start, ir.end, jr.start, jr.end, kr.start, kr.end],
-                _ => vec![lr.start, lr.end, jr.start, jr.end, kr.start, kr.end],
-            };
-            if last_ranges.get(&tile.name) != Some(&ranges) {
-                traffic.read(&tile.name, tile.footprint());
-                phases.load.bytes += tile.footprint();
-                last_ranges.insert(tile.name.clone(), ranges);
-            }
-        }
-        let (task_maccs, out_pairs) = counter.count(&ir, &lr, &jr, &kr);
-        maccs += task_maccs;
-        let key = [ir.start, ir.end, lr.start, lr.end];
-        let charge = zcache.access(&key, sm.coo_bytes(out_pairs as usize, 2) as u64);
-        traffic.write("G", charge.spill_writes);
-        traffic.read("G", charge.refill_reads);
-        phases.merge.bytes += charge.spill_writes + charge.refill_reads;
-    }
-    let fin = zcache.finish();
-    traffic.read("G", fin.merge_reads);
-    traffic.write("G", fin.final_writes);
-    phases.writeback.bytes += fin.merge_reads + fin.final_writes;
-    for (phase, stats) in phases.named() {
-        probe.emit(|| Event::Phase { phase, cycles: stats.cycles, bytes: stats.bytes });
-    }
-    let g = drt_kernels::gram::gram(x).g;
-
-    let seconds = hier.dram.seconds_for(traffic.total());
-    let actions = ActionCounts { dram_bytes: traffic.total(), maccs, ..Default::default() };
-    Ok(RunReport {
-        name: name.into(),
-        traffic,
-        maccs,
-        compute_cycles: 0,
-        exposed_extract_cycles: 0,
-        seconds,
-        output: Some(g),
-        tasks: stream.emitted(),
-        skipped_tasks: stream.skipped_empty(),
-        actions,
-        phases,
-        stages: Vec::new(),
-        degradation: None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{PipelineInput, PipelineSpec};
+    use crate::session::Session;
+    use crate::spec::AccelSpec;
+    use crate::workload::WorkloadRef;
     use drt_sim::memory::BufferSpec;
     use drt_workloads::tensor3::skewed_tensor;
 
@@ -272,10 +162,19 @@ mod tests {
         }
     }
 
+    fn run(spec: AccelSpec, x: &CsfTensor) -> RunReport {
+        let pipe = PipelineSpec::gram().with_micro3([4, 4, 4]);
+        Session::new(spec)
+            .hierarchy(&hier())
+            .run_ref(WorkloadRef::Pipeline { input: PipelineInput::Tensor(x), pipe: &pipe })
+            .expect("gram")
+            .into_report()
+    }
+
     #[test]
     fn drt_maccs_match_reference() {
         let x = skewed_tensor(24, 24, 24, 800, 1);
-        let r = run_gram_drt(&x, &hier(), [4, 4, 4]).expect("run");
+        let r = run(AccelSpec::extensor_op_drt(), &x);
         assert_eq!(
             r.maccs,
             drt_kernels::gram::gram_maccs(&x),
@@ -287,16 +186,16 @@ mod tests {
     fn suc_maccs_match_reference() {
         let x = skewed_tensor(16, 16, 16, 400, 2);
         let sizes = BTreeMap::from([('i', 8u32), ('l', 8), ('j', 8), ('k', 8)]);
-        let r = run_gram_suc(&x, &hier(), [4, 4, 4], &sizes).expect("run");
+        let sm = SizeModel::default();
+        let r = suc("ExTensor-OP", &x, &hier(), [4, 4, 4], &sm, &sizes).expect("run");
         assert_eq!(r.maccs, drt_kernels::gram::gram_maccs(&x));
     }
 
     #[test]
     fn drt_ai_at_least_suc_ai() {
         let x = skewed_tensor(32, 32, 32, 1500, 3);
-        let h = hier();
-        let drt = run_gram_drt(&x, &h, [4, 4, 4]).expect("drt");
-        let suc = run_gram_best_suc(&x, &h, [4, 4, 4]).expect("suc");
+        let drt = run(AccelSpec::extensor_op_drt(), &x);
+        let suc = run(AccelSpec::extensor_op(), &x);
         assert!(
             drt.arithmetic_intensity() >= suc.arithmetic_intensity() * 0.9,
             "DRT AI {:.4} vs S-U-C AI {:.4}",
@@ -308,7 +207,7 @@ mod tests {
     #[test]
     fn gram_output_attached_for_validation() {
         let x = skewed_tensor(12, 12, 12, 200, 4);
-        let r = run_gram_drt(&x, &hier(), [4, 4, 4]).expect("run");
+        let r = run(AccelSpec::extensor_op_drt(), &x);
         let reference = drt_kernels::gram::gram(&x).g;
         assert!(r.output.as_ref().expect("out").approx_eq(&reference, 1e-9));
     }

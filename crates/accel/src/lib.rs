@@ -24,8 +24,6 @@
 //!   multi-way merge tree (Table 2's S-N-P entry).
 //! * [`cpu`] — the Intel-MKL-like CPU roofline baseline (30 MB LLC,
 //!   68.25 GB/s) every speedup figure normalizes to.
-//! * [`taco`] — the TACO-like CPU baseline for the Gram kernel (Figure 9).
-//! * [`gram`] — ExTensor-OP(-DRT) running the 3-D Gram contraction.
 //! * [`sw`] — Study 3's software S-U-C/DRT memory-traffic oracle (the
 //!   `sw-suc` / `sw-dnc` specs).
 //! * [`spec`] — declarative accelerator specs ([`spec::AccelSpec`]), the
@@ -43,10 +41,12 @@
 //! * [`session`] — the unified run API ([`session::Session`]): the one
 //!   execution door fronting the engine, every registered variant, and
 //!   every staged pipeline.
-//! * [`pipeline`] — multi-stage fused pipelines over one co-tiling
-//!   ([`pipeline::PipelineSpec`]): MTTKRP over CSF, fused SDDMM→SpMM,
-//!   and A·B·C chains, with tile-resident inter-stage intermediates and
-//!   per-stage phase breakdowns.
+//! * [`pipeline`] — staged pipelines over one co-tiling
+//!   ([`pipeline::PipelineSpec`]): MTTKRP, TTV and Gram over CSF, fused
+//!   SDDMM→SpMM, and A·B·C chains, all run by one stage loop with
+//!   tile-resident inter-stage intermediates and per-stage phase
+//!   breakdowns. Gram on a static-tiling spec or `cpu-mkl` uses the
+//!   closed-form S-U-C sweep or the TACO-like CPU model (Figure 9).
 //! * [`workload`] — the unified typed request API: one
 //!   [`workload::Workload`] enum covering every session entry point,
 //!   wrapped in [`workload::Request`] / [`workload::Response`] pairs that
@@ -60,7 +60,7 @@ pub mod engine;
 pub mod error;
 pub mod extensor;
 pub mod gamma;
-pub mod gram;
+mod gram;
 pub mod hier2;
 pub mod incremental;
 pub mod matraptor;
@@ -71,6 +71,6 @@ pub mod session;
 pub mod sparch;
 pub mod spec;
 pub mod sw;
-pub mod taco;
+mod taco;
 pub mod workload;
 pub mod zcache;

@@ -1,4 +1,5 @@
-//! TACO-like CPU baseline for the Gram kernel (paper §6.1.3, Figure 9).
+//! TACO-like CPU baseline for the Gram kernel (paper §6.1.3, Figure 9),
+//! run as [`crate::pipeline::PipelineSpec::gram`] on the `cpu-mkl` spec.
 //!
 //! The paper passes the Gram Einsum `G_il = χ_ijk · χ_ljk` to the TACO
 //! compiler and measures its memory behaviour. TACO's generated loop nest
@@ -9,29 +10,22 @@
 //! baseline, which this model computes from the CSF footprint.
 
 use crate::cpu::CpuSpec;
-use crate::report::{PhaseBreakdown, RunReport};
+use crate::report::{PhaseBreakdown, RunReport, StagePhases};
 use drt_core::probe::{Event, Probe};
 use drt_sim::energy::ActionCounts;
 use drt_sim::traffic::TrafficCounter;
 use drt_tensor::format::SizeModel;
 use drt_tensor::CsfTensor;
 
-/// Run the TACO-like Gram baseline.
-///
-/// # Panics
-///
-/// Panics when `x` is not a 3-tensor.
-pub fn run_gram(x: &CsfTensor, spec: &CpuSpec) -> RunReport {
-    run_gram_with(x, spec, &SizeModel::default(), &Probe::disabled())
-}
-
-/// [`run_gram`] with an explicit size model and instrumentation probe.
-///
-/// # Panics
-///
-/// Panics when `x` is not a 3-tensor.
-pub fn run_gram_with(x: &CsfTensor, spec: &CpuSpec, sm: &SizeModel, probe: &Probe) -> RunReport {
-    assert_eq!(x.ndim(), 3, "gram expects a 3-tensor");
+/// The TACO-like Gram baseline on a 3-tensor (the pipeline layer checks
+/// the rank), reported under `name`.
+pub(crate) fn gram(
+    name: &str,
+    x: &CsfTensor,
+    spec: &CpuSpec,
+    sm: &SizeModel,
+    probe: &Probe,
+) -> RunReport {
     let result = drt_kernels::gram::gram(x);
 
     let x_bytes = sm.csf_bytes(x) as u64;
@@ -59,29 +53,27 @@ pub fn run_gram_with(x: &CsfTensor, spec: &CpuSpec, sm: &SizeModel, probe: &Prob
     let mem_seconds =
         traffic.total() as f64 / (spec.bandwidth_bytes_per_sec * spec.bandwidth_efficiency);
     let cmp_seconds = result.maccs as f64 / spec.peak_maccs_per_sec;
-    let actions =
+    let mut report = RunReport::empty(name);
+    report.seconds = mem_seconds.max(cmp_seconds);
+    report.actions =
         ActionCounts { dram_bytes: traffic.total(), maccs: result.maccs, ..Default::default() };
-    RunReport {
-        name: "TACO".into(),
-        traffic,
-        maccs: result.maccs,
-        compute_cycles: 0,
-        exposed_extract_cycles: 0,
-        seconds: mem_seconds.max(cmp_seconds),
-        output: Some(result.g),
-        tasks: occupied_slices,
-        skipped_tasks: 0,
-        actions,
-        phases,
-        stages: Vec::new(),
-        degradation: None,
-    }
+    report.traffic = traffic;
+    report.maccs = result.maccs;
+    report.output = Some(result.g);
+    report.tasks = occupied_slices;
+    report.phases = phases;
+    report.stages = vec![StagePhases { stage: "gram".into(), phases }];
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use drt_workloads::tensor3::skewed_tensor;
+
+    fn run_gram(x: &CsfTensor, spec: &CpuSpec) -> RunReport {
+        gram("TACO", x, spec, &SizeModel::default(), &Probe::disabled())
+    }
 
     #[test]
     fn output_matches_reference_gram() {

@@ -292,6 +292,7 @@ fn stage_nnz_hint(stage: &Stage) -> u64 {
         Stage::Spmm { h } => dense_len(h),
         Stage::Mttkrp { b, c } => dense_len(b) + dense_len(c),
         Stage::Ttv { v } => v.len() as u64,
+        Stage::Gram => 0,
     }
 }
 
@@ -470,6 +471,7 @@ impl Fp {
                 self.dense(c);
             }
             Stage::Ttv { v } => self.f64s(v),
+            Stage::Gram => {}
         }
     }
 

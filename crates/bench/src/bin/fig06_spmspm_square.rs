@@ -7,10 +7,7 @@
 //! (`DRT_BENCH_THREADS` overrides the worker count); rows print in the
 //! paper's order regardless of scheduling.
 
-use drt_bench::{
-    banner, emit_json, geomean, par, run_suite_cells_req, try_run_suite_cells_req, BenchOpts,
-    JsonVal,
-};
+use drt_bench::{banner, emit_json, geomean, par, try_run_suite_cells_req, BenchOpts, JsonVal};
 use drt_workloads::suite::{Catalog, PatternClass};
 
 fn main() {
@@ -30,12 +27,14 @@ fn main() {
     });
     // `--keep-going`: a failing cell becomes an error row instead of an
     // abort; the process still exits nonzero after the full table prints.
+    // Without it, the first failing cell aborts the run.
     let req = opts.request_opts();
-    let cells = if opts.keep_going {
-        try_run_suite_cells_req(&pairs, &ctx, &req)
-    } else {
-        run_suite_cells_req(&pairs, &ctx, &req).into_iter().map(Ok).collect()
-    };
+    let cells = try_run_suite_cells_req(&pairs, &ctx, &req);
+    if !opts.keep_going {
+        if let Some(Err(err)) = cells.iter().find(|c| c.is_err()) {
+            panic!("{err}");
+        }
+    }
 
     println!(
         "\n{:<18} {:>9} {:>12} {:>14} {:>17} {:>14}",

@@ -2,10 +2,7 @@
 //! the short-long product `Fᵀ·F` then the tall-skinny product `F·Fᵀ`
 //! (paper §6.1.1, "Tall-skinny matrices").
 
-use drt_bench::{
-    banner, emit_json, geomean, par, run_suite_cells_req, try_run_suite_cells_req, BenchOpts,
-    JsonVal,
-};
+use drt_bench::{banner, emit_json, geomean, par, try_run_suite_cells_req, BenchOpts, JsonVal};
 use drt_workloads::suite::Catalog;
 use drt_workloads::tallskinny::figure7_pair;
 
@@ -59,12 +56,14 @@ fn main() {
     .collect();
     // `--keep-going`: a failing cell becomes an error row instead of an
     // abort; the process still exits nonzero after the full table prints.
+    // Without it, the first failing cell aborts the run.
     let req = opts.request_opts();
-    let cells = if opts.keep_going {
-        try_run_suite_cells_req(&pairs, &ctx, &req)
-    } else {
-        run_suite_cells_req(&pairs, &ctx, &req).into_iter().map(Ok).collect()
-    };
+    let cells = try_run_suite_cells_req(&pairs, &ctx, &req);
+    if !opts.keep_going {
+        if let Some(Err(err)) = cells.iter().find(|c| c.is_err()) {
+            panic!("{err}");
+        }
+    }
 
     let mut errors = 0usize;
     let mut speedups = Vec::new();

@@ -2,15 +2,27 @@
 //! the Gram kernel (`G_il = χ_ijk · χ_ljk`), for ExTensor-OP (S-U-C) and
 //! ExTensor-OP-DRT (D-N-C), across a tensor-density sweep.
 
+use drt_accel::pipeline::{PipelineInput, PipelineSpec};
+use drt_accel::report::{RunOutcome, RunReport};
+use drt_accel::session::Session;
+use drt_accel::workload::WorkloadRef;
 use drt_bench::{banner, emit_json, geomean, BenchOpts, JsonVal};
+use drt_tensor::CsfTensor;
 use drt_workloads::tensor3::{figure9_sweep, frostt_like};
 
 fn main() {
     let opts = BenchOpts::from_args();
     banner("Figure 9: Gram arithmetic intensity vs TACO", &opts);
-    let hier = opts.hierarchy();
-    let cpu = opts.cpu();
-    let micro = [8u32, 8, 8];
+    let ctx = opts.run_ctx();
+    let pipe = PipelineSpec::gram().with_micro3([8, 8, 8]);
+    let run = |name: &str, x: &CsfTensor| -> RunReport {
+        Session::from_registry(name)
+            .expect("registered variant")
+            .with_run_ctx(ctx.clone())
+            .run_ref(WorkloadRef::Pipeline { input: PipelineInput::Tensor(x), pipe: &pipe })
+            .map(RunOutcome::into_report)
+            .unwrap_or_else(|e| panic!("{name} gram: {e}"))
+    };
 
     // Fixed non-zero volume sized so the tensors dwarf the (scaled) LLC —
     // the regime FROSTT tensors occupy relative to a 30 MB cache.
@@ -29,9 +41,9 @@ fn main() {
         let shape = w.tensor.shape();
         let vol = shape.iter().map(|&d| d as f64).product::<f64>();
         let density = w.tensor.nnz() as f64 / vol;
-        let taco = drt_accel::taco::run_gram(&w.tensor, &cpu);
-        let suc = drt_accel::gram::run_gram_best_suc(&w.tensor, &hier, micro).expect("suc gram");
-        let drt = drt_accel::gram::run_gram_drt(&w.tensor, &hier, micro).expect("drt gram");
+        let taco = run("cpu-mkl", &w.tensor);
+        let suc = run("extensor-op", &w.tensor);
+        let drt = run("extensor-op-drt", &w.tensor);
         let gs = suc.arithmetic_intensity() / taco.arithmetic_intensity();
         let gd = drt.arithmetic_intensity() / taco.arithmetic_intensity();
         println!("{:<16} {:>12.3e} {:>14.3} {:>17.3} {:>12.2}", w.name, density, gs, gd, gd / gs);

@@ -245,26 +245,6 @@ pub struct SuiteCell {
 /// The registry names of the standard four-variant suite, in cell order.
 pub const SUITE_VARIANTS: [&str; 4] = ["cpu-mkl", "extensor", "extensor-op", "extensor-op-drt"];
 
-/// Run the standard four-variant suite ([`SUITE_VARIANTS`], resolved
-/// through the accelerator registry) over independent operand pairs
-/// (`(label, A, B)`), panicking on the first failing row — the
-/// non-`--keep-going` form of [`try_run_suite_cells_req`].
-///
-/// # Panics
-///
-/// Panics when an engine run fails or a DRT output diverges from its CPU
-/// reference — a bench run with a broken engine must not report numbers.
-pub fn run_suite_cells_req(
-    pairs: &[(String, drt_tensor::CsMatrix, drt_tensor::CsMatrix)],
-    ctx: &RunCtx,
-    req: &RequestOpts,
-) -> Vec<SuiteCell> {
-    try_run_suite_cells_req(pairs, ctx, req)
-        .into_iter()
-        .map(|row| row.unwrap_or_else(|err| panic!("{err}")))
-        .collect()
-}
-
 /// Run one typed [`Request`] against a registered variant — the exact
 /// structs and execution path ([`Session::execute`]) the `drt-serve`
 /// layer uses, so bench cells and served requests are bit-identical by
@@ -304,7 +284,9 @@ pub fn try_run_request(
 /// A row is `Err` when any of its four variant runs fails (or degrades),
 /// or when the DRT output diverges from the CPU reference (the §5.2.1
 /// functional cross-check, also fanned out); the remaining rows still
-/// compute — the `--keep-going` path.
+/// compute. Under `--keep-going` the caller prints error rows; otherwise
+/// it panics on the first `Err` — a bench run with a broken engine must
+/// not report numbers.
 pub fn try_run_suite_cells_req(
     pairs: &[(String, drt_tensor::CsMatrix, drt_tensor::CsMatrix)],
     ctx: &RunCtx,

@@ -6,7 +6,7 @@
 //! product of each group's mode-0 fiber with itself.
 
 use drt_tensor::{CsMatrix, CsfTensor, MajorAxis};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Result of a reference Gram run.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,8 +26,9 @@ pub fn gram(x: &CsfTensor) -> GramResult {
     assert_eq!(x.ndim(), 3, "gram expects a 3-tensor");
     let i_dim = x.shape()[0];
     // Group non-zeros by contracted point (j, k): each group is the sparse
-    // fiber χ[:, j, k].
-    let mut groups: HashMap<(u32, u32), Vec<(u32, f64)>> = HashMap::new();
+    // fiber χ[:, j, k]. Ordered groups fix the summation order of every
+    // output entry, so repeated runs are bit-identical.
+    let mut groups: BTreeMap<(u32, u32), Vec<(u32, f64)>> = BTreeMap::new();
     for (p, v) in x.iter_points() {
         groups.entry((p[1], p[2])).or_default().push((p[0], v));
     }

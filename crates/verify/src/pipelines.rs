@@ -1,5 +1,5 @@
-//! Differential verification of the staged pipelines: MTTKRP and TTV
-//! over CSF, the fused SDDMM→SpMM layer, and the A·B·C chain, each
+//! Differential verification of the staged pipelines: MTTKRP, TTV and
+//! Gram over CSF, the fused SDDMM→SpMM layer, and the A·B·C chain, each
 //! checked against its dense oracle, its model invariants, and
 //! thread-count independence — with tensor workloads shrunk through
 //! [`Tensor3Gen`] parameter candidates on failure.
@@ -12,7 +12,9 @@
 
 use crate::driver::{verify_hierarchy, Failure, VerifyOptions, VerifySummary};
 use crate::invariants::check_pipeline_report;
-use crate::oracle::{compare_to_dense_tol, dense_abc, dense_mttkrp, dense_sddmm_spmm, dense_ttv};
+use crate::oracle::{
+    compare_to_dense_tol, dense_abc, dense_gram, dense_mttkrp, dense_sddmm_spmm, dense_ttv,
+};
 use drt_accel::pipeline::{PipelineInput, PipelineSpec};
 use drt_accel::report::{RunOutcome, RunReport};
 use drt_accel::session::Session;
@@ -235,6 +237,35 @@ pub fn check_ttv(
     run().err()
 }
 
+/// Gram differential: compare `G` against [`dense_gram`] under a
+/// contraction-depth tolerance, and pin the MACC identity. Runs on any
+/// Gram-capable spec: DRT engine specs (the stage loop), static-tiling
+/// engine specs (the closed-form S-U-C sweep) and `cpu-mkl` (TACO).
+pub fn check_gram(
+    spec: &AccelSpec,
+    gen: &Tensor3Gen,
+    threads: &[usize],
+    max_ulp: u64,
+) -> Option<String> {
+    let x = gen.generate();
+    let pipe = PipelineSpec::gram();
+    let run = || -> Result<(), String> {
+        let report = run_threads(spec, PipelineInput::Tensor(&x), &pipe, threads)?;
+        let want_maccs = drt_kernels::gram::gram_maccs(&x);
+        if report.maccs != want_maccs {
+            return Err(format!(
+                "{}: MACCs {} differ from the kernel identity {want_maccs}",
+                report.name, report.maccs
+            ));
+        }
+        let want = dense_gram(&x);
+        let bound = dense_gram(&abs_tensor(&x));
+        let depth = x.shape()[1] as f64 * x.shape()[2] as f64;
+        compare_output(&report, &want, &scaled_tolerance(&bound, depth), max_ulp, "Gram")
+    };
+    run().err()
+}
+
 /// A·B·C chain differential: fused output against [`dense_abc`], plus
 /// the fused-beats-unfused traffic property.
 pub fn check_abc(
@@ -327,13 +358,27 @@ fn matrix_failure(
 }
 
 /// Run the pipeline differential sweep: every panel variant × workload
-/// recipe × pipeline, at every requested thread count. Tensor failures
-/// are shrunk through generator parameter candidates before reporting.
+/// recipe × pipeline, at every requested thread count, plus Gram on the
+/// panel and `cpu-mkl`. Tensor failures are shrunk through generator
+/// parameter candidates before reporting.
 pub fn verify_pipelines(opts: &VerifyOptions) -> VerifySummary {
     let panel = pipeline_panel(opts.quick);
+    let gram_panel: Vec<AccelSpec> =
+        panel.iter().chain(Registry::standard().get("cpu-mkl")).cloned().collect();
     let mut summary = VerifySummary::default();
     for iter in 0..opts.iters.max(1) {
         let seed = opts.seed.wrapping_add(1000 * iter as u64);
+        // Gram on the first tensor recipe, every Gram-capable machine.
+        let gram_gen = tensor_gens(seed, opts.quick).swap_remove(0);
+        for spec in &gram_panel {
+            summary.runs += 1;
+            if let Some(detail) = check_gram(spec, &gram_gen, &opts.threads, opts.max_ulp) {
+                let (shrunk, detail) = shrink_tensor(gram_gen, detail, |g| {
+                    check_gram(spec, g, &opts.threads, opts.max_ulp)
+                });
+                summary.failures.push(tensor_failure(spec, "gram", shrunk, detail));
+            }
+        }
         for spec in &panel {
             // Tensor pipelines: MTTKRP on every recipe, TTV on the first.
             for (gi, gen) in tensor_gens(seed, opts.quick).into_iter().enumerate() {

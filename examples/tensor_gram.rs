@@ -7,6 +7,9 @@
 //! ```
 
 use drt_accel::cpu::CpuSpec;
+use drt_accel::pipeline::PipelineSpec;
+use drt_accel::session::Session;
+use drt_accel::workload::Workload;
 use drt_sim::memory::HierarchySpec;
 use drt_workloads::tensor3::skewed_tensor;
 use std::error::Error;
@@ -24,11 +27,16 @@ fn main() -> Result<(), Box<dyn Error>> {
     // tensors dwarf a 30 MB cache.
     let hier = HierarchySpec::default().scaled_down(512);
     let cpu = CpuSpec::default().scaled_down(512);
-    let micro = [8u32, 8, 8];
-
-    let taco = drt_accel::taco::run_gram(&x, &cpu);
-    let suc = drt_accel::gram::run_gram_best_suc(&x, &hier, micro)?;
-    let drt = drt_accel::gram::run_gram_drt(&x, &hier, micro)?;
+    // One workload, three machines: the TACO-like CPU model (`cpu-mkl`),
+    // the best swept S-U-C shape, and DRT.
+    let gram = Workload::pipeline_on_tensor(x.clone(), PipelineSpec::gram().with_micro3([8, 8, 8]));
+    let run = |name: &str| -> Result<_, Box<dyn Error>> {
+        let session = Session::from_registry(name)?.hierarchy(&hier).cpu(cpu);
+        Ok(session.run_workload(&gram)?.into_report())
+    };
+    let taco = run("cpu-mkl")?;
+    let suc = run("extensor-op")?;
+    let drt = run("extensor-op-drt")?;
 
     // All three agree with the reference kernel.
     let reference = drt_kernels::gram::gram(&x).g;

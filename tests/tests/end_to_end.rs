@@ -2,9 +2,11 @@
 //! right answer, and the paper's headline orderings hold across crates.
 
 use drt_accel::cpu::CpuSpec;
+use drt_accel::pipeline::PipelineSpec;
 use drt_accel::report::RunReport;
 use drt_accel::session::Session;
 use drt_accel::spec::AccelSpec;
+use drt_accel::workload::Workload;
 use drt_kernels::spmspm::gustavson;
 use drt_sim::memory::{BufferSpec, HierarchySpec};
 use drt_tensor::CsMatrix;
@@ -157,9 +159,18 @@ fn msbfs_workload_and_kernel_agree_through_the_accelerator() {
 #[test]
 fn gram_pipeline_is_consistent_end_to_end() {
     let x = drt_workloads::tensor3::skewed_tensor(32, 32, 32, 3_000, 17);
-    let h = hier(24);
-    let taco = drt_accel::taco::run_gram(&x, &CpuSpec { llc_bytes: 4096, ..CpuSpec::default() });
-    let drt = drt_accel::gram::run_gram_drt(&x, &h, [4, 4, 4]).expect("gram drt");
+    let gram = Workload::pipeline_on_tensor(x, PipelineSpec::gram().with_micro3([4, 4, 4]));
+    let run = |name: &str| {
+        Session::from_registry(name)
+            .expect("registered")
+            .hierarchy(&hier(24))
+            .cpu(CpuSpec { llc_bytes: 4096, ..CpuSpec::default() })
+            .run_workload(&gram)
+            .expect("gram")
+            .into_report()
+    };
+    let taco = run("cpu-mkl");
+    let drt = run("extensor-op-drt");
     assert_eq!(drt.maccs, taco.maccs, "same effectual work on both machines");
     assert!(drt
         .output
