@@ -168,12 +168,6 @@ pub struct EngineConfig {
     /// (the S-U-C candidate sweep) set this to avoid sorting each
     /// discarded candidate's entry stream.
     pub skip_output: bool,
-    /// Cross-run tile-plan cache (see [`drt_core::plancache::PlanCache`]):
-    /// DRT planner calls replay fingerprint-matched plans instead of
-    /// re-measuring. `None` (the default) plans every run from scratch.
-    /// One cache must serve exactly one engine configuration — the cache
-    /// key does not encode the config.
-    pub plan_cache: Option<Arc<drt_core::plancache::PlanCache>>,
 }
 
 impl EngineConfig {
@@ -318,11 +312,10 @@ pub fn run_spmspm_ft(
         max_plan_candidates: fault.budget.max_plan_candidates,
     };
     let mk_opts = |p: Probe| {
-        let mut o = match &cfg.tiling {
+        let o = match &cfg.tiling {
             Tiling::Suc(sizes) => TaskGenOptions::suc(&cfg.loop_order, cfg.drt.clone(), sizes),
             Tiling::Drt => TaskGenOptions::drt(&cfg.loop_order, cfg.drt.clone()),
         };
-        o.plan_cache = cfg.plan_cache.clone();
         o.with_probe(p).with_budget(gen_budget.clone()).with_cancel(fault.cancel.clone())
     };
 
@@ -1144,7 +1137,7 @@ impl<'c> EngineRun<'c> {
 /// exactly this capture again, so splicing it is bit-identical to
 /// re-executing the task — the same purity argument that makes sharded
 /// runs bit-identical to serial ones.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct TaskCapture {
     pub(crate) traffic: TrafficCounter,
     pub(crate) actions: ActionCounts,
@@ -1163,7 +1156,8 @@ pub(crate) struct TaskCapture {
 
 /// Execute one task in isolation (a one-task shard): load/compute/merge-
 /// measure/extract with residency seeded from `prev`, exactly as a shard
-/// worker whose range starts at `task` would.
+/// worker whose range starts at `task` would. The output entries are
+/// trimmed to their length: a capture may be stored for many runs.
 pub(crate) fn capture_task(
     a_rows: &CsMatrix,
     b_rows: &CsMatrix,
@@ -1180,6 +1174,7 @@ pub(crate) fn capture_task(
     let (tp, isect_cycles) = run.phase_compute(task, &ranges);
     let rec = run.merge_prep(task, &ranges, tp, isect_cycles);
     run.phase_extract(task, rec.on_chip_cycles);
+    run.out_entries.shrink_to_fit();
     TaskCapture {
         traffic: run.traffic,
         actions: run.actions,
@@ -1205,7 +1200,7 @@ pub(crate) fn replay_captures(
     cfg: &EngineConfig,
     a_rows: &CsMatrix,
     b_rows: &CsMatrix,
-    captures: &[TaskCapture],
+    captures: &[Arc<TaskCapture>],
     skipped: u64,
 ) -> RunReport {
     let mut main = EngineRun::new(a_rows, b_rows, cfg, Probe::disabled());

@@ -1,12 +1,13 @@
 //! Incremental re-execution of SpMSpM runs across small operand deltas.
 //!
-//! An [`IncrementalSpmspm`] owns one engine configuration, a cross-run
-//! [`PlanCache`] (tile plans replay for regions whose fingerprints are
-//! unchanged), and a content-addressed store of per-task engine results.
-//! After a [`drt_tensor::DeltaBatch`] patches an operand in place
+//! An [`IncrementalSpmspm`] owns one engine configuration and a
+//! content-addressed store of per-task engine results. After a
+//! [`drt_tensor::DeltaBatch`] patches an operand in place
 //! ([`CsMatrix::apply_delta`]), the next [`IncrementalSpmspm::run`]
-//! re-executes only the tasks whose inputs actually changed and splices
-//! the stored results for everything else.
+//! plans the whole task stream from scratch (planning reads only prefix
+//! sums, so it is cheap), re-executes only the tasks whose inputs
+//! actually changed, and splices the stored results for everything else.
+//! A spliced task shares its stored capture by pointer.
 //!
 //! ## Why splicing is bit-identical
 //!
@@ -30,15 +31,14 @@
 //!   which decides the task's fetch-vs-hit traffic), or `None` for the
 //!   first task;
 //! * **value-inclusive** fingerprints of the A rows and B rows the task
-//!   reads. These deliberately differ from the structure-only slab
-//!   fingerprints the plan cache uses: planning never reads values, but
-//!   compute does, so a value-only update must invalidate results while
-//!   still replaying plans.
+//!   reads. Planning never reads values, but compute does, so a
+//!   value-only update leaves every plan unchanged and must still
+//!   invalidate the tasks crossing it.
 //!
 //! Keys are conservative (a changed row invalidates every task crossing
 //! it; an unchanged task always matches, modulo 64-bit fingerprint
 //! collisions) and config-blind: one `IncrementalSpmspm` serves exactly
-//! one engine configuration, like the plan cache it wraps.
+//! one engine configuration.
 //!
 //! Incremental runs are complete, unprobed, inert-fault serial runs —
 //! the fast path the delta workloads need. Probed, budget-capped,
@@ -80,21 +80,16 @@ use crate::error::DrtError;
 use crate::report::RunReport;
 use drt_core::drt::TilePlan;
 use drt_core::kernel::Kernel;
-use drt_core::plancache::{PlanCache, PlanCacheStats};
 use drt_core::taskgen::{Task, TaskGenOptions, TaskStream};
 use drt_tensor::{CsMatrix, MajorAxis};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Seed for the value-inclusive row fingerprints. Distinct from the
-/// structure-only `drt-core` grid fingerprint seed so the two families
-/// can never be confused for one another.
+/// Seed for the value-inclusive row fingerprints.
 const ROW_FP_SEED: u64 = 0x1C4E_11E1_D347_A5EE;
 
-/// One multiply-rotate mixing step (same shape as the grid fingerprint
-/// mix in `drt-core`, reimplemented here because these fingerprints
-/// additionally cover value bits).
+/// One multiply-rotate mixing step.
 #[inline]
 fn fp_mix(h: u64, v: u64) -> u64 {
     (h.rotate_left(13) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -179,21 +174,15 @@ pub struct IncrStats {
     pub executed: u64,
     /// Tasks spliced from the result store.
     pub spliced: u64,
-    /// Planner invocations that re-measured (plan-cache misses) this run.
+    /// DRT planner invocations this run ([`TaskStream::plan_calls`]):
+    /// every run plans from scratch, so this is every call.
     pub plans_computed: u64,
-    /// Planner invocations replayed from the plan cache this run.
+    /// Always 0 (no plan is reused across runs); kept for the repo
+    /// benchmark's (`perfbench`) field reads.
     pub plans_reused: u64,
 }
 
 impl IncrStats {
-    /// Fraction of planner invocations this run that re-measured
-    /// (`None` when the run planned nothing — e.g. S-U-C tiling, which
-    /// never calls the DRT planner).
-    pub fn replanned_fraction(&self) -> Option<f64> {
-        let total = self.plans_computed + self.plans_reused;
-        (total > 0).then(|| self.plans_computed as f64 / total as f64)
-    }
-
     /// Fraction of tasks executed for real (`None` for an empty run).
     pub fn executed_fraction(&self) -> Option<f64> {
         (self.tasks > 0).then(|| self.executed as f64 / self.tasks as f64)
@@ -205,8 +194,7 @@ impl IncrStats {
 /// gating rules.
 pub struct IncrementalSpmspm {
     cfg: EngineConfig,
-    plan_cache: Arc<PlanCache>,
-    results: HashMap<TaskKey, TaskCapture>,
+    results: HashMap<TaskKey, Arc<TaskCapture>>,
     last: IncrStats,
 }
 
@@ -215,19 +203,15 @@ impl std::fmt::Debug for IncrementalSpmspm {
         f.debug_struct("IncrementalSpmspm")
             .field("cfg", &self.cfg.name)
             .field("cached_tasks", &self.results.len())
-            .field("cached_plans", &self.plan_cache.len())
             .field("last", &self.last)
             .finish()
     }
 }
 
 impl IncrementalSpmspm {
-    /// Wrap `cfg` for incremental execution. A plan cache already
-    /// installed on the config is adopted (and keeps serving any other
-    /// runner sharing it); otherwise a fresh one is created.
-    pub fn new(mut cfg: EngineConfig) -> IncrementalSpmspm {
-        let plan_cache = cfg.plan_cache.take().unwrap_or_else(|| Arc::new(PlanCache::new()));
-        IncrementalSpmspm { cfg, plan_cache, results: HashMap::new(), last: IncrStats::default() }
+    /// Wrap `cfg` for incremental execution, with an empty result store.
+    pub fn new(cfg: EngineConfig) -> IncrementalSpmspm {
+        IncrementalSpmspm { cfg, results: HashMap::new(), last: IncrStats::default() }
     }
 
     /// Run `Z = A · B`, splicing stored results for every task whose key
@@ -247,14 +231,9 @@ impl IncrementalSpmspm {
         let b_cow = b.as_major(MajorAxis::Row);
         let (a_rows, b_rows) = (a_cow.as_ref(), b_cow.as_ref());
 
-        let plans_before = self.plan_cache.stats();
-        let opts = {
-            let mut o = match &cfg.tiling {
-                Tiling::Suc(sizes) => TaskGenOptions::suc(&cfg.loop_order, cfg.drt.clone(), sizes),
-                Tiling::Drt => TaskGenOptions::drt(&cfg.loop_order, cfg.drt.clone()),
-            };
-            o.plan_cache = Some(Arc::clone(&self.plan_cache));
-            o
+        let opts = match &cfg.tiling {
+            Tiling::Suc(sizes) => TaskGenOptions::suc(&cfg.loop_order, cfg.drt.clone(), sizes),
+            Tiling::Drt => TaskGenOptions::drt(&cfg.loop_order, cfg.drt.clone()),
         };
         let mut stream = TaskStream::build(&kernel, opts)?;
         let tasks: Vec<Task> = (&mut stream).collect();
@@ -265,33 +244,33 @@ impl IncrementalSpmspm {
 
         let a_fps = row_fps(a_rows);
         let b_fps = row_fps(b_rows);
-        let mut captures: Vec<TaskCapture> = Vec::with_capacity(tasks.len());
+        let mut captures: Vec<Arc<TaskCapture>> = Vec::with_capacity(tasks.len());
         let (mut executed, mut spliced) = (0u64, 0u64);
         for (i, task) in tasks.iter().enumerate() {
             let prev = i.checked_sub(1).map(|p| &tasks[p]);
             let key = TaskKey::of(task, prev, &a_fps, &b_fps);
-            match self.results.get(&key) {
+            let c = match self.results.get(&key) {
                 Some(c) => {
                     spliced += 1;
-                    captures.push(c.clone());
+                    Arc::clone(c)
                 }
                 None => {
                     executed += 1;
-                    let c = capture_task(a_rows, b_rows, cfg, prev, task);
-                    self.results.insert(key, c.clone());
-                    captures.push(c);
+                    let c = Arc::new(capture_task(a_rows, b_rows, cfg, prev, task));
+                    self.results.insert(key, Arc::clone(&c));
+                    c
                 }
-            }
+            };
+            captures.push(c);
         }
         let report = replay_captures(a.nrows(), b.ncols(), cfg, a_rows, b_rows, &captures, skipped);
 
-        let plans_after = self.plan_cache.stats();
         self.last = IncrStats {
             tasks: tasks.len() as u64,
             executed,
             spliced,
-            plans_computed: plans_after.computed - plans_before.computed,
-            plans_reused: plans_after.reused - plans_before.reused,
+            plans_computed: stream.plan_calls(),
+            plans_reused: 0,
         };
         Ok(report)
     }
@@ -299,17 +278,6 @@ impl IncrementalSpmspm {
     /// Counters for the most recent [`IncrementalSpmspm::run`].
     pub fn last_stats(&self) -> IncrStats {
         self.last
-    }
-
-    /// Lifetime counters of the wrapped plan cache.
-    pub fn plan_stats(&self) -> PlanCacheStats {
-        self.plan_cache.stats()
-    }
-
-    /// The wrapped plan cache (shareable with a [`crate::session::Session`]
-    /// running the *same* configuration).
-    pub fn plan_cache(&self) -> &Arc<PlanCache> {
-        &self.plan_cache
     }
 
     /// Number of distinct task results currently stored.
@@ -322,13 +290,12 @@ impl IncrementalSpmspm {
         &self.cfg
     }
 
-    /// Drop every stored task result and cached plan. The result store
-    /// grows monotonically across deltas (superseded results are not
-    /// collected — they may become valid again when a delta is reverted);
-    /// call this to bound long-lived instances.
+    /// Drop every stored task result. The result store grows
+    /// monotonically across deltas (superseded results are not collected
+    /// — they may become valid again when a delta is reverted); call this
+    /// to bound long-lived instances.
     pub fn clear(&mut self) {
         self.results.clear();
-        self.plan_cache.clear();
     }
 }
 
@@ -376,12 +343,13 @@ mod tests {
         let (a, b) = (band(64, 1), band(64, 2));
         let mut eng = IncrementalSpmspm::new(drt_cfg());
         let r1 = eng.run(&a, &b).expect("first run");
+        let first = eng.last_stats();
         let r2 = eng.run(&a, &b).expect("second run");
         assert_eq!(r1.bit_diff(&r2), None);
         let s = eng.last_stats();
         assert_eq!(s.executed, 0, "unchanged operands must splice everything");
         assert_eq!(s.spliced, s.tasks);
-        assert_eq!(s.plans_computed, 0, "unchanged regions must replay plans");
+        assert_eq!(s.plans_computed, first.plans_computed, "every run plans from scratch");
     }
 
     #[test]
@@ -412,11 +380,11 @@ mod tests {
     }
 
     #[test]
-    fn value_only_change_invalidates_results_but_replays_plans() {
-        // Flipping a value without touching structure leaves every slab
-        // fingerprint (structure-only) intact but changes the row
-        // fingerprints (value-inclusive): plans replay, results re-run,
-        // and the output still matches from-scratch bit-for-bit.
+    fn value_only_change_invalidates_results() {
+        // Flipping a value without touching structure leaves every plan
+        // intact but changes the row fingerprints (value-inclusive): the
+        // crossing tasks re-run, and the output still matches from-scratch
+        // bit-for-bit.
         let (mut a, b) = (band(64, 1), band(64, 2));
         let mut eng = IncrementalSpmspm::new(drt_cfg());
         eng.run(&a, &b).expect("cold run");
@@ -432,7 +400,30 @@ mod tests {
         assert_eq!(scratch.bit_diff(&incr), None);
         let s = eng.last_stats();
         assert!(s.executed > 0, "value change must invalidate crossing tasks");
-        assert_eq!(s.plans_computed, 0, "structure is unchanged: no replanning at all");
+    }
+
+    #[test]
+    fn plans_computed_counts_every_planner_call() {
+        let (mut a, b) = (band(96, 1), band(96, 2));
+        let cfg = drt_cfg();
+        let mut eng = IncrementalSpmspm::new(cfg.clone());
+        eng.run(&a, &b).expect("cold run");
+
+        let mut delta = DeltaBatch::new();
+        delta.upsert(40, 41, 3.0);
+        a.apply_delta(&delta);
+        eng.run(&a, &b).expect("incremental run");
+
+        let kernel = Kernel::spmspm_fmt(&a, &b, cfg.micro, cfg.micro_format).expect("kernel");
+        let mut fresh =
+            TaskStream::build(&kernel, TaskGenOptions::drt(&cfg.loop_order, cfg.drt.clone()))
+                .expect("stream");
+        let tasks = (&mut fresh).count() as u64;
+        let s = eng.last_stats();
+        assert_eq!(s.tasks, tasks);
+        assert!(fresh.plan_calls() > 0);
+        assert_eq!(s.plans_computed, fresh.plan_calls());
+        assert_eq!(s.plans_reused, 0);
     }
 
     #[test]
@@ -454,6 +445,6 @@ mod tests {
         assert_eq!(scratch.bit_diff(&incr), None);
         let s = eng.last_stats();
         assert!(s.spliced > 0, "S-U-C tasks away from the delta must splice");
-        assert_eq!(s.replanned_fraction(), None, "S-U-C never calls the DRT planner");
+        assert_eq!(s.plans_computed, 0, "S-U-C never calls the DRT planner");
     }
 }

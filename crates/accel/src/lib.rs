@@ -36,8 +36,8 @@
 //!   with a deterministic reduction — reports and traces are bit-identical
 //!   across thread counts.
 //! * [`incremental`] — incremental re-execution across operand deltas:
-//!   a cross-run plan cache plus content-addressed per-task result
-//!   splicing, bit-identical to from-scratch runs.
+//!   content-addressed per-task result splicing, bit-identical to
+//!   from-scratch runs.
 //! * [`session`] — the unified run API ([`session::Session`]): the one
 //!   execution door fronting the engine, every registered variant, and
 //!   every staged pipeline.

@@ -49,7 +49,6 @@ use crate::workload::{Request, Response, Workload, WorkloadRef};
 use drt_core::budget::ExecBudget;
 use drt_core::cancel::CancelToken;
 use drt_core::chaos::FaultInjector;
-use drt_core::plancache::PlanCache;
 use drt_core::probe::Probe;
 use drt_core::CoreError;
 use drt_sim::memory::HierarchySpec;
@@ -218,26 +217,6 @@ impl Session {
     #[must_use]
     pub fn chaos(mut self, chaos: Arc<dyn FaultInjector>) -> Session {
         self.ctx.chaos = Some(chaos);
-        self
-    }
-
-    /// Attach a cross-run tile-plan cache (see
-    /// [`drt_core::plancache::PlanCache`]): after a
-    /// [`drt_tensor::DeltaBatch`] touches only part of an operand, the
-    /// next run replays fingerprint-matched plans instead of re-measuring
-    /// every region. Replayed plans are bit-identical to recomputed ones,
-    /// so cached and cold runs produce the same report bit for bit.
-    ///
-    /// One cache must serve exactly one engine configuration — the cache
-    /// key does not encode the loop order, partitions, or size model, so
-    /// sharing a cache across differently-configured sessions would
-    /// replay wrong plans.
-    #[must_use]
-    pub fn plan_cache(mut self, cache: Arc<PlanCache>) -> Session {
-        if let Target::Config(cfg) = &mut self.target {
-            cfg.plan_cache = Some(Arc::clone(&cache));
-        }
-        self.ctx.plan_cache = Some(cache);
         self
     }
 

@@ -237,12 +237,6 @@ pub struct RunCtx {
     pub cancel: CancelToken,
     /// Chaos-injection hook for engine runs (`None` in production).
     pub chaos: Option<Arc<dyn FaultInjector>>,
-    /// Cross-run tile-plan cache threaded into resolved engine
-    /// configurations. One cache must serve exactly one engine
-    /// configuration (the cache key does not encode the config), so this
-    /// belongs to a single-variant context — [`crate::session::Session`]
-    /// installs it via `Session::plan_cache`.
-    pub plan_cache: Option<Arc<drt_core::plancache::PlanCache>>,
 }
 
 impl Default for RunCtx {
@@ -255,7 +249,6 @@ impl Default for RunCtx {
             budget: ExecBudget::unlimited(),
             cancel: CancelToken::new(),
             chaos: None,
-            plan_cache: None,
         }
     }
 }
@@ -299,13 +292,6 @@ impl RunCtx {
     /// Builder-style: install a chaos injector (tests only).
     pub fn with_chaos(mut self, chaos: Arc<dyn FaultInjector>) -> RunCtx {
         self.chaos = Some(chaos);
-        self
-    }
-
-    /// Builder-style: attach a cross-run tile-plan cache. The caller owns
-    /// the one-cache-per-engine-configuration discipline.
-    pub fn with_plan_cache(mut self, cache: Arc<drt_core::plancache::PlanCache>) -> RunCtx {
-        self.plan_cache = Some(cache);
         self
     }
 
@@ -472,7 +458,6 @@ impl AccelSpec {
             extractor: es.extractor,
             ideal_on_chip: es.ideal_on_chip,
             skip_output: false,
-            plan_cache: None,
         }
     }
 
@@ -531,7 +516,6 @@ impl AccelSpec {
     ) -> Result<RunOutcome, DrtError> {
         let hier = if es.hier_from_cpu { llc_hierarchy(&ctx.cpu) } else { ctx.hier };
         let mut cfg = self.engine_config(es, &hier);
-        cfg.plan_cache = ctx.plan_cache.clone();
         let fault = ctx.fault_policy();
         match &es.tiling {
             TilingSpec::SucSweep { candidates } => {

@@ -2,14 +2,13 @@
 //!
 //! An evolving operand `A` receives seeded delta batches of growing size
 //! (1 → hundreds of upserts/deletes); after each batch an
-//! [`IncrementalSpmspm`] re-runs `Z = A · B`, re-planning only the
-//! regions whose fingerprints changed and re-executing only the tasks
-//! whose inputs the delta crossed. Every incremental report is bit-diffed
-//! against a from-scratch run of the patched operands — the binary exits
-//! nonzero on any divergence — and the table records how the replanned
-//! and re-executed fractions scale with update size (small deltas must
-//! re-plan a small fraction of the regions; growing deltas approach a
-//! full re-plan).
+//! [`IncrementalSpmspm`] re-runs `Z = A · B`, planning the task stream
+//! from scratch and re-executing only the tasks whose inputs the delta
+//! crossed. Every incremental report is bit-diffed against a from-scratch
+//! run of the patched operands — the binary exits nonzero on any
+//! divergence — and the table records how the re-executed fraction scales
+//! with update size (small deltas must re-execute a small fraction of the
+//! tasks; growing deltas approach a full re-execution).
 //!
 //! stdout is fully deterministic (counters and fractions only) so the CI
 //! golden can byte-diff a `--quick --json` run. Wall-clock measurements
@@ -67,17 +66,18 @@ fn main() {
     let mut a = patterns::unstructured(n, n, nnz, 1.5, opts.seed.wrapping_add(3));
     let b = patterns::unstructured(n, n, nnz, 1.0, opts.seed.wrapping_add(7));
     // Partitions sized so the workload splits into many boxes — the
-    // granularity the delta path re-plans and re-executes at.
+    // granularity the delta path re-executes at.
     let mut cfg = EngineConfig::new((
         "fig-delta-drt",
         Tiling::Drt,
         DrtConfig::new(Partitions::from_bytes(&[("A", 8192), ("B", 8192), ("Z", 2048)])),
     ));
-    // Re-plan locality follows the loop order: deltas dirty A's dim-0
-    // (row) slabs, so sweeping `i` outermost confines invalidation to the
-    // boxes whose `i` range crosses a dirty slab. Under the default
-    // j-outermost dataflow every interior box spans all of `i` and a
-    // single-row delta re-plans most of the recursion tree.
+    // Re-execution locality follows the loop order: deltas dirty A's
+    // rows, so sweeping `i` outermost confines changed plans and inputs
+    // to the tasks whose `i` range crosses a dirty row (plus the next
+    // task, whose residency they seed). Under the default j-outermost
+    // dataflow every interior planning box spans all of `i`, so a
+    // single-row delta can reshape tiles across the whole sweep.
     cfg.loop_order = vec!['i', 'k', 'j'];
     let update_sizes: &[usize] = if opts.quick { &[1, 8, 64] } else { &[1, 4, 16, 64, 256, 1024] };
 
@@ -93,8 +93,8 @@ fn main() {
     drop(cold);
 
     println!(
-        "{:>11} {:>7} {:>9} {:>8} {:>11} {:>11} {:>14}",
-        "update-size", "tasks", "executed", "spliced", "replanned", "reexecuted", "bit-identical"
+        "{:>11} {:>7} {:>9} {:>8} {:>11} {:>14}",
+        "update-size", "tasks", "executed", "spliced", "reexecuted", "bit-identical"
     );
     let mut state = opts.seed ^ 0xF16D_E17A_0000_0001;
     let mut errors = 0usize;
@@ -121,12 +121,11 @@ fn main() {
         };
         let s = eng.last_stats();
         println!(
-            "{:>11} {:>7} {:>9} {:>8} {:>11} {:>11} {:>14}",
+            "{:>11} {:>7} {:>9} {:>8} {:>11} {:>14}",
             ops,
             s.tasks,
             s.executed,
             s.spliced,
-            frac(s.replanned_fraction()),
             frac(s.executed_fraction()),
             identical
         );
@@ -138,9 +137,6 @@ fn main() {
                 ("tasks", JsonVal::U(s.tasks)),
                 ("executed", JsonVal::U(s.executed)),
                 ("spliced", JsonVal::U(s.spliced)),
-                ("plans_computed", JsonVal::U(s.plans_computed)),
-                ("plans_reused", JsonVal::U(s.plans_reused)),
-                ("replanned_fraction", JsonVal::S(frac(s.replanned_fraction()))),
                 ("reexecuted_fraction", JsonVal::S(frac(s.executed_fraction()))),
                 ("bit_identical", JsonVal::S(identical.into())),
             ],
@@ -170,7 +166,6 @@ fn main() {
                     ("update_size", JsonVal::U(*ops as u64)),
                     ("tasks", JsonVal::U(s.tasks)),
                     ("reexecuted_fraction", JsonVal::S(frac(s.executed_fraction()))),
-                    ("replanned_fraction", JsonVal::S(frac(s.replanned_fraction()))),
                     ("incremental_ms", JsonVal::F(*incr_ms)),
                     ("from_scratch_ms", JsonVal::F(*scratch_ms)),
                     ("speedup", JsonVal::F(scratch_ms / incr_ms.max(1e-9))),

@@ -69,7 +69,6 @@ pub mod kernel;
 pub mod micro;
 pub mod occupancy;
 pub mod par;
-pub mod plancache;
 pub mod probe;
 pub mod suc;
 pub mod taskgen;

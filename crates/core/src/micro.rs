@@ -16,21 +16,6 @@ use drt_tensor::format::SizeModel;
 use drt_tensor::{CsMatrix, CsfTensor};
 use std::ops::Range;
 
-/// Seed of the slab/region content fingerprints.
-const FP_SEED: u64 = 0x5EED_D474_0DE1_7A00;
-
-/// One fingerprint accumulation step (rotate-xor-multiply mixer).
-pub(crate) fn fp_mix(h: u64, v: u64) -> u64 {
-    (h.rotate_left(13) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// Murmur-style finalizer for fingerprint accumulators.
-pub(crate) fn fp_finish(mut x: u64) -> u64 {
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    x ^ (x >> 33)
-}
-
 /// How each micro tile's own contents are represented.
 ///
 /// The paper's software study stores micro tiles as plain `T-UC` (CSR),
@@ -418,136 +403,6 @@ impl MicroGrid {
         Some((self.dim0_seg[g as usize], self.dim0_seg[g as usize + 1]))
     }
 
-    /// Patch this grid after `m` was mutated on the given rows (tensor
-    /// coordinates): only the dim-0 *slabs* containing a dirty row are
-    /// re-bucketed from the matrix; clean slabs' tile arrays are
-    /// block-copied through, then the segment index and prefix sums are
-    /// re-derived. Checked in debug builds against a from-scratch
-    /// [`MicroGrid::from_matrix_fmt`] rebuild.
-    ///
-    /// `m` is the *already patched* matrix (e.g. after
-    /// [`CsMatrix::apply_delta`], whose returned dirty rows feed straight
-    /// in here for a row-major matrix). Returns the dirty dim-0 grid
-    /// slabs, ascending — the invalidation set for slab-fingerprint
-    /// consumers.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the grid is not a 2-D matrix grid, when `m`'s shape
-    /// differs from the grid's, or when a dirty row is out of range.
-    pub fn apply_delta(&mut self, m: &CsMatrix, dirty_rows: &[u32]) -> Vec<u32> {
-        assert_eq!(self.ndim(), 2, "delta patching is defined for 2-D matrix grids");
-        assert_eq!(
-            (self.dims[0], self.dims[1]),
-            (m.nrows(), m.ncols()),
-            "matrix shape must match the grid"
-        );
-        assert!(dirty_rows.iter().all(|&r| r < self.dims[0]), "dirty row out of range");
-        if dirty_rows.is_empty() {
-            debug_assert_eq!(self.total_nnz, m.nnz() as u64, "clean grid out of sync");
-            return Vec::new();
-        }
-        let mr = m.as_major(drt_tensor::MajorAxis::Row);
-        let (m0, m1) = (self.micro[0], self.micro[1]);
-        let mut slabs: Vec<u32> = dirty_rows.iter().map(|&r| r / m0).collect();
-        slabs.sort_unstable();
-        slabs.dedup();
-        let mut coords = Vec::with_capacity(self.coords.len());
-        let mut occupancy = Vec::with_capacity(self.occupancy.len());
-        let mut footprint = Vec::with_capacity(self.footprint.len());
-        let mut si = 0usize;
-        let mut keys: Vec<u32> = Vec::new();
-        for g in 0..self.grid_dims[0] {
-            if si < slabs.len() && slabs[si] == g {
-                si += 1;
-                // Re-bucket the slab's rows; within one slab lexicographic
-                // tile order is just ascending dim-1 grid coordinate.
-                let row_lo = g * m0;
-                let row_hi = (u64::from(g) + 1)
-                    .saturating_mul(u64::from(m0))
-                    .min(u64::from(self.dims[0])) as u32;
-                keys.clear();
-                for r in row_lo..row_hi {
-                    keys.extend(mr.fiber(r).coords.iter().map(|&c| c / m1));
-                }
-                keys.sort_unstable();
-                let mut i = 0usize;
-                while i < keys.len() {
-                    let mut j = i;
-                    while j < keys.len() && keys[j] == keys[i] {
-                        j += 1;
-                    }
-                    coords.extend([g, keys[i]]);
-                    let occ = (j - i) as u32;
-                    occupancy.push(occ);
-                    footprint.push(Self::micro_footprint(
-                        &self.micro,
-                        occ,
-                        &self.size_model,
-                        self.format,
-                    ) as u32);
-                    i = j;
-                }
-            } else {
-                let (a, b) = (self.dim0_seg[g as usize], self.dim0_seg[g as usize + 1]);
-                coords.extend_from_slice(&self.coords[a * 2..b * 2]);
-                occupancy.extend_from_slice(&self.occupancy[a..b]);
-                footprint.extend_from_slice(&self.footprint[a..b]);
-            }
-        }
-        *self = Self::assemble(
-            self.dims.clone(),
-            self.micro.clone(),
-            coords,
-            occupancy,
-            footprint,
-            m.nnz() as u64,
-            self.size_model,
-            self.format,
-        );
-        #[cfg(debug_assertions)]
-        if self.size_model == SizeModel::default() {
-            let oracle = Self::from_matrix_fmt(m, (m0, m1), self.format)
-                .expect("positive micro dims survive patching");
-            debug_assert_eq!(*self, oracle, "slab patch must equal from-scratch re-tiling");
-        }
-        slabs
-    }
-
-    /// Content fingerprint of one dim-0 slab: a hash over the slab's tile
-    /// coordinates, occupancies, and footprints. Two grids whose slab `g`
-    /// fingerprints agree hold identical tile metadata in that slab (up to
-    /// hashing); a [`MicroGrid::apply_delta`] changes exactly the
-    /// fingerprints of the slabs it returns. Out-of-range slabs hash as
-    /// empty.
-    pub fn slab_fingerprint(&self, g: u32) -> u64 {
-        let mut h = fp_mix(FP_SEED, u64::from(g));
-        if let Some((a, b)) = self.dim0_row(g) {
-            let ndim = self.ndim();
-            for t in a..b {
-                for &c in &self.coords[t * ndim..(t + 1) * ndim] {
-                    h = fp_mix(h, u64::from(c));
-                }
-                h = fp_mix(h, u64::from(self.occupancy[t]));
-                h = fp_mix(h, u64::from(self.footprint[t]));
-            }
-        }
-        fp_finish(h)
-    }
-
-    /// Content fingerprint of the grid restricted to a dim-0 slab range: a
-    /// fold of the per-slab fingerprints. Conservative for tile-plan
-    /// caching — a region bounded in inner dimensions too shares the
-    /// fingerprint of its full-width slabs, so any change in a slab
-    /// invalidates every region crossing it (never the converse).
-    pub fn region_fingerprint(&self, dim0: Range<u32>) -> u64 {
-        let mut h = fp_mix(FP_SEED, 0x9E37_79B9_7F4A_7C15);
-        for g in dim0.start..dim0.end.min(self.grid_dims[0]) {
-            h = fp_mix(h, self.slab_fingerprint(g));
-        }
-        fp_finish(h)
-    }
-
     /// Measure the region spanned by `ranges` (grid units, one range per
     /// dimension) — the Aggregate unit's primitive.
     ///
@@ -801,66 +656,6 @@ mod tests {
         .expect("ok");
         let m = CsMatrix::from_coo(&coo, MajorAxis::Row);
         MicroGrid::from_matrix(&m, (2, 2)).expect("valid micro shape")
-    }
-
-    #[test]
-    fn apply_delta_matches_from_scratch_rebuild() {
-        let coo = CooMatrix::from_triplets(
-            4,
-            4,
-            vec![(0, 1, 7.0), (0, 2, 1.0), (2, 0, 6.0), (2, 2, 12.0), (2, 3, 3.0), (3, 1, 10.0)],
-        )
-        .expect("ok");
-        let mut m = CsMatrix::from_coo(&coo, MajorAxis::Row);
-        let mut g = MicroGrid::from_matrix(&m, (2, 2)).expect("valid");
-        let mut d = drt_tensor::DeltaBatch::new();
-        d.upsert(1, 3, 5.0).delete(2, 2).upsert(3, 1, -1.0);
-        let dirty = m.apply_delta(&d);
-        let slabs = g.apply_delta(&m, &dirty);
-        assert_eq!(slabs, vec![0, 1]);
-        // The debug_assert oracle inside apply_delta already compared to a
-        // rebuild; assert the user-visible invariants here for release too.
-        let rebuilt = MicroGrid::from_matrix(&m, (2, 2)).expect("valid");
-        assert_eq!(g, rebuilt);
-        assert_eq!(g.total_nnz(), m.nnz() as u64);
-    }
-
-    #[test]
-    fn apply_delta_touches_only_dirty_slab_fingerprints() {
-        let coo = CooMatrix::from_triplets(
-            8,
-            8,
-            vec![(0, 0, 1.0), (3, 3, 2.0), (5, 5, 3.0), (7, 1, 4.0)],
-        )
-        .expect("ok");
-        let mut m = CsMatrix::from_coo(&coo, MajorAxis::Row);
-        let mut g = MicroGrid::from_matrix(&m, (2, 2)).expect("valid");
-        let before: Vec<u64> = (0..g.grid_dims()[0]).map(|s| g.slab_fingerprint(s)).collect();
-        let before_region = g.region_fingerprint(0..1);
-        let mut d = drt_tensor::DeltaBatch::new();
-        d.upsert(5, 0, 9.0); // slab 2 only
-        let dirty = m.apply_delta(&d);
-        let slabs = g.apply_delta(&m, &dirty);
-        assert_eq!(slabs, vec![2]);
-        for s in 0..g.grid_dims()[0] {
-            let now = g.slab_fingerprint(s);
-            if s == 2 {
-                assert_ne!(now, before[s as usize], "dirty slab must re-fingerprint");
-            } else {
-                assert_eq!(now, before[s as usize], "clean slab {s} must keep its fingerprint");
-            }
-        }
-        assert_eq!(g.region_fingerprint(0..1), before_region);
-        assert_ne!(g.region_fingerprint(0..4), before_region);
-    }
-
-    #[test]
-    fn empty_delta_is_a_noop() {
-        let m = CsMatrix::from_entries(4, 4, vec![(1, 1, 1.0)], MajorAxis::Row);
-        let mut g = MicroGrid::from_matrix(&m, (2, 2)).expect("valid");
-        let before = g.clone();
-        assert!(g.apply_delta(&m, &[]).is_empty());
-        assert_eq!(g, before);
     }
 
     #[test]

@@ -24,12 +24,10 @@ use crate::config::DrtConfig;
 use crate::drt::{plan_tile, ExtractionTrace, RankRanges, TilePlan, TileStats};
 use crate::kernel::Kernel;
 use crate::micro::RegionStats;
-use crate::plancache::PlanCache;
 use crate::probe::{Event, Probe};
 use crate::{suc, CoreError, RankId};
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// One emitted Einsum task.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,10 +95,6 @@ pub struct TaskGenOptions {
     pub budget: ExecBudget,
     /// Cooperative cancellation token, polled at every `next()`.
     pub cancel: CancelToken,
-    /// Cross-run tile-plan cache (see [`PlanCache`]); `None` plans every
-    /// box from scratch. Only DRT planner calls consult it — S-U-C
-    /// measurement is already cheap and memoized per sweep.
-    pub plan_cache: Option<Arc<PlanCache>>,
 }
 
 impl TaskGenOptions {
@@ -114,7 +108,6 @@ impl TaskGenOptions {
             probe: Probe::disabled(),
             budget: ExecBudget::default(),
             cancel: CancelToken::default(),
-            plan_cache: None,
         }
     }
 
@@ -132,7 +125,6 @@ impl TaskGenOptions {
             probe: Probe::disabled(),
             budget: ExecBudget::default(),
             cancel: CancelToken::default(),
-            plan_cache: None,
         }
     }
 
@@ -162,13 +154,6 @@ impl TaskGenOptions {
     #[must_use]
     pub fn with_cancel(mut self, cancel: CancelToken) -> TaskGenOptions {
         self.cancel = cancel;
-        self
-    }
-
-    /// Attach a cross-run tile-plan cache (see [`PlanCache`]).
-    #[must_use]
-    pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> TaskGenOptions {
-        self.plan_cache = Some(cache);
         self
     }
 }
@@ -254,7 +239,6 @@ pub struct TaskStream<'k> {
     plan_calls: u64,
     degraded: Option<BudgetCause>,
     aborted: Option<ExpiryKind>,
-    plan_cache: Option<Arc<PlanCache>>,
 }
 
 impl<'k> TaskStream<'k> {
@@ -270,16 +254,7 @@ impl<'k> TaskStream<'k> {
     /// * S-U-C: [`CoreError::ShapeOverflowsBuffer`] when the fixed shape
     ///   violates the worst-case-dense capacity rule.
     pub fn build(kernel: &'k Kernel, opts: TaskGenOptions) -> Result<TaskStream<'k>, CoreError> {
-        let TaskGenOptions {
-            loop_order,
-            config,
-            scheme,
-            region,
-            probe,
-            budget,
-            cancel,
-            plan_cache,
-        } = opts;
+        let TaskGenOptions { loop_order, config, scheme, region, probe, budget, cancel } = opts;
         kernel.validate_loop_order(&loop_order)?;
         let mode = match scheme {
             TileScheme::Drt => {
@@ -324,7 +299,6 @@ impl<'k> TaskStream<'k> {
             plan_calls: 0,
             degraded: None,
             aborted: None,
-            plan_cache,
         })
     }
 
@@ -392,18 +366,11 @@ impl<'k> TaskStream<'k> {
         }
     }
 
-    /// One DRT planner invocation, routed through the plan cache when one
-    /// is attached. A cache hit replays the stored plan bit-identically;
-    /// either way the call counts against `max_plan_candidates` (budget
-    /// degradation must not depend on cache temperature).
+    /// One DRT planner invocation (counted against `max_plan_candidates`
+    /// by the caller).
     fn plan_drt(&self, frame: &Frame) -> TilePlan {
-        match &self.plan_cache {
-            Some(cache) => cache
-                .plan(self.kernel, &self.order, &frame.region, &frame.pinned, &self.config)
-                .expect("preflight guaranteed a minimal tile fits"),
-            None => plan_tile(self.kernel, &self.order, &frame.region, &frame.pinned, &self.config)
-                .expect("preflight guaranteed a minimal tile fits"),
-        }
+        plan_tile(self.kernel, &self.order, &frame.region, &frame.pinned, &self.config)
+            .expect("preflight guaranteed a minimal tile fits")
     }
 
     /// S-U-C "plan": just measure the fixed-shape box.

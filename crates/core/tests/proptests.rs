@@ -209,41 +209,3 @@ proptest! {
         prop_assert!(cells(&p_large) >= cells(&p_small));
     }
 }
-
-proptest! {
-    /// Incremental grid maintenance: patching a matrix with random delta
-    /// batches and re-bucketing only the dirtied dim-0 slabs leaves the
-    /// `MicroGrid` — occupancy, footprints, prefix sums, region stats,
-    /// fingerprints — exactly equal to a from-scratch rebuild.
-    #[test]
-    fn microgrid_delta_matches_from_scratch_rebuild(
-        m0 in arb_matrix(32, 80),
-        batches in proptest::collection::vec(
-            proptest::collection::vec((0u32..32, 0u32..32, -10.0..10.0f64, any::<bool>()), 0..10),
-            1..4,
-        ),
-        g0 in 0u32..8, g1 in 0u32..8,
-    ) {
-        let mut m = m0;
-        let (r, c) = (m.nrows(), m.ncols());
-        let micro = (4, 4);
-        let mut grid = MicroGrid::from_matrix(&m, micro).unwrap();
-        for ops in &batches {
-            let mut d = drt_tensor::DeltaBatch::new();
-            for &(i, j, v, is_upsert) in ops {
-                let (i, j) = (i % r, j % c);
-                if is_upsert { d.upsert(i, j, v); } else { d.delete(i, j); }
-            }
-            let dirty_rows = m.apply_delta(&d);
-            grid.apply_delta(&m, &dirty_rows);
-            let rebuilt = MicroGrid::from_matrix(&m, micro).unwrap();
-            prop_assert_eq!(&grid, &rebuilt);
-            // Derived views agree too, including on a random sub-region.
-            let dims = grid.grid_dims().to_vec();
-            let (glo, ghi) = (g0.min(g1).min(dims[0]), g1.max(g0).min(dims[0]));
-            let region = vec![glo..ghi, 0..dims[1]];
-            prop_assert_eq!(grid.region_stats(&region), rebuilt.region_stats(&region));
-            prop_assert_eq!(grid.region_fingerprint(glo..ghi), rebuilt.region_fingerprint(glo..ghi));
-        }
-    }
-}

@@ -4,9 +4,9 @@
 //! upserts (insert or overwrite) and deletes — applied to a compressed
 //! matrix by [`CsMatrix::apply_delta`]. Only the fibers a batch touches
 //! are rewritten; clean fibers are copied through untouched. This is the
-//! substrate of the incremental-sparsity layer: the dirty major indices a
-//! batch reports propagate upward to micro-grid slab patching and
-//! tile-plan cache invalidation.
+//! substrate of the incremental-sparsity layer: after a patch, an
+//! incremental SpMSpM run re-executes only the tasks whose operand rows
+//! changed (`drt-accel`'s `incremental` module).
 //!
 //! The design borrows differential dataflow's batch discipline: mutations
 //! accumulate into a batch (last write per coordinate wins), and the batch

@@ -4,10 +4,10 @@
 //!
 //! This is the end-to-end check behind the incremental contract
 //! ([`drt_accel::incremental`]): in-place patching
-//! ([`CsMatrix::apply_delta`]), fingerprint-replayed tile plans, and
-//! spliced task results must be *bit-identical* — not merely
-//! ULP-close — to planning and executing the patched operands from
-//! scratch, for DRT and S-U-C tiling, at every verified thread count.
+//! ([`CsMatrix::apply_delta`]) and spliced task results must be
+//! *bit-identical* — not merely ULP-close — to planning and executing
+//! the patched operands from scratch, for DRT and S-U-C tiling, at every
+//! verified thread count.
 //! Unlike the oracle sweep, no tolerance is involved: both sides run the
 //! same engine, so `RunReport::bit_diff` must be `None`.
 
@@ -48,9 +48,8 @@ fn random_batch(state: &mut u64, nrows: u32, ncols: u32, ops: usize) -> DeltaBat
     d
 }
 
-/// The tiling configurations the delta mode sweeps: a DRT config (plan
-/// cache + task splicing both active) and an S-U-C config (task splicing
-/// only — the static planner has nothing to cache).
+/// The tiling configurations the delta mode sweeps: a DRT config and an
+/// S-U-C config (fixed tile shapes), both splicing task results.
 fn delta_configs() -> Vec<EngineConfig> {
     vec![
         EngineConfig::new((
