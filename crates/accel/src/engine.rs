@@ -1076,7 +1076,10 @@ impl<'c> EngineRun<'c> {
     }
 
     /// Writeback phase: flush the Z cache (resident tiles stream out,
-    /// multi-segment spills merge) and assemble the final report.
+    /// multi-segment spills merge), assemble the functional output from
+    /// the task-ordered partials with [`finalize_output`] (host work only,
+    /// modeled by none of the report's numbers), and assemble the final
+    /// report.
     fn phase_writeback(
         mut self,
         nrows: u32,
@@ -1223,11 +1226,70 @@ pub(crate) fn replay_captures(
     main.phase_writeback(nrows, ncols, captures.len() as u64, skipped)
 }
 
-/// Merge accumulated per-task partial entries into the final output.
+/// Merge accumulated per-task partial entries into the final output
+/// without a global sort: a stable counting sort by row, then one
+/// dense-accumulator pass per row, which sorts only that row's distinct
+/// columns. Partials of one `(i, j)` are summed in the order they appear
+/// — task order, the order the sharded reducer and [`replay_captures`]
+/// concatenate in — and exact zeros (`0.0` and `-0.0`) are dropped.
 pub(crate) fn finalize_output(nrows: u32, ncols: u32, entries: Vec<(u32, u32, f64)>) -> CsMatrix {
-    let merged = CsMatrix::from_entries(nrows, ncols, entries, MajorAxis::Row);
-    let nonzero: Vec<(u32, u32, f64)> = merged.iter().filter(|&(_, _, v)| v != 0.0).collect();
-    CsMatrix::from_entries(nrows, ncols, nonzero, MajorAxis::Row)
+    let n = nrows as usize;
+    let mut seg = vec![0usize; n + 1];
+    for &(r, _, _) in &entries {
+        seg[r as usize + 1] += 1;
+    }
+    for i in 0..n {
+        seg[i + 1] += seg[i];
+    }
+    let mut next = seg[..n].to_vec();
+    let mut cols = vec![0u32; entries.len()];
+    let mut vals = vec![0f64; entries.len()];
+    for (r, c, v) in entries {
+        let p = &mut next[r as usize];
+        cols[*p] = c;
+        vals[*p] = v;
+        *p += 1;
+    }
+    drop(next);
+    // Each row is compacted in place: the rows before it kept at most as
+    // many entries as they read, so row `i`'s output starts at or before
+    // its first input, and it is written only after the row is summed.
+    let mut acc = vec![0f64; ncols as usize];
+    let mut seen = vec![false; ncols as usize];
+    let mut touched: Vec<u32> = Vec::new();
+    let (mut start, mut w) = (0, 0);
+    for i in 0..n {
+        let end = seg[i + 1];
+        for p in start..end {
+            let c = cols[p] as usize;
+            if seen[c] {
+                acc[c] += vals[p];
+            } else {
+                seen[c] = true;
+                acc[c] = vals[p];
+                touched.push(cols[p]);
+            }
+        }
+        touched.sort_unstable();
+        for &c in &touched {
+            seen[c as usize] = false;
+            let v = acc[c as usize];
+            if v != 0.0 {
+                cols[w] = c;
+                vals[w] = v;
+                w += 1;
+            }
+        }
+        touched.clear();
+        seg[i + 1] = w;
+        start = end;
+    }
+    cols.truncate(w);
+    cols.shrink_to_fit();
+    vals.truncate(w);
+    vals.shrink_to_fit();
+    CsMatrix::from_parts(nrows, ncols, MajorAxis::Row, seg, cols, vals)
+        .expect("rows ascend and columns ascend within a row")
 }
 
 /// Sweep S-U-C candidate shapes under `exec` and return the winner's
@@ -1319,6 +1381,7 @@ mod tests {
     use drt_kernels::spmspm::gustavson;
     use drt_sim::memory::BufferSpec;
     use drt_workloads::patterns::{diamond_band, unstructured};
+    use std::collections::BTreeSet;
     use std::sync::Mutex;
 
     fn small_hier() -> HierarchySpec {
@@ -1640,5 +1703,100 @@ mod tests {
             run_spmspm_best_suc_exec(&a, &a, &base, 4, &ExecPolicy::threads(4)).expect("threads");
         assert_eq!(s1, s4, "winning shape must not depend on the execution policy");
         report_bits_eq("best-suc", &r1, &r4);
+    }
+
+    /// The sort-based finalize that [`finalize_output`] replaced, kept as
+    /// its oracle: sort and sum duplicates, drop exact zeros, rebuild.
+    fn finalize_sort_oracle(nrows: u32, ncols: u32, entries: Vec<(u32, u32, f64)>) -> CsMatrix {
+        let merged = CsMatrix::from_entries(nrows, ncols, entries, MajorAxis::Row);
+        let nonzero: Vec<(u32, u32, f64)> = merged.iter().filter(|&(_, _, v)| v != 0.0).collect();
+        CsMatrix::from_entries(nrows, ncols, nonzero, MajorAxis::Row)
+    }
+
+    /// Structure and value bits of a matrix, for bit-level comparison.
+    fn z_bits(z: &CsMatrix) -> (Vec<usize>, Vec<u32>, Vec<u64>) {
+        let vals = z.values().iter().map(|v| v.to_bits()).collect();
+        (z.seg().to_vec(), z.coord_array().to_vec(), vals)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// With at most two partials per `(i, j)` the summation order
+        /// cannot matter (`a + b == b + a` bit for bit), so the linear
+        /// finalize equals the sort-based oracle exactly: exact
+        /// cancellations and `-0.0` sums are dropped, empty rows stay
+        /// empty, and the last row and column are kept.
+        #[test]
+        fn finalize_matches_sort_oracle_with_two_partials(
+            shape in (1u32..40, 1u32..40),
+            cells in proptest::collection::vec(
+                (0u32..40, 0u32..40, -4.0..4.0f64, 0u8..5),
+                0..120,
+            ),
+        ) {
+            let (nrows, ncols) = shape;
+            let mut firsts = BTreeMap::new();
+            for (r, c, v, kind) in cells {
+                firsts.insert((r % nrows, c % ncols), (v, kind));
+            }
+            firsts.insert((nrows - 1, ncols - 1), (1.5, 1));
+            firsts.insert((nrows - 1, 0), (-0.0, 0));
+            firsts.insert((0, ncols - 1), (2.0, 2));
+            let mut entries = Vec::new();
+            let mut seconds = Vec::new();
+            for (&(r, c), &(v, kind)) in &firsts {
+                let first = if kind == 4 { -0.0 } else { v };
+                entries.push((r, c, first));
+                match kind {
+                    0 => {}                            // one partial
+                    1 => seconds.push((r, c, -first)), // exact cancellation
+                    2 => seconds.push((r, c, v * 0.37 + 1.0)),
+                    _ => seconds.push((r, c, -0.0)),   // signed zeros
+                }
+            }
+            // Second partials arrive later, in a different order.
+            entries.extend(seconds.into_iter().rev());
+            let fast = finalize_output(nrows, ncols, entries.clone());
+            let oracle = finalize_sort_oracle(nrows, ncols, entries);
+            proptest::prop_assert_eq!(z_bits(&fast), z_bits(&oracle));
+            proptest::prop_assert!(fast.values().iter().all(|&v| v != 0.0));
+        }
+    }
+
+    #[test]
+    fn finalize_sums_partials_in_task_order() {
+        // (1e16 + 1) rounds back to 1e16, so these three partials sum to
+        // exactly zero in this order (dropped) and to 1 if the last two
+        // swapped places.
+        let z = finalize_output(2, 3, vec![(1, 2, 1e16), (0, 0, 4.0), (1, 2, 1.0), (1, 2, -1e16)]);
+        assert_eq!(z.nnz(), 1);
+        assert_eq!(z.get(0, 0), 4.0);
+        let z = finalize_output(2, 3, vec![(1, 2, 1e16), (1, 2, -1e16), (1, 2, 1.0)]);
+        assert_eq!(z.get(1, 2), 1.0);
+    }
+
+    #[test]
+    fn k_tiled_suc_output_is_thread_count_independent() {
+        // Static tiles eight k wide over a 64-wide contraction: an output
+        // entry collects one partial per k tile that contributes to it.
+        let a = unstructured(64, 64, 1600, 2.0, 31);
+        let sizes = BTreeMap::from([('i', 16u32), ('k', 8), ('j', 16)]);
+        let cfg = engine_cfg("suc-k8", Tiling::Suc(sizes), 128 * 1024);
+        let mut k_tiles: BTreeMap<(u32, u32), BTreeSet<u32>> = BTreeMap::new();
+        for (i, k, _) in a.iter() {
+            for (_, j, _) in a.iter().filter(|&(r, _, _)| r == k) {
+                k_tiles.entry((i, j)).or_default().insert(k / 8);
+            }
+        }
+        let multi = k_tiles.values().filter(|t| t.len() >= 3).count();
+        assert!(multi > 100, "only {multi} outputs have three or more partials");
+        let serial = run(&a, &a, &cfg).expect("serial");
+        let z1 = serial.output.as_ref().expect("functional");
+        assert!(z1.approx_eq(&gustavson(&a, &a).z, 1e-9));
+        let sharded = run_spmspm_exec(&a, &a, &cfg, &Probe::disabled(), &ExecPolicy::threads(4))
+            .expect("sharded");
+        assert_eq!(z_bits(z1), z_bits(sharded.output.as_ref().expect("functional")));
+        report_bits_eq("suc-k8", &serial, &sharded);
     }
 }

@@ -24,7 +24,9 @@ fn bench_region_stats(c: &mut Criterion) {
     // `prefix` is the shipping prefix-sum implementation; `naive` is the
     // retained linear-scan oracle. Same box queries on the same grid
     // (>= 10^4 occupied micro tiles), so the pair directly shows the
-    // box-query speedup.
+    // box-query speedup. `strip` queries are one column wide and `span`
+    // rows tall — the shape of a planner grow probe on an inner rank —
+    // which the shipping query answers along the column.
     let mut group = c.benchmark_group("region_stats");
     let a = unstructured(8192, 8192, 200_000, 2.0, 5);
     let grid = MicroGrid::from_matrix(&a, (32, 32)).expect("grid");
@@ -41,6 +43,17 @@ fn bench_region_stats(c: &mut Criterion) {
             BenchmarkId::new("naive", format!("1/{frac}")),
             &span,
             |b, &span| b.iter(|| grid.region_stats_naive(black_box(&[0..span, 0..span]))),
+        );
+        let col = full / 2;
+        group.bench_with_input(
+            BenchmarkId::new("strip", format!("1/{frac}")),
+            &span,
+            |b, &span| b.iter(|| grid.region_stats(black_box(&[0..span, col..col + 1]))),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("strip_naive", format!("1/{frac}")),
+            &span,
+            |b, &span| b.iter(|| grid.region_stats_naive(black_box(&[0..span, col..col + 1]))),
         );
     }
     group.finish();

@@ -8,8 +8,9 @@
 //! metadata — never the micro tiles' own contents.
 //!
 //! [`MicroGrid`] stores exactly that metadata: the occupied micro tiles in
-//! lexicographic grid order, each with its occupancy and footprint, indexed
-//! by the outermost grid dimension for fast slab queries.
+//! lexicographic grid order, each with its occupancy and footprint (kept
+//! as cumulative sums), indexed by the outermost grid dimension for fast
+//! slab queries and, in 2-D, also by column.
 
 use crate::CoreError;
 use drt_tensor::format::SizeModel;
@@ -81,7 +82,9 @@ impl std::ops::AddAssign for RegionStats {
 /// lexicographically sorted tile array. Because every outer-dimension slab
 /// and every inner-coordinate window is contiguous in that order, any box
 /// query resolves to a handful of binary searches plus prefix
-/// subtractions — see [`MicroGrid::region_stats`].
+/// subtractions — see [`MicroGrid::region_stats`]. 2-D grids also keep the
+/// same index in column-major order, so a box can be walked along
+/// whichever of its two axes is shorter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MicroGrid {
     dims: Vec<u32>,
@@ -90,20 +93,94 @@ pub struct MicroGrid {
     /// Flattened grid points of occupied micro tiles (`ndim` entries per
     /// tile), sorted lexicographically.
     coords: Vec<u32>,
-    occupancy: Vec<u32>,
-    footprint: Vec<u32>,
     /// Index over the outermost grid dimension: tiles whose first grid
     /// coordinate is `g` occupy positions `dim0_seg[g]..dim0_seg[g + 1]`.
     dim0_seg: Vec<usize>,
-    /// `pfx_nnz[t]` = total occupancy of tiles `0..t`; length `ntiles + 1`.
+    /// `pfx_nnz[t]` = total occupancy of tiles `0..t`; length `ntiles + 1`
+    /// (tile `t`'s own occupancy is `pfx_nnz[t + 1] - pfx_nnz[t]`).
     pfx_nnz: Vec<u64>,
     /// `pfx_bytes[t]` = total footprint of tiles `0..t`; length `ntiles + 1`.
     pfx_bytes: Vec<u64>,
+    /// Column-major index of the occupied tiles (2-D grids only; see
+    /// [`ColIndex`] for when it is absent).
+    cols: Option<ColIndex>,
     /// Densest single tile's footprint (cached for O(1) preflight checks).
     max_footprint: u32,
     total_nnz: u64,
     size_model: SizeModel,
     format: MicroFormat,
+}
+
+/// The occupied tiles of a 2-D grid sorted by (dim 1, dim 0): the
+/// host-side twin of the row-major index, so a box with fewer columns
+/// than rows is answered one column at a time. It changes no modeled
+/// cost (see [`MicroGrid::region_stats`]). Its prefix sums are `u32`, so
+/// it costs 12 bytes a tile and exists only for grids whose total
+/// occupancy and footprint fit that type; other grids use the row walk.
+#[derive(Debug, Clone, PartialEq)]
+struct ColIndex {
+    /// Tiles whose dim-1 coordinate is `g` occupy positions
+    /// `seg[g]..seg[g + 1]`.
+    seg: Vec<usize>,
+    /// Dim-0 coordinate of each tile, ascending within a column.
+    rows: Vec<u32>,
+    /// `pfx_nnz[t]` = total occupancy of column-major tiles `0..t`.
+    pfx_nnz: Vec<u32>,
+    /// `pfx_bytes[t]` = total footprint of column-major tiles `0..t`.
+    pfx_bytes: Vec<u32>,
+}
+
+impl ColIndex {
+    /// Counting-sort the row-major tile array by column. The sort is
+    /// stable, so each column's tiles stay in ascending row order. The
+    /// caller checks that the totals fit `u32`.
+    fn build(grid_cols: u32, coords: &[u32], occupancy: &[u32], footprint: &[u32]) -> ColIndex {
+        let ntiles = occupancy.len();
+        let mut seg = vec![0usize; grid_cols as usize + 1];
+        for t in 0..ntiles {
+            seg[coords[2 * t + 1] as usize + 1] += 1;
+        }
+        for g in 0..grid_cols as usize {
+            seg[g + 1] += seg[g];
+        }
+        let mut next = seg[..grid_cols as usize].to_vec();
+        let mut rows = vec![0u32; ntiles];
+        let mut pfx_nnz = vec![0u32; ntiles + 1];
+        let mut pfx_bytes = vec![0u32; ntiles + 1];
+        for t in 0..ntiles {
+            let c = coords[2 * t + 1] as usize;
+            let p = next[c];
+            next[c] += 1;
+            rows[p] = coords[2 * t];
+            pfx_nnz[p + 1] = occupancy[t];
+            pfx_bytes[p + 1] = footprint[t];
+        }
+        for p in 0..ntiles {
+            pfx_nnz[p + 1] += pfx_nnz[p];
+            pfx_bytes[p + 1] += pfx_bytes[p];
+        }
+        ColIndex { seg, rows, pfx_nnz, pfx_bytes }
+    }
+
+    /// Column-major tile window of column `c` whose rows fall in
+    /// `rows.start..rows.end`.
+    fn window(&self, c: u32, rows: &Range<u32>) -> (usize, usize) {
+        let (a, b) = (self.seg[c as usize], self.seg[c as usize + 1]);
+        let col = &self.rows[a..b];
+        (a + col.partition_point(|&r| r < rows.start), a + col.partition_point(|&r| r < rows.end))
+    }
+}
+
+/// `[0, x0, x0 + x1, ...]`: cumulative sums with a leading zero.
+fn prefix_sums(xs: impl ExactSizeIterator<Item = u32>) -> Vec<u64> {
+    let mut out = Vec::with_capacity(xs.len() + 1);
+    let mut acc = 0u64;
+    out.push(acc);
+    for x in xs {
+        acc += u64::from(x);
+        out.push(acc);
+    }
+    out
 }
 
 impl MicroGrid {
@@ -246,7 +323,7 @@ impl MicroGrid {
 
     /// Build the grid from its sorted, bucketed tile arrays: derive the
     /// dim-0 segment index and the cumulative prefix sums shared by every
-    /// construction path.
+    /// construction path, plus the column-major index of a 2-D grid.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         dims: Vec<u32>,
@@ -271,28 +348,21 @@ impl MicroGrid {
         }
         // Cumulative occupancy/footprint prefix sums over the sorted tile
         // array: slab and window sums become prefix subtractions.
-        let mut pfx_nnz = Vec::with_capacity(ntiles + 1);
-        let mut pfx_bytes = Vec::with_capacity(ntiles + 1);
-        pfx_nnz.push(0u64);
-        pfx_bytes.push(0u64);
-        let (mut acc_nnz, mut acc_bytes) = (0u64, 0u64);
-        for t in 0..ntiles {
-            acc_nnz += occupancy[t] as u64;
-            acc_bytes += footprint[t] as u64;
-            pfx_nnz.push(acc_nnz);
-            pfx_bytes.push(acc_bytes);
-        }
+        let pfx_nnz = prefix_sums(occupancy.iter().copied());
+        let pfx_bytes = prefix_sums(footprint.iter().copied());
+        let fits_u32 = |p: &[u64]| p[ntiles] <= u64::from(u32::MAX);
+        let cols = (ndim == 2 && fits_u32(&pfx_nnz) && fits_u32(&pfx_bytes))
+            .then(|| ColIndex::build(grid_dims[1], &coords, &occupancy, &footprint));
         let max_footprint = footprint.iter().copied().max().unwrap_or(0);
         MicroGrid {
             dims,
             micro,
             grid_dims,
             coords,
-            occupancy,
-            footprint,
             dim0_seg,
             pfx_nnz,
             pfx_bytes,
+            cols,
             max_footprint,
             total_nnz,
             size_model,
@@ -351,7 +421,7 @@ impl MicroGrid {
 
     /// Number of occupied micro tiles.
     pub fn occupied_tiles(&self) -> usize {
-        self.occupancy.len()
+        self.pfx_nnz.len() - 1
     }
 
     /// Total non-zeros in the tensor.
@@ -390,10 +460,17 @@ impl MicroGrid {
             }
         }
         if lo < b - a && &row[lo * ndim + 1..lo * ndim + ndim] == key {
-            Some((self.occupancy[a + lo], self.footprint[a + lo]))
+            Some(self.tile(a + lo))
         } else {
             None
         }
+    }
+
+    /// Occupancy and footprint of the `t`-th occupied tile.
+    fn tile(&self, t: usize) -> (u32, u32) {
+        let occ = self.pfx_nnz[t + 1] - self.pfx_nnz[t];
+        let foot = self.pfx_bytes[t + 1] - self.pfx_bytes[t];
+        (occ as u32, foot as u32)
     }
 
     fn dim0_row(&self, g: u32) -> Option<(usize, usize)> {
@@ -412,11 +489,17 @@ impl MicroGrid {
     /// inner ranges still cost coordinate reads while scanning in raster
     /// order, bounded by a binary-search window per row). That *modeled
     /// cost* is unchanged from the original linear scan (see
-    /// [`MicroGrid::region_stats_naive`]); only the *host* cost differs:
-    /// per outer row the inner window is located by binary search and its
+    /// [`MicroGrid::region_stats_naive`]); only the *host* cost differs.
+    /// Per outer row the inner window is located by binary search and its
     /// occupancy/footprint sums are read off cumulative prefix arrays, so
     /// a box query costs `O(outer_rows × log(tiles_per_slab))` instead of
     /// `O(occupied tiles in the slab)`.
+    ///
+    /// 2-D boxes with fewer columns than rows are walked column by column
+    /// instead, over the column-major index: `O(cols × log(tiles_per_col))`.
+    /// In 2-D each row's binary-searched window is exactly the tiles the
+    /// box counts, so the charge is `2 × clipped rows + 2 × micro_tiles`
+    /// on either walk and no modeled number depends on the walk taken.
     ///
     /// Clamping: the query box is intersected with the grid — any part of
     /// a range at or beyond a dimension's grid extent contributes nothing
@@ -438,6 +521,20 @@ impl MicroGrid {
         let ndim = self.ndim();
         let mut stats = RegionStats::default();
         let g_end = ranges[0].end.min(self.grid_dims[0]);
+        if let Some((ci, cols)) = self.shorter_cols(ranges) {
+            let rows = ranges[0].start..g_end;
+            for c in cols {
+                let (lo, hi) = ci.window(c, &rows);
+                stats.nnz += u64::from(ci.pfx_nnz[hi] - ci.pfx_nnz[lo]);
+                stats.data_bytes += u64::from(ci.pfx_bytes[hi] - ci.pfx_bytes[lo]);
+                stats.micro_tiles += (hi - lo) as u64;
+            }
+            // The row scan's charge: segment words per clipped row plus a
+            // coordinate and a footprint word per counted tile.
+            stats.meta_words = 2 * rows.len() as u64 + 2 * stats.micro_tiles;
+            debug_assert_eq!(stats, self.region_stats_naive(ranges), "column walk diverges");
+            return stats;
+        }
         for g in ranges[0].start..g_end {
             let (a, b) = match self.dim0_row(g) {
                 Some(r) => r,
@@ -503,8 +600,9 @@ impl MicroGrid {
                 let tc = &self.coords[t * ndim..(t + 1) * ndim];
                 let inside = (2..ndim).all(|d| tc[d] >= ranges[d].start && tc[d] < ranges[d].end);
                 if inside {
-                    stats.nnz += self.occupancy[t] as u64;
-                    stats.data_bytes += self.footprint[t] as u64;
+                    let (occ, foot) = self.tile(t);
+                    stats.nnz += u64::from(occ);
+                    stats.data_bytes += u64::from(foot);
                     stats.micro_tiles += 1;
                 }
             }
@@ -554,6 +652,16 @@ impl MicroGrid {
             }
         }
         true
+    }
+
+    /// The column-major index and the box's clipped column range, when
+    /// the grid is 2-D and the clipped box has fewer columns than rows
+    /// (ties take the row walk). Both ranges must be non-degenerate.
+    fn shorter_cols(&self, ranges: &[Range<u32>]) -> Option<(&ColIndex, Range<u32>)> {
+        let ci = self.cols.as_ref()?;
+        let rows = ranges[0].end.min(self.grid_dims[0]).saturating_sub(ranges[0].start);
+        let cols = ranges[1].start..ranges[1].end.min(self.grid_dims[1]).max(ranges[1].start);
+        (cols.len() < rows as usize).then_some((ci, cols))
     }
 
     /// First tile index in `[a, b)` whose grid coordinate at dimension `d`

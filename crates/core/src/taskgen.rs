@@ -358,14 +358,6 @@ impl<'k> TaskStream<'k> {
         self.mode = Mode::Suc(fallback_suc_grid_sizes(self.kernel, &self.config));
     }
 
-    /// Plan the task for a fully pinned box.
-    fn plan_box(&self, frame: &Frame) -> TilePlan {
-        match &self.mode {
-            Mode::Drt => self.plan_drt(frame),
-            Mode::Suc(_) => self.measure_suc(frame),
-        }
-    }
-
     /// One DRT planner invocation (counted against `max_plan_candidates`
     /// by the caller).
     fn plan_drt(&self, frame: &Frame) -> TilePlan {
@@ -373,59 +365,9 @@ impl<'k> TaskStream<'k> {
             .expect("preflight guaranteed a minimal tile fits")
     }
 
-    /// S-U-C "plan": just measure the fixed-shape box.
-    fn measure_suc(&self, frame: &Frame) -> TilePlan {
-        let sm = self.config.size_model;
-        let mut grid_ranges = RankRanges::new();
-        let mut coord_ranges = RankRanges::new();
-        for &r in &self.kernel.ranks() {
-            let gr = frame.region[&r].clone();
-            let step = self.kernel.micro_step(r);
-            let extent = self.kernel.extent(r);
-            coord_ranges.insert(r, (gr.start * step)..(gr.end.saturating_mul(step)).min(extent));
-            grid_ranges.insert(r, gr);
-        }
-        let mut tiles = Vec::new();
-        let mut saw_empty = false;
-        for b in self.kernel.inputs() {
-            // Short-circuit: once any input tile is empty the task will be
-            // skipped, so later tensors need no measurement (this is what
-            // makes enumerating the many empty boxes of a fine static grid
-            // cheap, mirroring how compressed traversal skips them).
-            let stats = if saw_empty {
-                drt_core_region_default()
-            } else {
-                let ranges: Vec<Range<u32>> =
-                    b.ranks.iter().map(|r| grid_ranges[r].clone()).collect();
-                b.grid.region_stats(&ranges)
-            };
-            saw_empty |= stats.nnz == 0;
-            let outer_rows = coord_ranges[&b.ranks[0]].len() as u64;
-            let inner_levels = (b.ranks.len() - 1) as u64;
-            let foot = suc::actual_footprint(outer_rows, stats.nnz, inner_levels, &sm);
-            tiles.push(TileStats {
-                name: b.name.clone(),
-                nnz: stats.nnz,
-                // S-U-C tiles are plain compressed tiles: report the whole
-                // footprint as data bytes, no micro/macro metadata split.
-                data_bytes: foot,
-                macro_meta_bytes: 0,
-                micro_tiles: stats.micro_tiles,
-                outer_rows,
-            });
-        }
-        TilePlan {
-            grid_ranges,
-            coord_ranges,
-            tiles,
-            trace: ExtractionTrace::default(),
-            partial_rank: None,
-        }
-    }
-
-    /// The S-U-C "plan" for the cursor's current box — identical output
-    /// to [`TaskStream::measure_suc`] on the equivalent fully pinned
-    /// frame, but region measurements come from the cursor's memos.
+    /// The S-U-C "plan" for the cursor's current box: each input's
+    /// fixed-shape tile measured through the cursor's memos, its whole
+    /// footprint reported as data bytes.
     fn cursor_plan(&self, cur: &mut SucCursor) -> TilePlan {
         let sm = self.config.size_model;
         let mut grid_ranges = RankRanges::new();
@@ -440,8 +382,10 @@ impl<'k> TaskStream<'k> {
         let mut tiles = Vec::new();
         let mut saw_empty = false;
         for bi in 0..self.kernel.inputs().len() {
-            // Same short-circuit as `measure_suc`: an empty earlier tile
-            // means the task is skipped, so later tensors go unmeasured.
+            // Short-circuit: once any input tile is empty the task will be
+            // skipped, so later tensors need no measurement (this is what
+            // makes enumerating the many empty boxes of a fine static grid
+            // cheap, mirroring how compressed traversal skips them).
             let stats = if saw_empty {
                 RegionStats::default()
             } else {
@@ -469,10 +413,6 @@ impl<'k> TaskStream<'k> {
             partial_rank: None,
         }
     }
-}
-
-fn drt_core_region_default() -> crate::micro::RegionStats {
-    crate::micro::RegionStats::default()
 }
 
 /// The S-U-C tile shape (in grid units) a budget-degraded DRT stream
@@ -772,11 +712,12 @@ impl Iterator for TaskStream<'_> {
                 self.cursor = Some(SucCursor::new(&frame, sizes, self.kernel, &self.order));
                 continue;
             }
+            // Past this point the stream is in DRT mode.
             // Fully pinned box → emit one task (plus remainder frames on
             // fallback partials).
             if frame.pinned.len() == self.order.len() {
                 self.plan_calls += 1;
-                let plan = self.plan_box(&frame);
+                let plan = self.plan_drt(&frame);
                 self.probe.emit(|| Event::TilePlanned {
                     task: self.emitted,
                     grow_steps: plan.trace.grow_steps,
@@ -832,15 +773,9 @@ impl Iterator for TaskStream<'_> {
                 continue;
             }
             let base = frame.region[&r].start;
-            let s_r = match &self.mode {
-                Mode::Suc(sizes) => sizes[&r].min(frame.region[&r].len() as u32),
-                Mode::Drt => {
-                    // Probe: let DRT choose r's size for this sweep chunk.
-                    self.plan_calls += 1;
-                    let probe = self.plan_drt(&frame);
-                    probe.grid_ranges[&r].len() as u32
-                }
-            };
+            // Probe: let DRT choose r's size for this sweep chunk.
+            self.plan_calls += 1;
+            let s_r = self.plan_drt(&frame).grid_ranges[&r].len() as u32;
             debug_assert!(s_r >= 1, "loop levels must make progress");
             // Continuation: the rest of r's range (processed after the sub-sweep).
             let mut cont = frame.clone();

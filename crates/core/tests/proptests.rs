@@ -109,24 +109,45 @@ proptest! {
     }
 
     /// The prefix-sum region query agrees with the retained linear-scan
-    /// oracle on arbitrary 2-D boxes — including empty (start >= end)
-    /// ranges and ranges clamped at or beyond the grid bounds — and the
-    /// uncharged emptiness predicate agrees with both.
+    /// oracle on 2-D boxes over rectangular matrices and non-square micro
+    /// shapes: tall-narrow boxes (walked by column), wide-short and square
+    /// boxes (walked by row; a square box is the tie), arbitrary ranges
+    /// including empty (start >= end) ones, and boxes that start at or
+    /// past the grid extent. The uncharged emptiness predicate agrees too.
     #[test]
     fn region_stats_matches_naive_2d(
-        a in arb_matrix(64, 400),
-        q in proptest::collection::vec((0u32..40, 0u32..40, 0u32..40, 0u32..40), 1..12),
+        m in (1u32..96, 1u32..96).prop_flat_map(|(r, c)| {
+            proptest::collection::vec((0..r, 0..c, 0.5..1.5f64), 1..400)
+                .prop_map(move |e| CsMatrix::from_entries(r, c, e, MajorAxis::Row))
+        }),
+        micro in (1u32..9, 1u32..9),
+        q in proptest::collection::vec((0u8..4, 0u32..30, 0u32..30, 1u32..30, 1u32..4), 1..16),
     ) {
-        let grid = MicroGrid::from_matrix(&a, (4, 4)).unwrap();
-        for (r0, r1, c0, c1) in q {
-            let ranges = [r0..r1, c0..c1];
+        let grid = MicroGrid::from_matrix(&m, micro).unwrap();
+        let gd = grid.grid_dims().to_vec();
+        let mut boxes = vec![
+            [0..gd[0], 0..1],                     // one full-height column
+            [0..1, 0..gd[1]],                     // one full-width row
+            [0..gd[0].min(gd[1]), 0..gd[0].min(gd[1])], // square: the tie
+            [gd[0]..gd[0] + 3, 0..gd[1]],         // rows start at the extent
+            [0..gd[0], gd[1]..gd[1] + 2],         // columns start at the extent
+            [gd[0] + 1..gd[0] + 9, gd[1] + 1..gd[1] + 2], // both past it
+        ];
+        for (kind, r0, c0, long, short) in q {
+            boxes.push(match kind {
+                0 => [r0..r0 + long, c0..c0 + short], // tall and narrow
+                1 => [r0..r0 + short, c0..c0 + long], // wide and short
+                2 => [r0..r0 + long, c0..c0 + long],  // square
+                _ => [r0..long, c0..short + c0 % 7],  // arbitrary, maybe empty
+            });
+        }
+        for ranges in boxes {
             let fast = grid.region_stats(&ranges);
             let naive = grid.region_stats_naive(&ranges);
-            prop_assert_eq!(fast, naive, "box {:?}", &ranges);
+            prop_assert_eq!(fast, naive, "box {:?} on grid {:?}", &ranges, &gd);
             prop_assert_eq!(grid.region_is_empty(&ranges), naive.nnz == 0, "box {:?}", &ranges);
         }
         // Whole-grid query reproduces the precomputed totals.
-        let gd = grid.grid_dims().to_vec();
         let full = grid.region_stats(&[0..gd[0], 0..gd[1]]);
         prop_assert_eq!(full.nnz, grid.total_nnz());
         prop_assert_eq!(full.data_bytes, grid.total_data_bytes());
