@@ -1227,11 +1227,14 @@ pub(crate) fn replay_captures(
 }
 
 /// Merge accumulated per-task partial entries into the final output
-/// without a global sort: a stable counting sort by row, then one
-/// dense-accumulator pass per row, which sorts only that row's distinct
-/// columns. Partials of one `(i, j)` are summed in the order they appear
-/// — task order, the order the sharded reducer and [`replay_captures`]
-/// concatenate in — and exact zeros (`0.0` and `-0.0`) are dropped.
+/// without a global sort: a stable counting sort by row, then per row
+/// either a straight copy, when its columns already ascend strictly (one
+/// partial per `(i, j)`, as when the tasks covering a row split `j` in
+/// ascending order and never split `k`), or one dense-accumulator pass,
+/// which sorts only that row's distinct columns. Partials of one `(i, j)`
+/// are summed in the order they appear — task order, the order the
+/// sharded reducer and [`replay_captures`] concatenate in — and exact
+/// zeros (`0.0` and `-0.0`) are dropped.
 pub(crate) fn finalize_output(nrows: u32, ncols: u32, entries: Vec<(u32, u32, f64)>) -> CsMatrix {
     let n = nrows as usize;
     let mut seg = vec![0usize; n + 1];
@@ -1253,34 +1256,50 @@ pub(crate) fn finalize_output(nrows: u32, ncols: u32, entries: Vec<(u32, u32, f6
     drop(next);
     // Each row is compacted in place: the rows before it kept at most as
     // many entries as they read, so row `i`'s output starts at or before
-    // its first input, and it is written only after the row is summed.
-    let mut acc = vec![0f64; ncols as usize];
-    let mut seen = vec![false; ncols as usize];
+    // its first input; a copied row writes each entry at or before the
+    // slot it reads, and a summed row is written only after it is summed.
+    // The accumulator is allocated on the first row that needs it.
+    let mut acc: Vec<f64> = Vec::new();
+    let mut seen: Vec<bool> = Vec::new();
     let mut touched: Vec<u32> = Vec::new();
     let (mut start, mut w) = (0, 0);
     for i in 0..n {
         let end = seg[i + 1];
-        for p in start..end {
-            let c = cols[p] as usize;
-            if seen[c] {
-                acc[c] += vals[p];
-            } else {
-                seen[c] = true;
-                acc[c] = vals[p];
-                touched.push(cols[p]);
+        if cols[start..end].windows(2).all(|p| p[0] < p[1]) {
+            for p in start..end {
+                if vals[p] != 0.0 {
+                    cols[w] = cols[p];
+                    vals[w] = vals[p];
+                    w += 1;
+                }
             }
-        }
-        touched.sort_unstable();
-        for &c in &touched {
-            seen[c as usize] = false;
-            let v = acc[c as usize];
-            if v != 0.0 {
-                cols[w] = c;
-                vals[w] = v;
-                w += 1;
+        } else {
+            if acc.is_empty() {
+                acc = vec![0f64; ncols as usize];
+                seen = vec![false; ncols as usize];
             }
+            for p in start..end {
+                let c = cols[p] as usize;
+                if seen[c] {
+                    acc[c] += vals[p];
+                } else {
+                    seen[c] = true;
+                    acc[c] = vals[p];
+                    touched.push(cols[p]);
+                }
+            }
+            touched.sort_unstable();
+            for &c in &touched {
+                seen[c as usize] = false;
+                let v = acc[c as usize];
+                if v != 0.0 {
+                    cols[w] = c;
+                    vals[w] = v;
+                    w += 1;
+                }
+            }
+            touched.clear();
         }
-        touched.clear();
         seg[i + 1] = w;
         start = end;
     }
@@ -1757,6 +1776,97 @@ mod tests {
             }
             // Second partials arrive later, in a different order.
             entries.extend(seconds.into_iter().rev());
+            let fast = finalize_output(nrows, ncols, entries.clone());
+            let oracle = finalize_sort_oracle(nrows, ncols, entries);
+            proptest::prop_assert_eq!(z_bits(&fast), z_bits(&oracle));
+            proptest::prop_assert!(fast.values().iter().all(|&v| v != 0.0));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Rows whose columns arrive strictly ascending take the copy
+        /// path; rows with shuffled or repeated columns take the
+        /// accumulator. Rows of each kind are mixed in one matrix (and
+        /// `all_ascending` makes every row the first kind), their entries
+        /// interleave as tasks' outputs do, values include signed zeros,
+        /// and at most two partials share an `(i, j)`, so the result must
+        /// equal the sort-based oracle bit for bit.
+        #[test]
+        fn finalize_copy_path_matches_sort_oracle(
+            shape in (1u32..24, 1u32..40),
+            rows in proptest::collection::vec(
+                (proptest::collection::btree_set(0u32..40, 0..12), 0u8..3, 0u32..1000),
+                1..24,
+            ),
+            vals in proptest::collection::vec(-3i8..4, 64..65),
+            all_ascending in 0u8..3,
+        ) {
+            let (nrows, ncols) = shape;
+            let mut per_row: Vec<Vec<(u32, u32, f64)>> = Vec::new();
+            let mut vi = 0usize;
+            let mut next_val = || {
+                vi += 1;
+                match vals[vi % vals.len()] {
+                    -3 => -0.0,
+                    v => f64::from(v) * 0.75,
+                }
+            };
+            for (r, (set, kind, seed)) in rows.iter().enumerate().take(nrows as usize) {
+                // Strictly ascending and duplicate-free: the set's columns
+                // that fit the shape.
+                let mut cs: Vec<u32> = set.iter().copied().filter(|&c| c < ncols).collect();
+                let kind = if all_ascending == 0 { 0 } else { *kind };
+                let row: Vec<(u32, u32, f64)> = match kind {
+                    0 => cs.iter().map(|&c| (r as u32, c, next_val())).collect(),
+                    1 => {
+                        // Distinct columns, rotated out of order.
+                        let k = if cs.is_empty() { 0 } else { *seed as usize % cs.len() };
+                        cs.rotate_left(k);
+                        cs.reverse();
+                        cs.iter().map(|&c| (r as u32, c, next_val())).collect()
+                    }
+                    _ => {
+                        // A second partial for every other column.
+                        let mut row: Vec<(u32, u32, f64)> =
+                            cs.iter().map(|&c| (r as u32, c, next_val())).collect();
+                        let mut extra: Vec<(u32, u32, f64)> = row
+                            .iter()
+                            .step_by(2)
+                            .map(|&(i, j, v)| (i, j, if *seed % 2 == 0 { -v } else { next_val() }))
+                            .collect();
+                        extra.reverse();
+                        row.extend(extra);
+                        row
+                    }
+                };
+                // The row's stated shape: kind 0 ascends strictly (the
+                // copy path), every kind carries at most two partials per
+                // column, and kind 1 repeats none.
+                let mut partials = BTreeMap::new();
+                for &(_, c, _) in &row {
+                    *partials.entry(c).or_insert(0usize) += 1;
+                }
+                proptest::prop_assert!(partials.values().all(|&n| n <= 2));
+                if kind == 0 {
+                    proptest::prop_assert!(row.windows(2).all(|p| p[0].1 < p[1].1));
+                }
+                if kind == 1 {
+                    proptest::prop_assert_eq!(partials.len(), row.len());
+                }
+                per_row.push(row);
+            }
+            // Interleave rows round-robin, keeping each row's own order.
+            let mut entries = Vec::new();
+            let longest = per_row.iter().map(Vec::len).max().unwrap_or(0);
+            for p in 0..longest {
+                for row in per_row.iter().rev() {
+                    if let Some(&e) = row.get(p) {
+                        entries.push(e);
+                    }
+                }
+            }
             let fast = finalize_output(nrows, ncols, entries.clone());
             let oracle = finalize_sort_oracle(nrows, ncols, entries);
             proptest::prop_assert_eq!(z_bits(&fast), z_bits(&oracle));

@@ -14,7 +14,7 @@
 
 use crate::CoreError;
 use drt_tensor::format::SizeModel;
-use drt_tensor::{CsMatrix, CsfTensor};
+use drt_tensor::{CsMatrix, CsfTensor, MajorAxis};
 use std::ops::Range;
 
 /// How each micro tile's own contents are represented.
@@ -208,32 +208,45 @@ impl MicroGrid {
                 detail: "micro tile dimensions must be positive".into(),
             });
         }
-        // 2-D fast path over the generic `from_points` bucketing: pack each
-        // point's grid cell into one u64 so keying needs no per-point heap
-        // allocation; the packed sort order equals the lexicographic order
-        // of the unpacked pairs, so the resulting tile array is identical.
-        let mut keys: Vec<u64> = m
-            .iter()
-            .map(|(r, c, _)| (u64::from(r / micro.0) << 32) | u64::from(c / micro.1))
-            .collect();
-        keys.sort_unstable();
+        // 2-D fast path over the generic `from_points` bucketing: a
+        // row-major pass visits one band of `micro.0` rows at a time and
+        // counts each row's column runs into a dense per-grid-column array,
+        // so a band's tiles come out in column order after sorting only
+        // its touched grid columns — O(nnz + tiles · log) rather than a
+        // sort of every non-zero, with the same tile array.
+        let rows = m.as_major(MajorAxis::Row);
         let dims = vec![m.nrows(), m.ncols()];
         let micro = vec![micro.0, micro.1];
         let size_model = SizeModel::default();
         let mut coords = Vec::new();
         let mut occupancy: Vec<u32> = Vec::new();
         let mut footprint: Vec<u32> = Vec::new();
-        let mut i = 0usize;
-        while i < keys.len() {
-            let mut j = i;
-            while j < keys.len() && keys[j] == keys[i] {
-                j += 1;
+        let mut count = vec![0u32; m.ncols().div_ceil(micro[1]) as usize];
+        let mut touched: Vec<u32> = Vec::new();
+        for band in 0..m.nrows().div_ceil(micro[0]) {
+            let band_rows = band * micro[0]..(band + 1).saturating_mul(micro[0]).min(m.nrows());
+            for r in band_rows {
+                let cs = rows.fiber(r).coords;
+                let mut p = 0;
+                while p < cs.len() {
+                    let g = cs[p] / micro[1];
+                    let end = (g + 1).saturating_mul(micro[1]);
+                    let q = p + cs[p..].iter().take_while(|&&c| c < end).count();
+                    if count[g as usize] == 0 {
+                        touched.push(g);
+                    }
+                    count[g as usize] += (q - p) as u32;
+                    p = q;
+                }
             }
-            coords.extend([(keys[i] >> 32) as u32, keys[i] as u32]);
-            let occ = (j - i) as u32;
-            occupancy.push(occ);
-            footprint.push(Self::micro_footprint(&micro, occ, &size_model, format) as u32);
-            i = j;
+            touched.sort_unstable();
+            for &g in &touched {
+                let occ = std::mem::take(&mut count[g as usize]);
+                coords.extend([band, g]);
+                occupancy.push(occ);
+                footprint.push(Self::micro_footprint(&micro, occ, &size_model, format) as u32);
+            }
+            touched.clear();
         }
         Ok(Self::assemble(
             dims,
@@ -752,7 +765,62 @@ fn partition(n: usize, pred: impl Fn(usize) -> bool) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drt_tensor::{CooMatrix, CooTensor, MajorAxis};
+    use drt_tensor::{CooMatrix, CooTensor};
+    use proptest::prelude::*;
+
+    /// The sort-based 2-D build that [`MicroGrid::from_matrix_fmt`]
+    /// replaced, kept as its oracle: pack each non-zero's grid cell into
+    /// one u64 key, sort, and count runs.
+    fn from_matrix_sorted(m: &CsMatrix, micro: (u32, u32), format: MicroFormat) -> MicroGrid {
+        let mut keys: Vec<u64> = m
+            .iter()
+            .map(|(r, c, _)| (u64::from(r / micro.0) << 32) | u64::from(c / micro.1))
+            .collect();
+        keys.sort_unstable();
+        let micro = vec![micro.0, micro.1];
+        let size_model = SizeModel::default();
+        let mut coords = Vec::new();
+        let mut occupancy: Vec<u32> = Vec::new();
+        let mut footprint: Vec<u32> = Vec::new();
+        for run in keys.chunk_by(|a, b| a == b) {
+            coords.extend([(run[0] >> 32) as u32, run[0] as u32]);
+            let occ = run.len() as u32;
+            occupancy.push(occ);
+            footprint.push(MicroGrid::micro_footprint(&micro, occ, &size_model, format) as u32);
+        }
+        let dims = vec![m.nrows(), m.ncols()];
+        let nnz = m.nnz() as u64;
+        MicroGrid::assemble(dims, micro, coords, occupancy, footprint, nnz, size_model, format)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The banded counting build equals the sort oracle exactly —
+        /// tile array, prefix sums, column index — for row- and col-major
+        /// inputs, rectangular and empty matrices, and micro shapes that
+        /// do not divide the extent.
+        #[test]
+        fn counting_build_matches_sort_oracle(
+            nrows in 0u32..48,
+            ncols in 0u32..48,
+            cells in proptest::collection::vec((0u32..48, 0u32..48), 0..200),
+            micro in (1u32..9, 1u32..9),
+            col_major in 0u8..2,
+            format in 0u8..3,
+        ) {
+            let entries: Vec<(u32, u32, f64)> = if nrows == 0 || ncols == 0 {
+                Vec::new()
+            } else {
+                cells.iter().map(|&(r, c)| (r % nrows, c % ncols, 1.0)).collect()
+            };
+            let major = if col_major == 1 { MajorAxis::Col } else { MajorAxis::Row };
+            let m = CsMatrix::from_entries(nrows, ncols, entries, major);
+            let format = [MicroFormat::Uc, MicroFormat::Cc, MicroFormat::Adaptive][format as usize];
+            let fast = MicroGrid::from_matrix_fmt(&m, micro, format).expect("positive micro");
+            prop_assert_eq!(fast, from_matrix_sorted(&m, micro, format));
+        }
+    }
 
     fn grid4() -> MicroGrid {
         // Figure 3a's matrix A-like pattern on a 4x4 matrix, 2x2 micro tiles.

@@ -105,11 +105,13 @@ pub fn gustavson(a: &CsMatrix, b: &CsMatrix) -> SpmspmResult {
 ///
 /// Holds the dense accumulator and the touched-coordinate list that
 /// [`gustavson_view_into`] needs per output row. The accumulator is reset
-/// *sparsely* (only touched slots are zeroed), so reuse across tasks is
-/// `O(output nnz)` per task regardless of tile width, and after warm-up
-/// no call allocates: [`SpaWorkspace::ensure_cols`] grows the accumulator
-/// monotonically to the widest tile seen and both vectors retain their
-/// capacity between calls.
+/// *sparsely* (only touched slots, or a row's output column span when
+/// that span is within a constant factor of the row's MACCs, are
+/// zeroed), so reuse across tasks is `O(MACCs)` per task regardless of
+/// tile width, and after warm-up no call allocates:
+/// [`SpaWorkspace::ensure_cols`] grows the accumulator monotonically to
+/// the widest tile seen and the other vectors retain their capacity
+/// between calls.
 ///
 /// One workspace per engine shard/worker thread; workspaces carry no
 /// numeric state between calls (the accumulator is all-zeros and the
@@ -132,6 +134,9 @@ pub struct SpaWorkspace {
     win: Vec<(usize, usize)>,
     win_epoch: Vec<u32>,
     epoch: u32,
+    /// The current A row's non-empty B fiber windows, each with its A
+    /// value, in the row's `k` order. Invariant: no meaning between rows.
+    row: Vec<((usize, usize), f64)>,
     /// Identity of the B view whose windows the cache currently holds:
     /// `(parent_id, rows.start, rows.end, cols.start, cols.end)`. Windows
     /// are a pure function of this key plus the fiber index, so
@@ -175,6 +180,19 @@ pub struct SpaWorkspace {
 /// budget bounds workspace memory without capping the slot count itself;
 /// once spent, further ranges fall back to uncached binary searches.
 const A_WIN_BUDGET: usize = 32 << 20;
+
+/// A row of [`gustavson_view_into`] whose output column span is at most
+/// `SPAN_FACTOR` times its MACC count takes the branch-free dense-window
+/// loop (accumulate without a first-touch test, then sweep the span);
+/// wider rows keep the touched list and sort it. A touched list holds at
+/// most one entry per MACC, so at 16 it never fills a sixteenth of a
+/// wider row's span and is always sorted, never swept. Tuned with the `span` group of the `spmspm_kernels`
+/// bench: banded tiles run ~2x faster than the touched list at any
+/// factor from 1 to 16, power-law tiles are flat over that range, and a
+/// factor of 64 costs power-law tiles 8–35%. Public only so tests can
+/// check their coverage of the threshold.
+#[doc(hidden)]
+pub const SPAN_FACTOR: usize = 16;
 
 impl SpaWorkspace {
     /// A fresh, empty workspace. The accumulator grows on first use.
@@ -249,6 +267,12 @@ pub struct TileProduct {
 /// byte-for-byte the order and values the extract-then-multiply chain
 /// produces (the tile `CsMatrix` round-trip is a stable no-op on
 /// already-sorted, duplicate-free entries).
+///
+/// Each A row first visits its B fiber windows once to learn its MACC
+/// count and its output column span. A row whose span is at most
+/// `SPAN_FACTOR` (16) times its MACCs — a banded row — accumulates with no
+/// touched list and emits by sweeping that span; any other row records
+/// its touched columns and emits them sorted.
 ///
 /// Steady-state heap traffic is zero: the workspace vectors and `out`
 /// retain capacity across calls, and the views serve fibers as parent
@@ -345,56 +369,93 @@ pub fn gustavson_view_into(
             }
             None => a.fiber_raw(i),
         };
+        // Pre-pass: resolve (and cache) every B fiber window this row
+        // visits, keep the non-empty ones for the accumulate loop, and from
+        // the sorted fibers' endpoints get the row's MACC count and its
+        // output column span `lo..=hi`.
+        let (mut row_maccs, mut lo, mut hi) = (0usize, u32::MAX, 0u32);
+        ws.row.clear();
         for (&k_raw, &va) in fa.coords.iter().zip(fa.values) {
             let k = (k_raw - a_minor_base) as usize;
-            let fb = if ws.win_epoch[k] == ws.epoch {
-                b.fiber_at(ws.win[k])
-            } else {
-                let w = b.fiber_window(k as u32);
-                ws.win[k] = w;
+            if ws.win_epoch[k] != ws.epoch {
+                ws.win[k] = b.fiber_window(k as u32);
                 ws.win_epoch[k] = ws.epoch;
-                b.fiber_at(w)
-            };
+            }
+            let w = ws.win[k];
+            let fb = b.fiber_at(w);
+            if let (Some(&first), Some(&last)) = (fb.coords.first(), fb.coords.last()) {
+                row_maccs += fb.coords.len();
+                lo = lo.min(first);
+                hi = hi.max(last);
+                ws.row.push((w, va));
+            }
+        }
+        if row_maccs == 0 {
+            continue;
+        }
+        maccs += row_maccs as u64;
+        let (lo, hi) = ((lo - b_minor_base) as usize, (hi - b_minor_base) as usize);
+        // Emit this row's values in ascending column order. Both loops
+        // accumulate every product into its slot in the same (k, j) order,
+        // so the values are identical whichever loop runs; an untouched
+        // slot is zero by the workspace invariant, so a sweep emits exactly
+        // the touched non-zeros. A cancelled slot a sweep leaves at -0.0
+        // compares equal to 0.0 everywhere it is read, and x + ±0.0 = x
+        // exactly for every nonzero x, so later rows and tasks accumulate
+        // and emit the same bits.
+        if hi - lo < SPAN_FACTOR * row_maccs {
+            // Narrow span: the row fills a dense window, so accumulate
+            // with no first-touch test and sweep the window.
+            for &(w, va) in &ws.row {
+                let fb = b.fiber_at(w);
+                for (&j_raw, &vb) in fb.coords.iter().zip(fb.values) {
+                    ws.acc[(j_raw - b_minor_base) as usize] += va * vb;
+                }
+            }
+            out_nnz +=
+                sweep_span(&mut ws.acc[lo..=hi], i + row_offset, lo as u32 + col_offset, out);
+            continue;
+        }
+        for &(w, va) in &ws.row {
+            let fb = b.fiber_at(w);
             for (&j_raw, &vb) in fb.coords.iter().zip(fb.values) {
                 let j = j_raw - b_minor_base;
                 if ws.acc[j as usize] == 0.0 {
                     ws.touched.push(j);
                 }
                 ws.acc[j as usize] += va * vb;
-                maccs += 1;
             }
         }
-        // Emit this row's accumulated values in ascending column order.
-        // Dense rows sweep the accumulator directly instead of sorting
-        // the touched list — the emitted stream is identical either way
-        // (same ascending-j order, same values; a cancelled slot left at
-        // -0.0 by the sweep compares equal to 0.0 everywhere it is read,
-        // and x + ±0.0 = x exactly for every nonzero x, so later tasks
-        // accumulate and emit the same bits).
-        let bw = b.ncols() as usize;
-        if ws.touched.len() * 16 >= bw {
-            for j in 0..bw as u32 {
-                let v = ws.acc[j as usize];
-                if v != 0.0 {
-                    out.push((i + row_offset, j + col_offset, v));
-                    out_nnz += 1;
-                    ws.acc[j as usize] = 0.0;
-                }
+        ws.touched.sort_unstable();
+        for &j in &ws.touched {
+            let v = ws.acc[j as usize];
+            if v != 0.0 {
+                out.push((i + row_offset, j + col_offset, v));
+                out_nnz += 1;
             }
-        } else {
-            ws.touched.sort_unstable();
-            for &j in &ws.touched {
-                let v = ws.acc[j as usize];
-                if v != 0.0 {
-                    out.push((i + row_offset, j + col_offset, v));
-                    out_nnz += 1;
-                }
-                ws.acc[j as usize] = 0.0;
-            }
+            ws.acc[j as usize] = 0.0;
         }
         ws.touched.clear();
     }
     TileProduct { maccs, out_nnz }
+}
+
+/// Emit the non-zeros of one output row's accumulator window `span`
+/// (whose first slot is output column `col`) in ascending order, zeroing
+/// each; returns how many were emitted. A function of its own although it
+/// has one caller: the same loop written out inline ran drt-scale4 ~2%
+/// slower (rma10's cells, 10 alternating pairs).
+#[inline(always)]
+fn sweep_span(span: &mut [f64], row: u32, col: u32, out: &mut Vec<(u32, u32, f64)>) -> u64 {
+    let mut n = 0;
+    for (j, slot) in span.iter_mut().enumerate() {
+        if *slot != 0.0 {
+            out.push((row, col + j as u32, *slot));
+            n += 1;
+            *slot = 0.0;
+        }
+    }
+    n
 }
 
 /// Inner-product SpMSpM: intersect row fibers of `A` with column fibers of
