@@ -35,10 +35,33 @@
 //!   value-only update leaves every plan unchanged and must still
 //!   invalidate the tasks crossing it.
 //!
+//! Each row's fingerprint hashes its index, minor coordinates and raw
+//! value bits in two independently seeded 64-bit lanes, and a run keeps
+//! the prefix sums of those per-row words. A task's fingerprint of a row
+//! range is then two subtractions, however many rows the range spans.
+//!
+//! The store is addressed by a 64-bit multiply-rotate digest of the whole
+//! key and confirms every hit by exact equality against the stored key
+//! (plan, predecessor ranges, both 128-bit fingerprints). A digest
+//! collision is therefore a miss, never a wrong splice. Only a miss
+//! stores a key, and its plan is moved out of the run's task list after
+//! replay rather than cloned.
+//!
 //! Keys are conservative (a changed row invalidates every task crossing
-//! it; an unchanged task always matches, modulo 64-bit fingerprint
+//! it; an unchanged task always matches, modulo 128-bit fingerprint
 //! collisions) and config-blind: one `IncrementalSpmspm` serves exactly
 //! one engine configuration.
+//!
+//! ## How the store stays bounded
+//!
+//! Every entry carries the number of the run that last hit or inserted
+//! it. When a run leaves more than `STORE_CAP_RUNS` (4) times its own
+//! task count in the store, whole runs' entries are dropped, least
+//! recently hit first, until at most `STORE_KEEP_RUNS` (2) times its task
+//! count remain. The latest run's own entries always survive. Superseded
+//! results are kept until then on purpose: a delta that is later
+//! reverted makes them valid again, and a revert that finds them splices
+//! instead of re-executing.
 //!
 //! Incremental runs are complete, unprobed, inert-fault serial runs —
 //! the fast path the delta workloads need. Probed, budget-capped,
@@ -83,11 +106,20 @@ use drt_core::kernel::Kernel;
 use drt_core::taskgen::{Task, TaskGenOptions, TaskStream};
 use drt_tensor::{CsMatrix, MajorAxis};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Seed for the value-inclusive row fingerprints.
-const ROW_FP_SEED: u64 = 0x1C4E_11E1_D347_A5EE;
+/// Seeds of the two fingerprint lanes.
+const LANE_SEEDS: [u64; 2] = [0x1C4E_11E1_D347_A5EE, 0xA076_1D64_78BD_642F];
+
+/// A run that leaves more than this many times its task count in the
+/// store trims it (see the module docs).
+const STORE_CAP_RUNS: usize = 4;
+
+/// A trim keeps the most recently hit entries, whole runs at a time, up
+/// to this many times the latest run's task count.
+const STORE_KEEP_RUNS: usize = 2;
 
 /// One multiply-rotate mixing step.
 #[inline]
@@ -105,30 +137,42 @@ fn fp_finish(mut h: u64) -> u64 {
     h ^ (h >> 33)
 }
 
-/// Per-major-fiber content fingerprints of a row-major operand: index,
-/// minor coordinates, and raw value bits. `O(nnz)` once per run; task
-/// keys then fold the rows in each task's range.
-fn row_fps(m: &CsMatrix) -> Vec<u64> {
-    (0..m.major_dim())
-        .map(|r| {
-            let f = m.fiber(r);
-            let mut h = fp_mix(ROW_FP_SEED, u64::from(r));
-            for (c, v) in f.coords.iter().zip(f.values) {
-                h = fp_mix(h, u64::from(*c));
-                h = fp_mix(h, v.to_bits());
+/// A value-inclusive fingerprint of a row range, one word per lane.
+type RangeFp = [u64; 2];
+
+/// Prefix sums (wrapping, per lane) of the per-major-fiber fingerprints
+/// of a row-major operand: entry `r` covers rows `0..r`. Each row hashes
+/// its index, minor coordinates and raw value bits. `O(nnz)` once per
+/// run; [`range_fp`] then answers any row range in `O(1)`.
+fn row_fps(m: &CsMatrix) -> Vec<RangeFp> {
+    let mut sums = Vec::with_capacity(m.major_dim() as usize + 1);
+    let mut acc: RangeFp = [0; 2];
+    sums.push(acc);
+    for r in 0..m.major_dim() {
+        let f = m.fiber(r);
+        let mut h = LANE_SEEDS.map(|seed| fp_mix(seed, u64::from(r)));
+        for (c, v) in f.coords.iter().zip(f.values) {
+            for h in &mut h {
+                *h = fp_mix(fp_mix(*h, u64::from(*c)), v.to_bits());
             }
-            fp_finish(h)
-        })
-        .collect()
+        }
+        for (a, h) in acc.iter_mut().zip(h) {
+            *a = a.wrapping_add(fp_finish(h));
+        }
+        sums.push(acc);
+    }
+    sums
 }
 
-/// Fold the per-row fingerprints under `r` into one word. Row indices are
-/// baked into each row's fingerprint, so two ranges with shifted-but-
-/// equal content cannot collide structurally.
-fn fold_rows(fps: &[u64], r: &Range<u32>) -> u64 {
-    let lo = (r.start as usize).min(fps.len());
-    let hi = (r.end as usize).min(fps.len());
-    fp_finish(fps[lo..hi].iter().fold(ROW_FP_SEED, |h, &f| fp_mix(h, f)))
+/// Fingerprint of the rows under `r` (clamped to the operand), from the
+/// prefix sums of [`row_fps`]. Row indices are baked into each row's
+/// fingerprint, so two ranges with shifted-but-equal content cannot
+/// collide structurally.
+#[inline]
+fn range_fp(sums: &[RangeFp], r: &Range<u32>) -> RangeFp {
+    let rows = sums.len() - 1;
+    let (lo, hi) = (sums[(r.start as usize).min(rows)], sums[(r.end as usize).min(rows)]);
+    [hi[0].wrapping_sub(lo[0]), hi[1].wrapping_sub(lo[1])]
 }
 
 /// The i/k/j coordinate ranges of a task, flattened — what the task seeds
@@ -139,30 +183,66 @@ fn ranges6(task: &Task) -> [u32; 6] {
     [i.start, i.end, k.start, k.end, j.start, j.end]
 }
 
-/// Content address of one task's engine effects (see the module docs for
-/// the completeness argument).
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct TaskKey {
-    plan: TilePlan,
+/// Multiply-rotate [`Hasher`] over [`fp_mix`]: digests task keys, and
+/// hashes the store's digest keys. The store holds one entry per digest,
+/// so keys whose digests collide replace each other instead of piling
+/// into one bucket.
+#[derive(Default)]
+struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn finish(&self) -> u64 {
+        fp_finish(self.0)
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for c in bytes.chunks(8) {
+            let mut buf = [0u8; 8];
+            buf[..c.len()].copy_from_slice(c);
+            self.0 = fp_mix(self.0, u64::from_le_bytes(buf));
+        }
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.0 = fp_mix(self.0, u64::from(v));
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.0 = fp_mix(self.0, u64::from(v));
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = fp_mix(self.0, v);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.0 = fp_mix(self.0, v as u64);
+    }
+}
+
+/// Everything in a task's key but its plan (see the module docs for the
+/// completeness argument).
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct KeyTail {
     /// Predecessor coordinate ranges (residency seed); `None` for the
     /// run-opening task, whose tiles are always cold.
     prev: Option<[u32; 6]>,
     /// Value-inclusive fingerprint of the A rows in the task's i-range.
-    a_fp: u64,
+    a_fp: RangeFp,
     /// Value-inclusive fingerprint of the B rows in the task's k-range.
-    b_fp: u64,
+    b_fp: RangeFp,
 }
 
-impl TaskKey {
-    fn of(task: &Task, prev: Option<&Task>, a_fps: &[u64], b_fps: &[u64]) -> TaskKey {
-        let p = &task.plan.coord_ranges;
-        TaskKey {
-            a_fp: fold_rows(a_fps, &p[&'i']),
-            b_fp: fold_rows(b_fps, &p[&'k']),
-            plan: task.plan.clone(),
-            prev: prev.map(ranges6),
-        }
-    }
+/// The store address of a task's key.
+fn digest(plan: &TilePlan, tail: &KeyTail) -> u64 {
+    let mut h = DigestHasher::default();
+    plan.hash(&mut h);
+    tail.hash(&mut h);
+    h.finish()
+}
+
+/// One stored task result under its full key.
+struct Entry {
+    plan: TilePlan,
+    tail: KeyTail,
+    capture: Arc<TaskCapture>,
+    /// The run that last hit or inserted this entry.
+    run: u64,
 }
 
 /// Counters for the most recent [`IncrementalSpmspm::run`].
@@ -194,7 +274,9 @@ impl IncrStats {
 /// gating rules.
 pub struct IncrementalSpmspm {
     cfg: EngineConfig,
-    results: HashMap<TaskKey, Arc<TaskCapture>>,
+    results: HashMap<u64, Entry, BuildHasherDefault<DigestHasher>>,
+    /// Runs so far: the stamp of the current run's hits and inserts.
+    runs: u64,
     last: IncrStats,
 }
 
@@ -211,7 +293,7 @@ impl std::fmt::Debug for IncrementalSpmspm {
 impl IncrementalSpmspm {
     /// Wrap `cfg` for incremental execution, with an empty result store.
     pub fn new(cfg: EngineConfig) -> IncrementalSpmspm {
-        IncrementalSpmspm { cfg, results: HashMap::new(), last: IncrStats::default() }
+        IncrementalSpmspm { cfg, results: HashMap::default(), runs: 0, last: IncrStats::default() }
     }
 
     /// Run `Z = A · B`, splicing stored results for every task whose key
@@ -244,35 +326,69 @@ impl IncrementalSpmspm {
 
         let a_fps = row_fps(a_rows);
         let b_fps = row_fps(b_rows);
+        self.runs += 1;
+        let run = self.runs;
         let mut captures: Vec<Arc<TaskCapture>> = Vec::with_capacity(tasks.len());
-        let (mut executed, mut spliced) = (0u64, 0u64);
+        // (task position, digest, key tail) of every task that missed.
+        let mut misses: Vec<(usize, u64, KeyTail)> = Vec::new();
         for (i, task) in tasks.iter().enumerate() {
             let prev = i.checked_sub(1).map(|p| &tasks[p]);
-            let key = TaskKey::of(task, prev, &a_fps, &b_fps);
-            let c = match self.results.get(&key) {
-                Some(c) => {
-                    spliced += 1;
-                    Arc::clone(c)
+            let p = &task.plan.coord_ranges;
+            let tail = KeyTail {
+                prev: prev.map(ranges6),
+                a_fp: range_fp(&a_fps, &p[&'i']),
+                b_fp: range_fp(&b_fps, &p[&'k']),
+            };
+            let d = digest(&task.plan, &tail);
+            let c = match self.results.get_mut(&d) {
+                Some(e) if e.tail == tail && e.plan == task.plan => {
+                    e.run = run;
+                    Arc::clone(&e.capture)
                 }
-                None => {
-                    executed += 1;
-                    let c = Arc::new(capture_task(a_rows, b_rows, cfg, prev, task));
-                    self.results.insert(key, Arc::clone(&c));
-                    c
+                _ => {
+                    misses.push((i, d, tail));
+                    Arc::new(capture_task(a_rows, b_rows, cfg, prev, task))
                 }
             };
             captures.push(c);
         }
         let report = replay_captures(a.nrows(), b.ncols(), cfg, a_rows, b_rows, &captures, skipped);
 
+        let n = tasks.len();
+        let executed = misses.len();
+        // Store each miss under its digest, moving its plan out of the
+        // run's tasks (misses are in task order).
+        let mut owned = tasks.into_iter().enumerate();
+        for (i, d, tail) in misses {
+            let (_, task) = owned.find(|(j, _)| *j == i).expect("misses are in task order");
+            let capture = Arc::clone(&captures[i]);
+            self.results.insert(d, Entry { plan: task.plan, tail, capture, run });
+        }
+        self.evict(n);
+
         self.last = IncrStats {
-            tasks: tasks.len() as u64,
-            executed,
-            spliced,
+            tasks: n as u64,
+            executed: executed as u64,
+            spliced: (n - executed) as u64,
             plans_computed: stream.plan_calls(),
             plans_reused: 0,
         };
         Ok(report)
+    }
+
+    /// Enforce the store bound after a run of `tasks` tasks: above
+    /// [`STORE_CAP_RUNS`] times `tasks` entries, drop every entry last hit
+    /// at or before the newest run that does not fit in
+    /// [`STORE_KEEP_RUNS`] times `tasks`. The latest run's entries number
+    /// at most `tasks`, so they always survive.
+    fn evict(&mut self, tasks: usize) {
+        if self.results.len() <= STORE_CAP_RUNS * tasks {
+            return;
+        }
+        let keep = STORE_KEEP_RUNS * tasks;
+        let mut runs: Vec<u64> = self.results.values().map(|e| e.run).collect();
+        let (_, &mut cutoff, _) = runs.select_nth_unstable_by(keep, |x, y| y.cmp(x));
+        self.results.retain(|_, e| e.run > cutoff);
     }
 
     /// Counters for the most recent [`IncrementalSpmspm::run`].
@@ -280,7 +396,8 @@ impl IncrementalSpmspm {
         self.last
     }
 
-    /// Number of distinct task results currently stored.
+    /// Number of distinct task results currently stored: at most four
+    /// times the latest run's task count (see the module docs).
     pub fn cached_tasks(&self) -> usize {
         self.results.len()
     }
@@ -290,10 +407,9 @@ impl IncrementalSpmspm {
         &self.cfg
     }
 
-    /// Drop every stored task result. The result store grows
-    /// monotonically across deltas (superseded results are not collected
-    /// — they may become valid again when a delta is reverted); call this
-    /// to bound long-lived instances.
+    /// Drop every stored task result. The store bounds itself relative to
+    /// the latest run (see the module docs); this frees it early, for
+    /// example when the operands are replaced rather than patched.
     pub fn clear(&mut self) {
         self.results.clear();
     }
@@ -446,5 +562,230 @@ mod tests {
         let s = eng.last_stats();
         assert!(s.spliced > 0, "S-U-C tasks away from the delta must splice");
         assert_eq!(s.plans_computed, 0, "S-U-C never calls the DRT planner");
+    }
+
+    /// A small deterministic generator for delta streams (splitmix64).
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u32) -> u32 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % u64::from(n)) as u32
+        }
+    }
+
+    /// An `i`-outermost DRT configuration over a power-law operand pair:
+    /// a dirty row of `A` invalidates only the tasks crossing it.
+    fn stream_setup(n: u32) -> (EngineConfig, CsMatrix, CsMatrix) {
+        let parts = Partitions::from_bytes(&[("A", 2048), ("B", 2048), ("Z", 1024)]);
+        let mut cfg = EngineConfig::new(("incr-stream", Tiling::Drt, DrtConfig::new(parts)));
+        cfg.loop_order = vec!['i', 'k', 'j'];
+        let nnz = 8 * n as usize;
+        let a = drt_workloads::patterns::unstructured(n, n, nnz, 1.5, 11);
+        let b = drt_workloads::patterns::unstructured(n, n, nnz, 1.0, 12);
+        (cfg, a, b)
+    }
+
+    /// An existing non-zero of `a` in a random non-empty row.
+    fn existing_entry(a: &CsMatrix, rng: &mut Lcg) -> (u32, u32, f64) {
+        loop {
+            let r = rng.below(a.nrows());
+            let f = a.fiber(r);
+            if !f.is_empty() {
+                let at = rng.below(f.len() as u32) as usize;
+                return (r, f.coords[at], f.values[at]);
+            }
+        }
+    }
+
+    /// Delta `t` of a mixed stream: scattered upserts, row-local upserts,
+    /// a value-only change of an existing entry, or a delete of one.
+    fn mixed_delta(a: &CsMatrix, rng: &mut Lcg, t: usize) -> DeltaBatch {
+        let n = a.nrows();
+        let mut d = DeltaBatch::new();
+        match t % 4 {
+            0 => {
+                for _ in 0..2 {
+                    d.upsert(rng.below(n), rng.below(n), 1.0 + f64::from(rng.below(90)));
+                }
+            }
+            1 => {
+                let r = rng.below(n);
+                for _ in 0..4 {
+                    d.upsert(r, rng.below(n), -1.0 - f64::from(rng.below(90)));
+                }
+            }
+            2 => {
+                let (r, c, v) = existing_entry(a, rng);
+                d.upsert(r, c, v + 0.5);
+            }
+            _ => {
+                let (r, c, _) = existing_entry(a, rng);
+                d.delete(r, c);
+            }
+        }
+        d
+    }
+
+    fn scratch_run(a: &CsMatrix, b: &CsMatrix, cfg: &EngineConfig) -> RunReport {
+        run_spmspm_exec(a, b, cfg, &Probe::disabled(), &Default::default())
+            .expect("from-scratch run")
+    }
+
+    #[test]
+    fn store_stays_bounded_and_a_revert_splices_everything() {
+        let (cfg, base, b) = stream_setup(384);
+        let mut eng = IncrementalSpmspm::new(cfg.clone());
+        eng.run(&base, &b).expect("cold run");
+        let mut a = base.clone();
+        let mut rng = Lcg(7);
+        for t in 0..20 {
+            a.apply_delta(&mixed_delta(&a, &mut rng, t));
+            let incr = eng.run(&a, &b).expect("incremental run");
+            assert_eq!(scratch_run(&a, &b, &cfg).bit_diff(&incr), None, "delta {t}");
+            let s = eng.last_stats();
+            assert!(
+                eng.cached_tasks() <= STORE_CAP_RUNS * s.tasks as usize,
+                "delta {t}: {} stored results for a {}-task run",
+                eng.cached_tasks(),
+                s.tasks
+            );
+        }
+        assert_ne!(a, base, "the stream must leave the operand changed");
+        a.apply_delta(&DeltaBatch::diff(&a, &base));
+        assert_eq!(a, base);
+        let incr = eng.run(&a, &b).expect("revert run");
+        assert_eq!(scratch_run(&a, &b, &cfg).bit_diff(&incr), None);
+        let s = eng.last_stats();
+        assert_eq!(s.executed, 0, "the base's results must survive the stream's churn");
+        assert_eq!(s.spliced, s.tasks);
+    }
+
+    #[test]
+    fn eviction_bounds_a_long_stream_and_keeps_the_latest_run() {
+        let (cfg, mut a, b) = stream_setup(256);
+        let mut eng = IncrementalSpmspm::new(cfg.clone());
+        eng.run(&a, &b).expect("cold run");
+        let mut rng = Lcg(3);
+        let mut trims = 0;
+        for t in 0..24 {
+            let before = eng.cached_tasks();
+            let mut d = DeltaBatch::new();
+            for _ in 0..4 {
+                d.upsert(rng.below(256), rng.below(256), 2.0 + f64::from(t));
+            }
+            a.apply_delta(&d);
+            let incr = eng.run(&a, &b).expect("incremental run");
+            assert_eq!(scratch_run(&a, &b, &cfg).bit_diff(&incr), None, "delta {t}");
+            let s = eng.last_stats();
+            assert!(eng.cached_tasks() <= STORE_CAP_RUNS * s.tasks as usize, "delta {t}");
+            if eng.cached_tasks() < before + s.executed as usize {
+                trims += 1;
+                assert!(eng.cached_tasks() <= STORE_KEEP_RUNS * s.tasks as usize, "delta {t}");
+            }
+        }
+        assert!(trims > 0, "the stream must outgrow the bound at least once");
+        // The latest run's entries always survive a trim.
+        eng.run(&a, &b).expect("rerun");
+        assert_eq!(eng.last_stats().executed, 0);
+    }
+
+    #[test]
+    fn digest_collision_is_a_miss_not_a_wrong_splice() {
+        let (a, b) = (band(64, 1), band(64, 2));
+        let cfg = drt_cfg();
+        let scratch = scratch_run(&a, &b, &cfg);
+        // A wrong capture under a real digest with a different full key: a
+        // mutated fingerprint, then a plan with one tile's nnz changed.
+        let plant: [fn(&mut Entry); 2] = [|e| e.tail.a_fp[0] ^= 1, |e| e.plan.tiles[0].nnz += 1];
+        for mutate in plant {
+            let mut eng = IncrementalSpmspm::new(cfg.clone());
+            eng.run(&a, &b).expect("cold run");
+            let mut digests: Vec<u64> = eng.results.keys().copied().collect();
+            digests.sort_unstable();
+            let other = Arc::clone(&eng.results[&digests[1]].capture);
+            let e = eng.results.get_mut(&digests[0]).expect("stored entry");
+            e.capture = other;
+            mutate(e);
+
+            let incr = eng.run(&a, &b).expect("run over the planted entry");
+            assert_eq!(scratch.bit_diff(&incr), None);
+            let s = eng.last_stats();
+            assert_eq!(s.executed, 1, "only the planted task re-executes");
+        }
+    }
+
+    /// The sequential per-row fingerprint and fold that keyed tasks
+    /// before prefix sums: the oracle for [`range_fp`]'s verdicts.
+    fn oracle_row_fps(m: &CsMatrix) -> Vec<u64> {
+        (0..m.major_dim())
+            .map(|r| {
+                let f = m.fiber(r);
+                let mut h = fp_mix(LANE_SEEDS[0], u64::from(r));
+                for (c, v) in f.coords.iter().zip(f.values) {
+                    h = fp_mix(h, u64::from(*c));
+                    h = fp_mix(h, v.to_bits());
+                }
+                fp_finish(h)
+            })
+            .collect()
+    }
+
+    fn fold_rows(fps: &[u64], r: &Range<u32>) -> u64 {
+        let lo = (r.start as usize).min(fps.len());
+        let hi = (r.end as usize).min(fps.len());
+        fp_finish(fps[lo..hi].iter().fold(LANE_SEEDS[0], |h, &f| fp_mix(h, f)))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// One value-only edit, insert or delete, inside or outside a
+        /// random row range: the prefix-sum fingerprint reaches the same
+        /// equal/unequal verdict as the sequential fold.
+        #[test]
+        fn range_fingerprints_agree_with_sequential_fold(
+            shape in (1u32..12, 1u32..12),
+            cells in proptest::collection::vec((0u32..12, 0u32..12, 1u32..50), 0..40),
+            range in (0u32..14, 0u32..14),
+            edit in (0u8..3, 0u32..12, 0u32..12, 0u32..64),
+        ) {
+            let (nrows, ncols) = shape;
+            let entries: Vec<(u32, u32, f64)> = cells
+                .iter()
+                .map(|&(r, c, v)| (r % nrows, c % ncols, f64::from(v)))
+                .collect();
+            let old = CsMatrix::from_entries(nrows, ncols, entries, MajorAxis::Row);
+            let (kind, r, c, pick) = edit;
+            let (r, c) = (r % nrows, c % ncols);
+            let mut d = DeltaBatch::new();
+            match (kind, old.nnz()) {
+                (0, n) if n > 0 => {
+                    let (r, c, v) = old.iter().nth(pick as usize % n).expect("entry");
+                    d.upsert(r, c, v + 0.25);
+                }
+                (1, n) if n > 0 => {
+                    let (r, c, _) = old.iter().nth(pick as usize % n).expect("entry");
+                    d.delete(r, c);
+                }
+                _ => {
+                    d.upsert(r, c, 100.0 + f64::from(pick));
+                }
+            }
+            let mut new = old.clone();
+            new.apply_delta(&d);
+            let rows = range.0.min(range.1)..range.0.max(range.1);
+
+            let oracle_same = fold_rows(&oracle_row_fps(&old), &rows)
+                == fold_rows(&oracle_row_fps(&new), &rows);
+            let same = range_fp(&row_fps(&old), &rows) == range_fp(&row_fps(&new), &rows);
+            proptest::prop_assert_eq!(same, oracle_same);
+            let edited_row = d.ops()[0].0;
+            let inside = rows.contains(&edited_row) && old != new;
+            proptest::prop_assert_eq!(same, !inside);
+        }
     }
 }

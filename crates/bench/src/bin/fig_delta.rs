@@ -141,16 +141,16 @@ fn main() {
                 ("bit_identical", JsonVal::S(identical.into())),
             ],
         );
-        wall.push((ops, incr_ms, scratch_ms, s));
+        wall.push((ops, incr_ms, scratch_ms, s, eng.cached_tasks()));
     }
 
     // Wall-clock: nondeterministic, so stderr under --quick (keeping the
     // golden byte-stable) and stdout + BENCH_delta.json on a full run.
     let mut metrics = format!("\ncold run: {cold_ms:.2} ms\n");
-    for (ops, incr_ms, scratch_ms, _) in &wall {
+    for (ops, incr_ms, scratch_ms, _, cached) in &wall {
         metrics.push_str(&format!(
             "update-size {ops:>5}: incremental {incr_ms:>8.2} ms | from-scratch \
-             {scratch_ms:>8.2} ms | speedup {:>5.2}x\n",
+             {scratch_ms:>8.2} ms | speedup {:>5.2}x | stored results {cached}\n",
             scratch_ms / incr_ms.max(1e-9)
         ));
     }
@@ -160,7 +160,7 @@ fn main() {
         print!("{metrics}");
         let rows: Vec<String> = wall
             .iter()
-            .map(|(ops, incr_ms, scratch_ms, s)| {
+            .map(|(ops, incr_ms, scratch_ms, s, _)| {
                 json_row(&[
                     ("figure", JsonVal::S("fig_delta".into())),
                     ("update_size", JsonVal::U(*ops as u64)),
