@@ -17,44 +17,57 @@
 //!   spill writes and refill reads ("multiply-and-merge").
 //! * The final output is written once in compressed form.
 //!
-//! ## Sharded execution
+//! ## One worker step, one reducer
 //!
-//! [`run_spmspm_exec`] splits the materialized task list into contiguous
-//! shards (an [`ExecPolicy`] picks the schedule) and runs each shard's
-//! load/compute/extract phases on its own worker. Order-dependent state —
-//! the Z output cache, PE round-robin assignment, and the final output
-//! assembly — is replayed by a single reducer in global task order, so
-//! every report and every probe trace is **bit-identical** across thread
-//! counts. Workers can run load/compute independently because residency
-//! after task *t* depends only on task *t* itself: each worker seeds its
-//! resident-tile table from the task immediately preceding its shard.
+//! Every run executes the paper's per-task pipeline (Figure 5's task
+//! list) through one worker step, `Worker::step`: load the tiles whose
+//! ranges changed, intersect and multiply, measure the merge, and charge
+//! the tile extraction. The step adds its order-independent effects to a
+//! `Totals` (traffic, actions, MACCs, exposed extract cycles, output
+//! entries, phases: all sums) and returns the task's order-dependent
+//! merge record. One `Reducer` commits merge records in global task order
+//! (the Z output cache, PE round-robin assignment and the merge and
+//! extraction trace records), folds totals, and writes the report back.
 //!
-//! The preferred entry point is [`crate::session::Session`]; the
-//! `*_exec`/`*_ft` free functions are the policy-explicit engine API.
+//! * A serial run streams: each generated task is stepped and committed
+//!   at once, one resident task at a time.
+//! * A sharded run (an [`ExecPolicy`] picks the schedule) materializes
+//!   the task list, steps contiguous shards on their own workers, and
+//!   reduces the shards in order.
+//! * An incremental run ([`crate::incremental`]) steps only the tasks an
+//!   operand delta touched, each as a one-task shard (`TaskCapture`), and
+//!   reduces those with the stored captures of every other task.
+//!
+//! All three produce **bit-identical** reports and traces. Workers can
+//! step tasks independently because residency after task *t* depends only
+//! on task *t* itself: a worker seeds its resident-tile table from the
+//! task immediately preceding its first.
+//!
+//! The public door is [`crate::session::Session::run_ref`]; a
+//! hand-built [`EngineConfig`] runs through
+//! [`crate::session::Session::from_engine_config`].
 
 use crate::error::DrtError;
 use crate::report::{Degradation, DegradeReason, PhaseBreakdown, RunOutcome, RunReport};
-use crate::spec::{AccelSpec, SpecKind};
+use crate::spec::{AccelSpec, RunCtx, SpecKind};
 use crate::zcache::OutputCache;
 use drt_core::budget::ExecBudget;
-use drt_core::cancel::{CancelToken, ExpiryKind};
-use drt_core::chaos::FaultInjector;
+use drt_core::cancel::ExpiryKind;
 use drt_core::config::DrtConfig;
 use drt_core::drt::TileStats;
-use drt_core::extractor::ExtractorModel;
+use drt_core::extractor::{ExtractionCost, ExtractorModel};
 use drt_core::kernel::Kernel;
 use drt_core::micro::MicroFormat;
 use drt_core::par::par_map_isolated;
 use drt_core::probe::{lane, replay_sorted, Event, Probe, TaggedEvent, TaggingSink};
 use drt_core::taskgen::{shard_bounds, BudgetCause, Task, TaskGenOptions, TaskStream};
 use drt_core::{CoreError, RankId};
-use drt_kernels::spmspm::{gustavson_view_into, SpaWorkspace, TileProduct};
+use drt_kernels::spmspm::{gustavson_view_into, SpaWorkspace};
 use drt_sim::energy::ActionCounts;
 use drt_sim::intersect_unit::IntersectUnit;
 use drt_sim::memory::HierarchySpec;
 use drt_sim::pe::PeArray;
 use drt_sim::traffic::TrafficCounter;
-use drt_tensor::format::SizeModel;
 use drt_tensor::{CsMatrix, MajorAxis};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -203,247 +216,133 @@ impl EngineConfig {
             ),
         }
     }
-}
 
-/// Simulate `Z = A · B` under `cfg` with an instrumentation probe and an
-/// execution policy. The one real engine entry point — everything else
-/// forwards here ([`crate::session::Session`] is the ergonomic front).
-///
-/// The task stream reports tile plans and task emission; the engine
-/// reports fetches, reuse hits, spills/refills, extraction costs, and
-/// per-phase totals. Reports and traces are bit-identical for every
-/// `exec` — sharding changes wall-clock time, never the numbers.
-///
-/// # Errors
-///
-/// Propagates tiling configuration errors from `drt-core` (bad loop order,
-/// impossible partitions, S-U-C shapes violating the dense rule).
-pub fn run_spmspm_exec(
-    a: &CsMatrix,
-    b: &CsMatrix,
-    cfg: &EngineConfig,
-    probe: &Probe,
-    exec: &ExecPolicy,
-) -> Result<RunReport, CoreError> {
-    match run_spmspm_ft(a, b, cfg, probe, exec, &FaultPolicy::default()) {
-        Ok(out) => Ok(out.into_report()),
-        Err(DrtError::Core(e)) => Err(e),
-        // With an inert fault policy and zero retries the legacy contract
-        // is that worker panics propagate — keep it for this shim.
-        Err(DrtError::ShardPanicked { task_range, message, .. }) => panic!(
-            "parallel worker panicked on tasks {}..{}: {}",
-            task_range.start, task_range.end, message
-        ),
-        Err(e) => Err(CoreError::BadConfig { detail: e.to_string() }),
+    /// Task-generation options for this configuration's tiling, loop
+    /// order and partitions (no probe, budget or cancel token attached).
+    pub(crate) fn task_options(&self) -> TaskGenOptions {
+        match &self.tiling {
+            Tiling::Suc(sizes) => TaskGenOptions::suc(&self.loop_order, self.drt.clone(), sizes),
+            Tiling::Drt => TaskGenOptions::drt(&self.loop_order, self.drt.clone()),
+        }
     }
 }
 
-/// Fault-tolerance knobs for one engine run: resource budgets, a
-/// cooperative cancellation/deadline token, and an optional chaos
-/// injector. `Default` is fully inert — unlimited budgets, a token that
-/// never expires, no injection — and adds no per-task cost beyond one
-/// atomic load at each task boundary.
-#[derive(Debug, Clone, Default)]
-pub struct FaultPolicy {
-    /// Resource budgets (task / planner-call / resident-byte caps).
-    pub budget: ExecBudget,
-    /// Cancellation + deadline handle, polled at task boundaries.
-    pub cancel: CancelToken,
-    /// Chaos-injection hook (`None` in production; `drt-verify`'s chaos
-    /// harness installs seeded injectors here).
-    pub chaos: Option<Arc<dyn FaultInjector>>,
-}
-
-/// One shard worker's complete output, handed to the reducer.
-struct ShardOut<'c> {
-    run: EngineRun<'c>,
-    recs: Vec<MergeRec>,
-    events: Vec<TaggedEvent>,
-    /// Global index of the first task *not* executed because the cancel
-    /// token expired mid-shard; `None` when the shard ran to completion.
-    aborted_at: Option<u64>,
-}
-
-/// The fault-tolerant engine entry point: [`run_spmspm_exec`] plus panic
-/// isolation with bounded shard retries, cooperative cancellation and
-/// deadlines, and resource budgets with graceful degradation.
+/// Simulate `Z = A · B` under `cfg` in the run context `ctx`: its probe,
+/// execution policy, budgets, cancellation token and chaos hook (the
+/// context's hierarchy is ignored; `cfg` carries its own). Reached
+/// through [`crate::session::Session::run_ref`].
 ///
 /// Outcomes:
 ///
-/// * `Ok(RunOutcome::Complete(_))` — fault-free run; bit-identical to
-///   [`run_spmspm_exec`] for every `exec` (retries that never fire do not
-///   change numbers).
+/// * `Ok(RunOutcome::Complete(_))` — a fault-free run; bit-identical for
+///   every execution policy (retries that never fire change nothing).
 /// * `Ok(RunOutcome::Degraded(_))` — the run stopped cleanly at a task
 ///   boundary (cancel/deadline) or fell back to cheaper execution (budget
 ///   caps). The report's `degradation` field says why; its phase bytes
 ///   still partition its traffic, and a traced run ends with one
 ///   `aborted` record when the run stopped early.
-/// * `Err(_)` — no trustworthy report exists: a configuration error, or
-///   a shard that kept panicking after `exec.max_retries` retries
-///   ([`DrtError::ShardPanicked`], carrying the committed-prefix report).
-///
-/// # Errors
-///
-/// Tiling configuration errors (as [`DrtError::Core`]) and exhausted
-/// shard retries (as [`DrtError::ShardPanicked`]).
-pub fn run_spmspm_ft(
+/// * `Err(_)` — no trustworthy report exists: a tiling configuration
+///   error ([`DrtError::Core`]), or a shard that kept panicking after
+///   `exec.max_retries` retries ([`DrtError::ShardPanicked`], carrying
+///   the committed-prefix report).
+pub(crate) fn run_spmspm_ft(
     a: &CsMatrix,
     b: &CsMatrix,
     cfg: &EngineConfig,
-    probe: &Probe,
-    exec: &ExecPolicy,
-    fault: &FaultPolicy,
+    ctx: &RunCtx,
 ) -> Result<RunOutcome, DrtError> {
-    if let Some(kind) = fault.cancel.expiry_kind() {
-        return Ok(degrade_before_work(&cfg.name, kind, probe));
+    let probe = &ctx.probe;
+    if let Some(kind) = ctx.cancel.expiry_kind() {
+        let reason = expiry_reason(kind);
+        return Ok(degraded_entry(&cfg.name, reason, "expired before any work ran", probe));
     }
     let kernel = Kernel::spmspm_fmt(a, b, cfg.micro, cfg.micro_format)?;
     // Cow-based layout normalization: when the operands are already
     // row-major (the common case) no clone happens.
     let a_cow = a.as_major(MajorAxis::Row);
     let b_cow = b.as_major(MajorAxis::Row);
-    let a_rows: &CsMatrix = a_cow.as_ref();
-    let b_rows: &CsMatrix = b_cow.as_ref();
+    let (a_rows, b_rows): (&CsMatrix, &CsMatrix) = (a_cow.as_ref(), b_cow.as_ref());
+    let dims = (a.nrows(), b.ncols());
     // Generator caps ride on the task stream; `max_resident_bytes` is an
     // engine-level cap on the materialized task list (below).
     let gen_budget = ExecBudget {
-        max_tasks: fault.budget.max_tasks,
+        max_tasks: ctx.budget.max_tasks,
         max_resident_bytes: None,
-        max_plan_candidates: fault.budget.max_plan_candidates,
+        max_plan_candidates: ctx.budget.max_plan_candidates,
     };
-    let mk_opts = |p: Probe| {
-        let o = match &cfg.tiling {
-            Tiling::Suc(sizes) => TaskGenOptions::suc(&cfg.loop_order, cfg.drt.clone(), sizes),
-            Tiling::Drt => TaskGenOptions::drt(&cfg.loop_order, cfg.drt.clone()),
-        };
-        o.with_probe(p).with_budget(gen_budget.clone()).with_cancel(fault.cancel.clone())
+    let stream = |p: Probe| {
+        let opts = cfg.task_options().with_probe(p).with_budget(gen_budget.clone());
+        TaskStream::build(&kernel, opts.with_cancel(ctx.cancel.clone()))
     };
-
+    let exec = &ctx.exec;
     if exec.threads <= 1
         && !matches!(exec.schedule, ShardSchedule::Explicit(_))
         && exec.max_retries == 0
-        && fault.chaos.is_none()
+        && ctx.chaos.is_none()
     {
-        // Serial fast path: generate and execute task-by-task, events
-        // flowing straight to the probe — the pre-sharding code path,
-        // bit-identical to historical goldens by construction.
-        return run_serial_ft(
-            a,
-            b,
-            a_rows,
-            b_rows,
-            cfg,
-            probe,
-            &kernel,
-            mk_opts(probe.clone()),
-            None,
-        );
+        return Ok(run_serial(a_rows, b_rows, cfg, probe, stream(probe.clone())?, None));
     }
 
-    // ---- sharded fault-tolerant path --------------------------------------
+    // ---- sharded path -----------------------------------------------------
 
     // 1. Materialize the task list. Generation is inherently sequential —
     //    each plan's base advances by the previous plan's extent — so only
-    //    engine execution shards. Generator events buffer into a tagging
+    //    task execution shards. Generator events buffer into a tagging
     //    sink, to be re-interleaved with engine events at the end.
     let gen_sink = probe.is_enabled().then(|| Arc::new(TaggingSink::auto_gen()));
-    let gen_probe = match &gen_sink {
-        Some(s) => Probe::new(s.clone()),
-        None => Probe::disabled(),
-    };
-    let mut stream = TaskStream::build(&kernel, mk_opts(gen_probe))?;
-    let mut tasks: Vec<Task> = Vec::new();
-    if let Some(cap) = fault.budget.max_resident_bytes {
-        let mut resident = 0u64;
-        for task in &mut stream {
-            resident += estimated_task_bytes(&task);
-            tasks.push(task);
-            if resident > cap {
-                // The materialized list is over budget: drop it and fall
-                // back to serial streaming, which holds one task at a
-                // time. Numbers are bit-identical to the sharded run (the
-                // determinism contract); only wall-clock parallelism is
-                // lost, and the report records the degradation.
-                drop(tasks);
-                let detail = format!(
-                    "materialized task list exceeded max_resident_bytes={cap}; \
-                     fell back to serial streaming execution"
-                );
-                return run_serial_ft(
-                    a,
-                    b,
-                    a_rows,
-                    b_rows,
-                    cfg,
-                    probe,
-                    &kernel,
-                    mk_opts(probe.clone()),
-                    Some(detail),
-                );
-            }
-        }
-    } else {
-        tasks.extend(&mut stream);
+    let list = materialize(stream(tagging_probe(&gen_sink))?, ctx.budget.max_resident_bytes);
+    if list.over_budget {
+        // The materialized list is over budget: drop it and fall back to
+        // serial streaming, which holds one task at a time. Numbers are
+        // bit-identical to the sharded run (the determinism contract);
+        // only wall-clock parallelism is lost, and the report records the
+        // degradation.
+        drop(list);
+        let detail = format!(
+            "materialized task list exceeded max_resident_bytes={}; \
+             fell back to serial streaming execution",
+            ctx.budget.max_resident_bytes.unwrap_or_default()
+        );
+        return Ok(run_serial(a_rows, b_rows, cfg, probe, stream(probe.clone())?, Some(detail)));
     }
-    let skipped = stream.skipped_empty();
-    let gen_aborted = stream.aborted();
-    let gen_degraded = stream.degraded();
-    debug_assert_eq!(stream.emitted() as usize, tasks.len());
+    let tasks = &list.tasks;
 
     // 2. Shard bounds over the task list, per the schedule.
     let bounds = shard_ranges(tasks.len(), exec);
 
-    // 3. Workers: each shard runs load/compute/extract with its own state
-    //    and probe buffer. Merge effects are recorded, not applied — the
-    //    Z cache and PE assignment are order-dependent, so they belong to
-    //    the reducer. Workers poll the cancel token before each task and
-    //    call the chaos hook (if any) at shard and task boundaries.
+    // 3. Workers: each shard steps its tasks with its own residency,
+    //    totals and trace buffer. Merge records are kept, not committed:
+    //    the Z cache and PE assignment are order-dependent, so they belong
+    //    to the reducer. Workers poll the cancel token before each task
+    //    and call the chaos hook (if any) at shard and task boundaries.
     let traced = probe.is_enabled();
-    let chaos = fault.chaos.as_deref();
-    let cancel = &fault.cancel;
-    let run_shard = |sidx: usize, attempt: u32| -> ShardOut<'_> {
+    let chaos = ctx.chaos.as_deref();
+    let run_shard = |sidx: usize, attempt: u32| -> ShardOut {
         if let Some(ch) = chaos {
             ch.before_shard(sidx, attempt);
         }
         let range = bounds[sidx].clone();
         let sink = traced.then(|| Arc::new(TaggingSink::manual()));
-        let wprobe = match &sink {
-            Some(s) => Probe::new(s.clone()),
-            None => Probe::disabled(),
-        };
-        let mut run = EngineRun::new(a_rows, b_rows, cfg, wprobe);
-        // Seed resident-tile ranges from the task just before the shard:
-        // residency after task t−1 is fully determined by task t−1 alone
-        // (every plan carries tiles for all inputs), so the worker makes
-        // exactly the serial hit/fetch decisions.
-        if !range.is_empty() && range.start > 0 {
-            run.seed_residency(&tasks[range.start - 1]);
-        }
+        let prev = (!range.is_empty() && range.start > 0).then(|| &tasks[range.start - 1]);
+        let mut worker = Worker::new(a_rows, b_rows, cfg, tagging_probe(&sink), prev);
+        let mut totals = Totals::default();
         let mut recs = Vec::with_capacity(range.len());
         let mut aborted_at = None;
         for task in &tasks[range] {
-            if cancel.expired() {
+            if ctx.cancel.expired() {
                 aborted_at = Some(task.index);
                 break;
             }
             if let Some(ch) = chaos {
                 ch.before_task(task.index);
             }
-            let ranges = TaskRanges::of(task);
             if let Some(s) = &sink {
                 s.set_position(task.index, lane::LOAD);
             }
-            run.phase_load(task, &ranges);
-            let (tp, isect_cycles) = run.phase_compute(task, &ranges);
-            let rec = run.merge_prep(task, &ranges, tp, isect_cycles);
-            if let Some(s) = &sink {
-                s.set_position(task.index, lane::EXTRACT);
-            }
-            run.phase_extract(task, rec.on_chip_cycles);
-            recs.push(rec);
+            recs.push(worker.step(task, &mut totals));
         }
         let events = sink.map(|s| s.drain()).unwrap_or_default();
-        ShardOut { run, recs, events, aborted_at }
+        ShardOut { totals, recs, events, aborted_at }
     };
 
     // 4. Run every shard with per-shard panic isolation, retrying failed
@@ -472,33 +371,14 @@ pub fn run_spmspm_ft(
             // Retries exhausted: surface a typed error carrying the
             // report over the contiguous prefix of shards before the
             // first (lowest) failing shard. `pending` is ascending, so
-            // `failed` is too.
+            // `failed` is too, and every shard below it completed.
             let (bad, message) = failed.remove(0);
+            let prefix = results.into_iter().take(bad).map_while(|s| s).collect();
             let gen_events = gen_sink.map(|s| s.drain()).unwrap_or_default();
-            let mut prefix = Vec::with_capacity(bad);
-            for s in results.into_iter().take(bad) {
-                match s {
-                    Some(s) => prefix.push(s),
-                    // Unreachable: every shard below the lowest failure
-                    // completed; stop committing if that ever breaks.
-                    None => break,
-                }
-            }
-            let (mut partial, committed, _) = reduce_and_replay(
-                a.nrows(),
-                b.ncols(),
-                cfg,
-                a_rows,
-                b_rows,
-                prefix,
-                tasks.len(),
-                skipped,
-                traced,
-                gen_events,
-                probe,
-                true,
-            );
+            let (mut partial, _) =
+                reduce_shards(dims, cfg, prefix, list.skipped, gen_events, probe, true);
             partial.output = None;
+            let committed = partial.tasks;
             probe.emit(|| Event::Aborted { reason: "shard_panicked", completed_tasks: committed });
             let range = &bounds[bad];
             return Err(DrtError::ShardPanicked {
@@ -517,164 +397,142 @@ pub fn run_spmspm_ft(
     let shard_outs: Vec<ShardOut> = results.into_iter().flatten().collect();
     debug_assert_eq!(shard_outs.len(), bounds.len());
     let gen_events = gen_sink.map(|s| s.drain()).unwrap_or_default();
-    let (mut report, committed, cut) = reduce_and_replay(
-        a.nrows(),
-        b.ncols(),
-        cfg,
-        a_rows,
-        b_rows,
-        shard_outs,
-        tasks.len(),
-        skipped,
-        traced,
-        gen_events,
-        probe,
-        false,
-    );
-    if cut {
-        // A worker saw the token expire mid-run; everything up to the
-        // committed prefix is in the report.
-        let kind = cancel.expiry_kind().unwrap_or(ExpiryKind::Cancelled);
-        return Ok(finish_degraded(report, kind, committed, probe));
-    }
-    if let Some(kind) = gen_aborted {
-        // Generation stopped early; every materialized task committed.
-        return Ok(finish_degraded(report, kind, committed, probe));
-    }
-    if let Some(cause) = gen_degraded {
-        report.degradation = Some(budget_degradation(cause, committed));
-        return Ok(RunOutcome::Degraded(report));
-    }
-    Ok(RunOutcome::Complete(report))
+    let (report, cut) =
+        reduce_shards(dims, cfg, shard_outs, list.skipped, gen_events, probe, false);
+    // A worker that saw the token expire cut the run short; otherwise
+    // generation may have stopped early, and every materialized task
+    // committed.
+    let aborted = if cut {
+        Some(ctx.cancel.expiry_kind().unwrap_or(ExpiryKind::Cancelled))
+    } else {
+        list.aborted
+    };
+    Ok(outcome(report, aborted, list.degraded, None, probe))
 }
 
-/// The serial streaming path of [`run_spmspm_ft`]: tasks execute as they
-/// are generated (one resident task at a time), events flow straight to
-/// the probe, and cancellation is handled by the stream itself — so all
-/// generated tasks are committed tasks. `memory_note` marks a run that
-/// landed here because `max_resident_bytes` rejected the materialized
-/// task list.
-#[allow(clippy::too_many_arguments)]
-fn run_serial_ft(
-    a: &CsMatrix,
-    b: &CsMatrix,
+/// The serial streaming path of [`run_spmspm_ft`]: each task is stepped
+/// and committed as the stream generates it (one resident task at a
+/// time), events flow straight to the probe, and cancellation is handled
+/// by the stream itself — so every generated task is a committed task.
+/// `memory_note` marks a run that landed here because
+/// `max_resident_bytes` rejected the materialized task list.
+fn run_serial(
     a_rows: &CsMatrix,
     b_rows: &CsMatrix,
     cfg: &EngineConfig,
     probe: &Probe,
-    kernel: &Kernel,
-    opts: TaskGenOptions,
+    mut stream: TaskStream<'_>,
     memory_note: Option<String>,
-) -> Result<RunOutcome, DrtError> {
-    let mut stream = TaskStream::build(kernel, opts)?;
-    let mut run = EngineRun::new(a_rows, b_rows, cfg, probe.clone());
-    // The pipeline per task: load the tiles whose ranges changed,
-    // compute (intersect + multiply) on them, merge the partial
-    // outputs through the Z cache, then account the tile-extraction
-    // latency that produced the task in the first place (DRT only —
-    // extraction overlaps the previous task's compute, so only the
-    // excess is exposed).
+) -> RunOutcome {
+    let mut worker = Worker::new(a_rows, b_rows, cfg, probe.clone(), None);
+    let mut red = Reducer::new(cfg, probe.clone(), None);
     for task in &mut stream {
-        let ranges = TaskRanges::of(&task);
-        run.phase_load(&task, &ranges);
-        let (tp, isect_cycles) = run.phase_compute(&task, &ranges);
-        let on_chip = run.phase_merge(&task, &ranges, tp, isect_cycles);
-        run.phase_extract(&task, on_chip);
+        let rec = worker.step(&task, &mut red.totals);
+        red.commit(&rec);
     }
-    let (emitted, skipped) = (stream.emitted(), stream.skipped_empty());
-    let aborted = stream.aborted();
-    let degraded = stream.degraded();
-    let mut report = run.phase_writeback(a.nrows(), b.ncols(), emitted, skipped);
-    if let Some(kind) = aborted {
-        return Ok(finish_degraded(report, kind, emitted, probe));
-    }
-    if let Some(cause) = degraded {
-        report.degradation = Some(budget_degradation(cause, emitted));
-        return Ok(RunOutcome::Degraded(report));
-    }
-    if let Some(detail) = memory_note {
-        report.degradation = Some(Degradation {
-            reason: DegradeReason::MemoryBudgetExhausted,
-            completed_tasks: emitted,
-            detail,
-        });
-        return Ok(RunOutcome::Degraded(report));
-    }
-    Ok(RunOutcome::Complete(report))
+    let report = red.finish(a_rows.nrows(), b_rows.ncols(), stream.skipped_empty());
+    outcome(report, stream.aborted(), stream.degraded(), memory_note, probe)
 }
 
-/// Deterministic reduction of committed shard outputs, plus trace
-/// replay. Shards come back in input order and each shard's records are
-/// in task order, so iterating shards then records replays the Z cache,
-/// PE round-robin, and output assembly in exactly the global serial
-/// order — independent of how many workers ran.
+/// One shard worker's complete output, handed to the reducer.
+struct ShardOut {
+    totals: Totals,
+    recs: Vec<MergeRec>,
+    events: Vec<TaggedEvent>,
+    /// Global index of the first task *not* executed because the cancel
+    /// token expired mid-shard; `None` when the shard ran to completion.
+    aborted_at: Option<u64>,
+}
+
+/// Reduce committed shard outputs and replay the trace. Shards come back
+/// in input order and each shard's records are in task order, so folding
+/// shard by shard commits in exactly the global serial order —
+/// independent of how many workers ran.
 ///
 /// If a shard aborted mid-run (cancel/deadline), only shards up to and
 /// including it commit; per-task events past the committed prefix are
 /// dropped so the trace stays a byte-identical prefix of the fault-free
 /// trace (end-of-run summaries, which describe the partial run, stay).
-/// Returns `(report, committed_tasks, hit_an_aborted_shard)`.
-#[allow(clippy::too_many_arguments)]
-fn reduce_and_replay<'c>(
-    nrows: u32,
-    ncols: u32,
-    cfg: &'c EngineConfig,
-    a_rows: &'c CsMatrix,
-    b_rows: &'c CsMatrix,
-    shard_outs: Vec<ShardOut<'c>>,
-    total_tasks: usize,
+/// `prefix_only` truncates the same way for a prefix of a failed run.
+/// Returns the report (its `tasks` count the committed tasks) and
+/// whether a shard was cut short.
+fn reduce_shards(
+    (nrows, ncols): (u32, u32),
+    cfg: &EngineConfig,
+    shard_outs: Vec<ShardOut>,
     skipped: u64,
-    traced: bool,
-    gen_events: Vec<TaggedEvent>,
+    mut events: Vec<TaggedEvent>,
     probe: &Probe,
     prefix_only: bool,
-) -> (RunReport, u64, bool) {
+) -> (RunReport, bool) {
     let cut = shard_outs.iter().position(|s| s.aborted_at.is_some());
-    let commit_n = cut.map(|i| i + 1).unwrap_or(shard_outs.len());
-    let red_sink = traced.then(|| Arc::new(TaggingSink::manual()));
-    let red_probe = match &red_sink {
-        Some(s) => Probe::new(s.clone()),
-        None => Probe::disabled(),
-    };
-    let mut main = EngineRun::new(a_rows, b_rows, cfg, red_probe);
-    let mut events = gen_events;
-    let mut committed: u64 = 0;
+    let commit_n = cut.map_or(shard_outs.len(), |i| i + 1);
+    let sink = probe.is_enabled().then(|| Arc::new(TaggingSink::manual()));
+    let mut red = Reducer::new(cfg, tagging_probe(&sink), sink.clone());
     for sout in shard_outs.into_iter().take(commit_n) {
         events.extend(sout.events);
-        for rec in &sout.recs {
-            if let Some(s) = &red_sink {
-                s.set_position(rec.pos, lane::MERGE);
-            }
-            main.merge_commit(rec);
-            // Task indices are contiguous from 0, so the count of
-            // committed tasks is one past the highest committed index.
-            committed = committed.max(rec.pos + 1);
-        }
-        main.absorb(sout.run);
+        red.fold(&sout.totals, &sout.recs);
     }
-    if let Some(s) = &red_sink {
-        s.set_position(u64::MAX, lane::FINISH);
-    }
-    let truncated = prefix_only || cut.is_some();
-    if truncated {
-        // Keep only the committed prefix of per-task events; end-of-run
-        // summaries (`pos == u64::MAX`) describe the partial run and stay.
-        events.retain(|e| e.pos < committed || e.pos == u64::MAX);
-    }
-    let reported_tasks = if truncated { committed } else { total_tasks as u64 };
-    let report = main.phase_writeback(nrows, ncols, reported_tasks, skipped);
+    let report = red.finish(nrows, ncols, skipped);
     debug_assert_eq!(
         report.phases.total_bytes(),
         report.traffic.total(),
         "shard reduction must preserve the phase-byte partition of DRAM traffic"
     );
-    if let Some(s) = &red_sink {
+    if prefix_only || cut.is_some() {
+        // Keep only the committed prefix of per-task events; end-of-run
+        // summaries (`pos == u64::MAX`) describe the partial run and stay.
+        events.retain(|e| e.pos < report.tasks || e.pos == u64::MAX);
+    }
+    if let Some(s) = &sink {
         events.extend(s.drain());
     }
     // Replay the merged event log in (task, phase-lane, seq) order —
     // bit-identical to the serial trace for any shard layout.
     replay_sorted(events, probe);
-    (report, committed, cut.is_some())
+    (report, cut.is_some())
+}
+
+/// A probe recording into `sink`, or a disabled one for an untraced run.
+fn tagging_probe(sink: &Option<Arc<TaggingSink>>) -> Probe {
+    match sink {
+        Some(s) => Probe::new(s.clone()),
+        None => Probe::disabled(),
+    }
+}
+
+/// The outcome of a finished run: degraded when it stopped early
+/// (`aborted`), fell back to S-U-C tiles (`degraded`) or to serial
+/// streaming (`memory_note`), in that precedence; complete otherwise.
+/// A run that stopped early drops its incomplete functional output and
+/// ends its trace with one `aborted` record.
+fn outcome(
+    mut report: RunReport,
+    aborted: Option<ExpiryKind>,
+    degraded: Option<BudgetCause>,
+    memory_note: Option<String>,
+    probe: &Probe,
+) -> RunOutcome {
+    let committed = report.tasks;
+    report.degradation = if let Some(kind) = aborted {
+        let reason = expiry_reason(kind);
+        report.output = None;
+        probe.emit(|| Event::Aborted { reason: reason.tag(), completed_tasks: committed });
+        Some(Degradation {
+            reason,
+            completed_tasks: committed,
+            detail: format!("run stopped at a task boundary after {committed} committed task(s)"),
+        })
+    } else if let Some(cause) = degraded {
+        Some(budget_degradation(cause, committed))
+    } else {
+        memory_note.map(|detail| Degradation {
+            reason: DegradeReason::MemoryBudgetExhausted,
+            completed_tasks: committed,
+            detail,
+        })
+    };
+    RunOutcome::from_report(report)
 }
 
 /// Map a token expiry to its degradation reason.
@@ -683,26 +541,6 @@ pub(crate) fn expiry_reason(kind: ExpiryKind) -> DegradeReason {
         ExpiryKind::Cancelled => DegradeReason::Cancelled,
         ExpiryKind::DeadlineExceeded => DegradeReason::DeadlineExceeded,
     }
-}
-
-/// Finish a run that stopped cleanly at a task boundary: drop the
-/// (incomplete) functional output, record the degradation, and emit the
-/// final `aborted` trace record.
-fn finish_degraded(
-    mut report: RunReport,
-    kind: ExpiryKind,
-    committed: u64,
-    probe: &Probe,
-) -> RunOutcome {
-    let reason = expiry_reason(kind);
-    report.output = None;
-    report.degradation = Some(Degradation {
-        reason,
-        completed_tasks: committed,
-        detail: format!("run stopped at a task boundary after {committed} committed task(s)"),
-    });
-    probe.emit(|| Event::Aborted { reason: reason.tag(), completed_tasks: committed });
-    RunOutcome::Degraded(report)
 }
 
 /// The degradation record for a DRT budget cap that switched the rest of
@@ -722,18 +560,57 @@ pub(crate) fn budget_degradation(cause: BudgetCause, completed: u64) -> Degradat
     }
 }
 
-/// The degraded outcome for a run whose token was already expired at
-/// entry: an all-zero report, no work, one `aborted` trace record.
-pub(crate) fn degrade_before_work(name: &str, kind: ExpiryKind, probe: &Probe) -> RunOutcome {
-    let reason = expiry_reason(kind);
+/// The degraded outcome for a run rejected at entry (expired token, zero
+/// task budget): an all-zero report and one `aborted` trace record.
+pub(crate) fn degraded_entry(
+    name: &str,
+    reason: DegradeReason,
+    detail: &str,
+    probe: &Probe,
+) -> RunOutcome {
     let mut report = RunReport::empty(name);
-    report.degradation = Some(Degradation {
-        reason,
-        completed_tasks: 0,
-        detail: "expired before any work ran".into(),
-    });
+    report.degradation = Some(Degradation { reason, completed_tasks: 0, detail: detail.into() });
     probe.emit(|| Event::Aborted { reason: reason.tag(), completed_tasks: 0 });
     RunOutcome::Degraded(report)
+}
+
+/// A run's materialized task list and the end state of the stream that
+/// generated it.
+pub(crate) struct TaskList {
+    pub(crate) tasks: Vec<Task>,
+    pub(crate) skipped: u64,
+    pub(crate) plan_calls: u64,
+    aborted: Option<ExpiryKind>,
+    degraded: Option<BudgetCause>,
+    /// Generation stopped early because the list outgrew the
+    /// `max_resident_bytes` cap.
+    over_budget: bool,
+}
+
+/// Drain `stream` into a [`TaskList`], stopping as soon as the estimated
+/// resident bytes of the tasks so far exceed `max_resident_bytes`.
+pub(crate) fn materialize(mut stream: TaskStream<'_>, max_resident_bytes: Option<u64>) -> TaskList {
+    let mut tasks = Vec::new();
+    let (mut resident, mut over_budget) = (0u64, false);
+    for task in &mut stream {
+        if let Some(cap) = max_resident_bytes {
+            resident += estimated_task_bytes(&task);
+            over_budget = resident > cap;
+        }
+        tasks.push(task);
+        if over_budget {
+            break;
+        }
+    }
+    debug_assert!(over_budget || stream.emitted() as usize == tasks.len());
+    TaskList {
+        tasks,
+        skipped: stream.skipped_empty(),
+        plan_calls: stream.plan_calls(),
+        aborted: stream.aborted(),
+        degraded: stream.degraded(),
+        over_budget,
+    }
 }
 
 /// Deterministic estimate of one materialized task's resident heap
@@ -799,14 +676,46 @@ impl TaskRanges {
             jr: task.plan.coord_ranges[&'j'].clone(),
         }
     }
+
+    /// The residency slot (0 for "A", 1 for "B": SpMSpM plans carry
+    /// exactly these two tiles) and the coordinate ranges that identify
+    /// the tensor's resident tile.
+    fn tile(&self, name: &str) -> (usize, [u32; 4]) {
+        match name {
+            "A" => (0, [self.ir.start, self.ir.end, self.kr.start, self.kr.end]),
+            _ => (1, [self.kr.start, self.kr.end, self.jr.start, self.jr.end]),
+        }
+    }
 }
 
-/// Order-dependent effects of one task's merge phase, recorded by a
-/// worker ([`EngineRun::merge_prep`]) and applied in global task order by
-/// the reducer ([`EngineRun::merge_commit`]).
-struct MergeRec {
-    /// Global task index (the probe-trace position).
-    pos: u64,
+/// The order-independent effects of a run, a shard, or one task. Every
+/// field is a sum, so totals fold in any grouping; output entries
+/// concatenate, and folding in task order keeps them in task order.
+#[derive(Debug, Default)]
+pub(crate) struct Totals {
+    traffic: TrafficCounter,
+    actions: ActionCounts,
+    maccs: u64,
+    exposed_extract: u64,
+    out_entries: Vec<(u32, u32, f64)>,
+    phases: PhaseBreakdown,
+}
+
+impl Totals {
+    fn add(&mut self, other: &Totals) {
+        self.traffic.merge(&other.traffic);
+        self.actions.add(&other.actions);
+        self.maccs += other.maccs;
+        self.exposed_extract += other.exposed_extract;
+        self.out_entries.extend_from_slice(&other.out_entries);
+        self.phases.add(&other.phases);
+    }
+}
+
+/// Order-dependent effects of one task, measured by [`Worker::step`] and
+/// committed in global task order by [`Reducer::commit`].
+#[derive(Debug)]
+pub(crate) struct MergeRec {
     /// Z-cache key of the task's output tile (`Copy`, no per-task heap).
     key: [u32; 4],
     /// Compressed bytes the task adds to its output tile.
@@ -817,143 +726,107 @@ struct MergeRec {
     on_chip_cycles: u64,
     /// Micro-tile parallelism for the PE distributor.
     subtasks: u64,
+    /// The task's tile-extraction cost (DRT only), traced at commit so
+    /// the extraction record follows the merge records as in Figure 5's
+    /// pipeline order.
+    extract: Option<ExtractionCost>,
 }
 
-/// Mutable state of one engine run, advanced phase-by-phase per task.
-/// Workers advance load/compute/extract state; the Z cache, PE array, and
-/// output assembly only ever advance on the reducer's instance.
-struct EngineRun<'c> {
+/// One worker's per-task state: the operands, the resident input tiles
+/// and the SPA workspace. [`Worker::step`] is the only place a task
+/// executes.
+struct Worker<'c> {
     cfg: &'c EngineConfig,
-    sm: SizeModel,
     a_rows: &'c CsMatrix,
     b_rows: &'c CsMatrix,
-    traffic: TrafficCounter,
-    actions: ActionCounts,
-    pes: PeArray,
-    zcache: OutputCache,
-    out_entries: Vec<(u32, u32, f64)>,
-    maccs: u64,
-    exposed_extract: u64,
     /// Resident-tile ranges for the two SpMSpM input tiles ("A" and "B")
     /// — fixed `Copy` slots instead of a name-keyed map, so residency
     /// tracking allocates nothing per task.
-    resident_a: Option<[u32; 4]>,
-    resident_b: Option<[u32; 4]>,
-    /// Per-run SPA workspace, reused across every task of the run (one
-    /// per shard worker on the sharded path).
+    resident: [Option<[u32; 4]>; 2],
+    /// SPA workspace, reused across every task the worker steps.
     ws: SpaWorkspace,
-    phases: PhaseBreakdown,
     probe: Probe,
 }
 
-impl<'c> EngineRun<'c> {
+impl<'c> Worker<'c> {
+    /// A worker whose residency is seeded, without charging traffic, from
+    /// `prev`, the task before its first. Residency after task *t − 1* is
+    /// fully determined by task *t − 1* alone (every plan carries tiles
+    /// for all inputs), so the worker makes exactly the serial run's
+    /// hit/fetch decisions.
     fn new(
         a_rows: &'c CsMatrix,
         b_rows: &'c CsMatrix,
         cfg: &'c EngineConfig,
         probe: Probe,
-    ) -> EngineRun<'c> {
-        EngineRun {
-            cfg,
-            sm: cfg.drt.size_model,
-            a_rows,
-            b_rows,
-            traffic: TrafficCounter::new(),
-            actions: ActionCounts::default(),
-            pes: PeArray::new(cfg.hier.num_pes),
-            zcache: OutputCache::new(cfg.drt.partitions.get("Z")),
-            out_entries: Vec::new(),
-            maccs: 0,
-            exposed_extract: 0,
-            resident_a: None,
-            resident_b: None,
-            // The run's operands are borrowed for the whole run, so their
-            // addresses are stable and the workspace may cache fiber
-            // windows across tasks.
-            ws: {
-                let mut ws = SpaWorkspace::new();
-                ws.assume_stable_parents();
-                ws
-            },
-            phases: PhaseBreakdown::default(),
-            probe,
+        prev: Option<&Task>,
+    ) -> Worker<'c> {
+        let mut resident = [None; 2];
+        if let Some(p) = prev {
+            let r = TaskRanges::of(p);
+            for tile in &p.plan.tiles {
+                let (slot, ranges) = r.tile(&tile.name);
+                resident[slot] = Some(ranges);
+            }
         }
+        // The operands are borrowed for the worker's whole life, so their
+        // addresses are stable and the workspace may cache fiber windows
+        // across tasks.
+        let mut ws = SpaWorkspace::new();
+        ws.assume_stable_parents();
+        Worker { cfg, a_rows, b_rows, resident, ws, probe }
     }
 
-    /// The coordinate ranges that identify one tensor's resident tile.
-    fn tile_ranges(name: &str, r: &TaskRanges) -> [u32; 4] {
-        match name {
-            "A" => [r.ir.start, r.ir.end, r.kr.start, r.kr.end],
-            _ => [r.kr.start, r.kr.end, r.jr.start, r.jr.end],
-        }
-    }
-
-    /// The residency slot for one tensor name (SpMSpM plans carry exactly
-    /// the tiles "A" and "B").
-    fn resident_slot(&mut self, name: &str) -> &mut Option<[u32; 4]> {
-        match name {
-            "A" => &mut self.resident_a,
-            _ => &mut self.resident_b,
-        }
-    }
-
-    /// Mark `task`'s tiles resident without charging traffic — a shard
-    /// worker seeds from the task preceding its first so its hit/fetch
-    /// decisions match the serial run's.
-    fn seed_residency(&mut self, task: &Task) {
+    /// The per-task pipeline: load the tiles whose ranges changed, compute
+    /// (intersect + multiply) on them, measure the merge, then account
+    /// the tile-extraction latency that produced the task in the first
+    /// place (DRT only — extraction overlaps the previous task's compute,
+    /// so only the excess is exposed). Order-independent effects go to
+    /// `totals`; the merge itself is the returned record's, committed by
+    /// the [`Reducer`].
+    ///
+    /// Steady-state allocation audit: a step performs **no heap
+    /// allocation per task**. The A/B rectangles are borrowed `CsView`s
+    /// (no tile materialization), the SPA accumulator, touched list, and
+    /// B-fiber window cache live in the worker's [`SpaWorkspace`] (grown
+    /// once to the widest tile, reset sparsely), operand tile sizes come
+    /// from the planner's already-measured [`TileStats`] (no re-count
+    /// over the parent arrays), and output triples append to
+    /// `totals.out_entries` (amortized growth). The emitted entry order
+    /// and every f64 bit match the historical extract-then-multiply
+    /// chain: `gustavson_view_into` accumulates in the same row-major /
+    /// A-coordinate / B-coordinate order and emits per row in ascending
+    /// column order with exact cancellations skipped, which is precisely
+    /// what iterating the extracted tile product produced.
+    fn step(&mut self, task: &Task, totals: &mut Totals) -> MergeRec {
         let r = TaskRanges::of(task);
-        for tile in &task.plan.tiles {
-            *self.resident_slot(&tile.name) = Some(Self::tile_ranges(&tile.name, &r));
-        }
-    }
+        let cfg = self.cfg;
 
-    /// Load phase: fetch input tiles whose coordinate ranges changed —
-    /// consecutive tasks sharing a stationary tile fetch it once.
-    fn phase_load(&mut self, task: &Task, r: &TaskRanges) {
+        // Load: fetch input tiles whose coordinate ranges changed.
         for tile in &task.plan.tiles {
-            let ranges = Self::tile_ranges(&tile.name, r);
+            let (slot, ranges) = r.tile(&tile.name);
             let bytes = tile.footprint();
-            let hit = *self.resident_slot(&tile.name) == Some(ranges);
-            if !hit {
-                self.traffic.read(&tile.name, bytes);
-                *self.resident_slot(&tile.name) = Some(ranges);
-                self.phases.load.bytes += bytes;
+            if self.resident[slot] != Some(ranges) {
+                totals.traffic.read(&tile.name, bytes);
+                self.resident[slot] = Some(ranges);
+                totals.phases.load.bytes += bytes;
                 self.probe.emit(|| Event::Fetch { tensor: &tile.name, bytes });
             } else {
                 self.probe.emit(|| Event::Hit { tensor: &tile.name, bytes });
             }
             // The tile streams over the NoC to PEs regardless of whether
             // DRAM supplied it or the LLB already held it.
-            self.actions.noc_bytes += bytes;
-            self.actions.llb_bytes += bytes;
-            self.actions.pe_buf_bytes += bytes;
+            totals.actions.noc_bytes += bytes;
+            totals.actions.llb_bytes += bytes;
+            totals.actions.pe_buf_bytes += bytes;
         }
-    }
 
-    /// Compute phase: functional product on the task's tiles plus the
-    /// intersection-scan cycle cost.
-    ///
-    /// Inner-product co-iteration intersects each occupied A row with
-    /// each occupied B column of the task, so the scan volume is
-    /// operand-nnz × co-iterated-fiber-count (this is exactly the work
-    /// a skip-based unit skips through and a parallel unit divides —
-    /// Figure 12's lever).
-    ///
-    /// Steady-state allocation audit: this phase performs **no heap
-    /// allocation per task**. The A/B rectangles are borrowed [`CsView`]s
-    /// (no tile materialization), the SPA accumulator, touched list, and
-    /// B-fiber window cache live in the per-run [`SpaWorkspace`] (grown
-    /// once to the widest tile, reset sparsely), operand tile sizes come
-    /// from the planner's already-measured [`TileStats`] (no re-count
-    /// over the parent arrays), and output triples append to the run-long
-    /// `out_entries` buffer (amortized growth, exactly as before). The
-    /// emitted entry order and every f64 bit match the historical
-    /// extract-then-multiply chain: `gustavson_view_into` accumulates in
-    /// the same row-major / A-coordinate / B-coordinate order and emits
-    /// per row in ascending column order with exact cancellations
-    /// skipped, which is precisely what iterating the extracted tile
-    /// product produced.
-    fn phase_compute(&mut self, task: &Task, r: &TaskRanges) -> (TileProduct, u64) {
+        // Compute: the functional product plus the intersection-scan
+        // cycle cost. Inner-product co-iteration intersects each occupied
+        // A row with each occupied B column of the task, so the scan
+        // volume is operand-nnz × co-iterated-fiber-count (exactly the
+        // work a skip-based unit skips through and a parallel unit
+        // divides — Figure 12's lever).
         let va = self.a_rows.view(r.ir.clone(), r.kr.clone());
         let vb = self.b_rows.view(r.kr.clone(), r.jr.clone());
         let tp = gustavson_view_into(
@@ -962,16 +835,16 @@ impl<'c> EngineRun<'c> {
             &mut self.ws,
             r.ir.start,
             r.jr.start,
-            &mut self.out_entries,
+            &mut totals.out_entries,
         );
-        if self.cfg.skip_output {
+        if cfg.skip_output {
             // The entries would only feed the (skipped) output assembly;
             // dropping them per task keeps the buffer's capacity bounded
             // by one task's output. All counters read `tp`, not the buffer.
-            self.out_entries.clear();
+            totals.out_entries.clear();
         }
-        self.maccs += tp.maccs;
-        self.actions.maccs += tp.maccs;
+        totals.maccs += tp.maccs;
+        totals.actions.maccs += tp.maccs;
         // The planner measured each tile's exact nnz when it emitted the
         // task (pinned by `drt-core`'s planner tests to equal a direct
         // rectangle count), so the scan-volume model reads it instead of
@@ -981,249 +854,198 @@ impl<'c> EngineRun<'c> {
         let occ_i = a_nnz.min(r.ir.len() as u64).max(1);
         let occ_j = b_nnz.min(r.jr.len() as u64).max(1);
         let scan = a_nnz * occ_j + b_nnz * occ_i;
-        let isect_cycles = self.cfg.intersect.cycles_from_counts(scan, tp.maccs);
-        self.actions.intersect_steps += scan;
-        self.phases.compute.cycles += isect_cycles;
-        (tp, isect_cycles)
-    }
+        let isect_cycles = cfg.intersect.cycles_from_counts(scan, tp.maccs);
+        totals.actions.intersect_steps += scan;
+        totals.phases.compute.cycles += isect_cycles;
 
-    /// Worker half of the merge phase: pure measurement of the task's
-    /// merge work and Z-cache delta. No order-dependent state moves.
-    fn merge_prep(
-        &self,
-        task: &Task,
-        r: &TaskRanges,
-        tp: TileProduct,
-        isect_cycles: u64,
-    ) -> MergeRec {
-        let merge_cycles = tp.out_nnz.div_ceil(self.cfg.merge_lanes.max(1) as u64);
+        // Merge: measured here, committed by the reducer.
+        let merge_cycles = tp.out_nnz.div_ceil(cfg.merge_lanes.max(1) as u64);
+        let on_chip_cycles = isect_cycles + merge_cycles;
+
+        // Extract (DRT only; S-U-C tiles are static).
+        let extract = matches!(cfg.tiling, Tiling::Drt).then(|| {
+            let cost = cfg.extractor.tile_cost(&task.plan.trace, &task.plan.tiles);
+            totals.actions.extractor_words += task.plan.trace.meta_words;
+            let effective = cfg.extractor.effective_cycles(&cost);
+            totals.phases.extract.cycles += effective;
+            totals.exposed_extract += effective.saturating_sub(on_chip_cycles);
+            cost
+        });
+
         MergeRec {
-            pos: task.index,
             key: [r.ir.start, r.ir.end, r.jr.start, r.jr.end],
-            added: self.sm.coo_bytes(tp.out_nnz as usize, 2) as u64,
+            added: cfg.drt.size_model.coo_bytes(tp.out_nnz as usize, 2) as u64,
             merge_cycles,
-            on_chip_cycles: isect_cycles + merge_cycles,
+            on_chip_cycles,
             subtasks: subtask_parallelism(&task.plan.tiles),
+            extract,
+        }
+    }
+}
+
+/// One task stepped as a one-task shard: its totals plus its merge
+/// record. This is the content-addressed unit of incremental
+/// re-execution ([`crate::incremental`]): a task whose plan, predecessor
+/// residency, and operand rows are unchanged since a previous run
+/// contributes exactly this capture again, so splicing it is
+/// bit-identical to re-executing the task — the same purity argument that
+/// makes sharded runs bit-identical to serial ones.
+#[derive(Debug)]
+pub(crate) struct TaskCapture {
+    pub(crate) totals: Totals,
+    pub(crate) rec: MergeRec,
+}
+
+impl TaskCapture {
+    /// Step `task` alone with residency seeded from `prev`, exactly as a
+    /// shard worker whose range starts at `task` would. The output
+    /// entries are trimmed to their length: a capture may be stored for
+    /// many runs.
+    pub(crate) fn new(
+        a_rows: &CsMatrix,
+        b_rows: &CsMatrix,
+        cfg: &EngineConfig,
+        prev: Option<&Task>,
+        task: &Task,
+    ) -> TaskCapture {
+        let mut totals = Totals::default();
+        let mut worker = Worker::new(a_rows, b_rows, cfg, Probe::disabled(), prev);
+        let rec = worker.step(task, &mut totals);
+        totals.out_entries.shrink_to_fit();
+        TaskCapture { totals, rec }
+    }
+}
+
+/// The order-dependent half of every run: commits merge records in
+/// global task order through the Z output cache and the PE round-robin,
+/// folds totals, and writes the report back. Serial runs commit each
+/// task as it is stepped; sharded and incremental runs fold whole shards
+/// (an incremental task is a one-task shard).
+pub(crate) struct Reducer<'c> {
+    cfg: &'c EngineConfig,
+    /// The run's totals: the folded shards' plus the reducer's own merge
+    /// and writeback charges.
+    totals: Totals,
+    pes: PeArray,
+    zcache: OutputCache,
+    /// Merge records committed so far. Tasks commit contiguously from 0,
+    /// so this is also the next record's task position.
+    committed: u64,
+    probe: Probe,
+    /// The tagging sink behind `probe` on the sharded path, whose trace
+    /// is replayed in task order afterwards.
+    tags: Option<Arc<TaggingSink>>,
+}
+
+impl<'c> Reducer<'c> {
+    pub(crate) fn new(
+        cfg: &'c EngineConfig,
+        probe: Probe,
+        tags: Option<Arc<TaggingSink>>,
+    ) -> Reducer<'c> {
+        Reducer {
+            cfg,
+            totals: Totals::default(),
+            pes: PeArray::new(cfg.hier.num_pes),
+            zcache: OutputCache::new(cfg.drt.partitions.get("Z")),
+            committed: 0,
+            probe,
+            tags,
         }
     }
 
-    /// Reducer half of the merge phase: push the recorded delta through
-    /// the LRU Z cache (spill writes / refill reads on eviction) and hand
-    /// the task's on-chip work to a PE, both in global task order.
-    fn merge_commit(&mut self, rec: &MergeRec) {
-        self.phases.merge.cycles += rec.merge_cycles;
+    /// Commit one task's merge: push its delta through the LRU Z cache
+    /// (spill writes / refill reads on eviction) and hand its on-chip
+    /// work to a PE, then trace its extraction.
+    fn commit(&mut self, rec: &MergeRec) {
+        if let Some(s) = &self.tags {
+            s.set_position(self.committed, lane::MERGE);
+        }
+        self.committed += 1;
+        let t = &mut self.totals;
+        t.phases.merge.cycles += rec.merge_cycles;
         // The LLB-level distributor schedules micro-tile pairs to PEs
         // (paper Figure 5's task list), so one LLB task's work spreads
         // over up to `micro-tile pairs` PEs, round-robin.
         self.pes.assign_parallel(rec.on_chip_cycles, rec.subtasks);
 
         let charge = self.zcache.access(&rec.key, rec.added);
-        self.traffic.write("Z", charge.spill_writes);
-        self.traffic.read("Z", charge.refill_reads);
-        self.phases.merge.bytes += charge.spill_writes + charge.refill_reads;
+        t.traffic.write("Z", charge.spill_writes);
+        t.traffic.read("Z", charge.refill_reads);
+        t.phases.merge.bytes += charge.spill_writes + charge.refill_reads;
         if charge.spill_writes > 0 {
             self.probe.emit(|| Event::Spill { bytes: charge.spill_writes });
         }
         if charge.refill_reads > 0 {
             self.probe.emit(|| Event::Refill { bytes: charge.refill_reads });
         }
-    }
-
-    /// Merge phase (serial path): combine partial outputs on chip and
-    /// push them through the Z cache. Returns the task's total on-chip
-    /// cycles (intersection + merge).
-    fn phase_merge(
-        &mut self,
-        task: &Task,
-        r: &TaskRanges,
-        tp: TileProduct,
-        isect_cycles: u64,
-    ) -> u64 {
-        let rec = self.merge_prep(task, r, tp, isect_cycles);
-        let on_chip = rec.on_chip_cycles;
-        self.merge_commit(&rec);
-        on_chip
-    }
-
-    /// Extract phase: tile-extraction latency (DRT only; S-U-C traces are
-    /// zero). Extraction of the next task overlaps this task's on-chip
-    /// work, so only the excess is exposed.
-    fn phase_extract(&mut self, task: &Task, on_chip_cycles: u64) {
-        if matches!(self.cfg.tiling, Tiling::Drt) {
-            let cost = self.cfg.extractor.tile_cost_probed(
-                &task.plan.trace,
-                &task.plan.tiles,
-                &self.probe,
-            );
-            self.actions.extractor_words += task.plan.trace.meta_words;
-            let effective = self.cfg.extractor.effective_cycles(&cost);
-            self.phases.extract.cycles += effective;
-            self.exposed_extract += effective.saturating_sub(on_chip_cycles);
+        if let Some(c) = rec.extract {
+            self.probe.emit(|| Event::Extraction {
+                aggregate: c.aggregate,
+                md_build: c.md_build,
+                distribute: c.distribute,
+            });
         }
     }
 
-    /// Fold a finished shard run into the reducer's state. Every field
-    /// here is a commutative sum except `out_entries`, which concatenates
-    /// in shard order — identical to the serial emission order because
-    /// shards are contiguous and come back in input order.
-    fn absorb(&mut self, other: EngineRun<'_>) {
-        self.traffic.merge(&other.traffic);
-        self.actions.add(&other.actions);
-        self.maccs += other.maccs;
-        self.exposed_extract += other.exposed_extract;
-        self.out_entries.extend(other.out_entries);
-        self.phases.add(&other.phases);
+    /// Commit a shard's merge records (in task order), then fold its
+    /// totals.
+    pub(crate) fn fold(&mut self, totals: &Totals, recs: &[MergeRec]) {
+        for rec in recs {
+            self.commit(rec);
+        }
+        self.totals.add(totals);
     }
 
-    /// Writeback phase: flush the Z cache (resident tiles stream out,
+    /// Writeback: flush the Z cache (resident tiles stream out,
     /// multi-segment spills merge), assemble the functional output from
-    /// the task-ordered partials with [`finalize_output`] (host work only,
-    /// modeled by none of the report's numbers), and assemble the final
-    /// report.
-    fn phase_writeback(
-        mut self,
-        nrows: u32,
-        ncols: u32,
-        tasks: u64,
-        skipped_tasks: u64,
-    ) -> RunReport {
+    /// the task-ordered partials with [`finalize_output`] (host work
+    /// only, modeled by none of the report's numbers), and assemble the
+    /// report over the committed tasks.
+    pub(crate) fn finish(mut self, nrows: u32, ncols: u32, skipped_tasks: u64) -> RunReport {
+        if let Some(s) = &self.tags {
+            s.set_position(u64::MAX, lane::FINISH);
+        }
+        let cfg = self.cfg;
+        let mut t = self.totals;
         let fin = self.zcache.finish();
-        self.traffic.read("Z", fin.merge_reads);
-        self.traffic.write("Z", fin.final_writes);
-        self.phases.writeback.bytes += fin.merge_reads + fin.final_writes;
+        t.traffic.read("Z", fin.merge_reads);
+        t.traffic.write("Z", fin.final_writes);
+        t.phases.writeback.bytes += fin.merge_reads + fin.final_writes;
         // Output assembly happens after every modeled number is final, so
         // skipping it (offline candidate sweeps) cannot perturb a report.
-        let out_entries = std::mem::take(&mut self.out_entries);
-        let z = if self.cfg.skip_output {
-            None
-        } else {
-            Some(finalize_output(nrows, ncols, out_entries))
-        };
+        let z = (!cfg.skip_output).then(|| finalize_output(nrows, ncols, t.out_entries));
 
-        self.actions.dram_bytes = self.traffic.total();
+        t.actions.dram_bytes = t.traffic.total();
         let compute_cycles = self.pes.makespan();
-        let mem_seconds = self.cfg.hier.dram.seconds_for(self.traffic.total());
-        let seconds = if self.cfg.ideal_on_chip {
+        let mem_seconds = cfg.hier.dram.seconds_for(t.traffic.total());
+        let seconds = if cfg.ideal_on_chip {
             mem_seconds
         } else {
-            mem_seconds.max(compute_cycles as f64 / self.cfg.hier.clock_hz)
-                + self.exposed_extract as f64 / self.cfg.hier.clock_hz
+            mem_seconds.max(compute_cycles as f64 / cfg.hier.clock_hz)
+                + t.exposed_extract as f64 / cfg.hier.clock_hz
         };
 
-        for (phase, stats) in self.phases.named() {
+        for (phase, stats) in t.phases.named() {
             self.probe.emit(|| Event::Phase { phase, cycles: stats.cycles, bytes: stats.bytes });
         }
 
         RunReport {
-            name: self.cfg.name.clone(),
-            traffic: self.traffic,
-            maccs: self.maccs,
+            name: cfg.name.clone(),
+            traffic: t.traffic,
+            maccs: t.maccs,
             compute_cycles,
-            exposed_extract_cycles: self.exposed_extract,
+            exposed_extract_cycles: t.exposed_extract,
             seconds,
             output: z,
-            tasks,
+            tasks: self.committed,
             skipped_tasks,
-            actions: self.actions,
-            phases: self.phases,
+            actions: t.actions,
+            phases: t.phases,
             stages: Vec::new(),
             degradation: None,
         }
     }
-}
-
-/// One task's complete order-independent engine effects: everything a
-/// worker computes before the reducer applies the order-dependent merge.
-/// This is the content-addressed unit of incremental re-execution
-/// ([`crate::incremental`]): a task whose plan, predecessor residency,
-/// and operand rows are unchanged since a previous run contributes
-/// exactly this capture again, so splicing it is bit-identical to
-/// re-executing the task — the same purity argument that makes sharded
-/// runs bit-identical to serial ones.
-#[derive(Debug)]
-pub(crate) struct TaskCapture {
-    pub(crate) traffic: TrafficCounter,
-    pub(crate) actions: ActionCounts,
-    pub(crate) maccs: u64,
-    pub(crate) exposed_extract: u64,
-    pub(crate) out_entries: Vec<(u32, u32, f64)>,
-    pub(crate) phases: PhaseBreakdown,
-    /// Z-cache key of the task's output tile.
-    pub(crate) zkey: [u32; 4],
-    /// Compressed bytes the task adds to its output tile.
-    pub(crate) added: u64,
-    pub(crate) merge_cycles: u64,
-    pub(crate) on_chip_cycles: u64,
-    pub(crate) subtasks: u64,
-}
-
-/// Execute one task in isolation (a one-task shard): load/compute/merge-
-/// measure/extract with residency seeded from `prev`, exactly as a shard
-/// worker whose range starts at `task` would. The output entries are
-/// trimmed to their length: a capture may be stored for many runs.
-pub(crate) fn capture_task(
-    a_rows: &CsMatrix,
-    b_rows: &CsMatrix,
-    cfg: &EngineConfig,
-    prev: Option<&Task>,
-    task: &Task,
-) -> TaskCapture {
-    let mut run = EngineRun::new(a_rows, b_rows, cfg, Probe::disabled());
-    if let Some(p) = prev {
-        run.seed_residency(p);
-    }
-    let ranges = TaskRanges::of(task);
-    run.phase_load(task, &ranges);
-    let (tp, isect_cycles) = run.phase_compute(task, &ranges);
-    let rec = run.merge_prep(task, &ranges, tp, isect_cycles);
-    run.phase_extract(task, rec.on_chip_cycles);
-    run.out_entries.shrink_to_fit();
-    TaskCapture {
-        traffic: run.traffic,
-        actions: run.actions,
-        maccs: run.maccs,
-        exposed_extract: run.exposed_extract,
-        out_entries: run.out_entries,
-        phases: run.phases,
-        zkey: rec.key,
-        added: rec.added,
-        merge_cycles: rec.merge_cycles,
-        on_chip_cycles: rec.on_chip_cycles,
-        subtasks: rec.subtasks,
-    }
-}
-
-/// Reduce per-task captures (in global task order, positions `0..n`) into
-/// a finished report — the reducer half of [`reduce_and_replay`] with
-/// one-task shards: commit each capture's merge record through the Z
-/// cache and PE round-robin, fold its commutative sums, then write back.
-pub(crate) fn replay_captures(
-    nrows: u32,
-    ncols: u32,
-    cfg: &EngineConfig,
-    a_rows: &CsMatrix,
-    b_rows: &CsMatrix,
-    captures: &[Arc<TaskCapture>],
-    skipped: u64,
-) -> RunReport {
-    let mut main = EngineRun::new(a_rows, b_rows, cfg, Probe::disabled());
-    for (i, c) in captures.iter().enumerate() {
-        main.merge_commit(&MergeRec {
-            pos: i as u64,
-            key: c.zkey,
-            added: c.added,
-            merge_cycles: c.merge_cycles,
-            on_chip_cycles: c.on_chip_cycles,
-            subtasks: c.subtasks,
-        });
-        main.traffic.merge(&c.traffic);
-        main.actions.add(&c.actions);
-        main.maccs += c.maccs;
-        main.exposed_extract += c.exposed_extract;
-        main.out_entries.extend_from_slice(&c.out_entries);
-        main.phases.add(&c.phases);
-    }
-    main.phase_writeback(nrows, ncols, captures.len() as u64, skipped)
 }
 
 /// Merge accumulated per-task partial entries into the final output
@@ -1233,8 +1055,8 @@ pub(crate) fn replay_captures(
 /// ascending order and never split `k`), or one dense-accumulator pass,
 /// which sorts only that row's distinct columns. Partials of one `(i, j)`
 /// are summed in the order they appear — task order, the order the
-/// sharded reducer and [`replay_captures`] concatenate in — and exact
-/// zeros (`0.0` and `-0.0`) are dropped.
+/// [`Reducer`] folds them in — and exact zeros (`0.0` and `-0.0`) are
+/// dropped.
 pub(crate) fn finalize_output(nrows: u32, ncols: u32, entries: Vec<(u32, u32, f64)>) -> CsMatrix {
     let n = nrows as usize;
     let mut seg = vec![0usize; n + 1];
@@ -1311,25 +1133,25 @@ pub(crate) fn finalize_output(nrows: u32, ncols: u32, entries: Vec<(u32, u32, f6
         .expect("rows ascend and columns ascend within a row")
 }
 
-/// Sweep S-U-C candidate shapes under `exec` and return the winner's
-/// report and tile shape (in coordinates), so repeated runs on similar
-/// operands — e.g. the BFS levels of one workload — can reuse the sweep's
-/// result via [`Tiling::Suc`]. The sweep itself runs unprobed (it is the
-/// paper's offline search, §5.2.1); re-run the winner with a probe if a
-/// trace is wanted. The winning shape is independent of `exec` because
-/// every candidate's report is.
+/// The paper's offline S-U-C shape sweep (§5.2.1): run sampled candidate
+/// shapes of `base` under `exec`, unprobed and without output assembly,
+/// and return the shape (in coordinates) with the least modeled seconds,
+/// the first on ties. Callers pin it with [`Tiling::Suc`] and run once,
+/// so repeated runs on similar operands — e.g. the BFS levels of one
+/// workload — can reuse the winner. The winner is independent of `exec`
+/// because every candidate's report is.
 ///
 /// # Errors
 ///
 /// Propagates engine errors; returns `BadConfig` when no candidate shape
 /// satisfies the capacity rule.
-pub fn run_spmspm_best_suc_exec(
+pub(crate) fn best_suc_shape(
     a: &CsMatrix,
     b: &CsMatrix,
     base: &EngineConfig,
     max_candidates: usize,
     exec: &ExecPolicy,
-) -> Result<(RunReport, BTreeMap<RankId, u32>), CoreError> {
+) -> Result<BTreeMap<RankId, u32>, DrtError> {
     // S-U-C tiles are not bound to DRT's micro-tile grid: the scheme may
     // pick any coordinate shape (it pre-tiles offline). Quantize the sweep
     // to the largest power-of-two square whose worst-case-dense tile fits
@@ -1342,8 +1164,7 @@ pub fn run_spmspm_best_suc_exec(
     {
         quantum *= 2;
     }
-    let base = EngineConfig { micro: (quantum, quantum), ..base.clone() };
-    let base = &base;
+    let base = EngineConfig { micro: (quantum, quantum), skip_output: true, ..base.clone() };
     let kernel = Kernel::spmspm(a, b, base.micro)?;
     let mut candidates = drt_core::suc::candidate_shapes(&kernel, &base.drt.partitions, &sm);
     // Prune shapes whose task-box count explodes (tiny tiles over a large
@@ -1372,33 +1193,31 @@ pub fn run_spmspm_best_suc_exec(
         candidates.dedup();
     }
     // Candidate passes skip output assembly: selection compares modeled
-    // seconds only, which are final before the output is built. The
-    // winner is re-run once with the output materialized — deterministic
-    // engine, so its report matches its candidate pass exactly.
-    let mut best: Option<(RunReport, BTreeMap<RankId, u32>)> = None;
+    // seconds only, which are final before the output is built.
+    let ctx = RunCtx::default().with_exec(exec.clone());
+    let mut best: Option<(f64, BTreeMap<RankId, u32>)> = None;
     for sizes in candidates {
-        let cfg =
-            EngineConfig { tiling: Tiling::Suc(sizes.clone()), skip_output: true, ..base.clone() };
-        let report = run_spmspm_exec(a, b, &cfg, &Probe::disabled(), exec)?;
-        if best.as_ref().is_none_or(|(b, _)| report.seconds < b.seconds) {
-            best = Some((report, sizes));
+        let cfg = EngineConfig { tiling: Tiling::Suc(sizes.clone()), ..base.clone() };
+        let seconds = run_spmspm_ft(a, b, &cfg, &ctx)?.into_report().seconds;
+        if best.as_ref().is_none_or(|(s, _)| seconds < *s) {
+            best = Some((seconds, sizes));
         }
     }
     let (_, sizes) = best.ok_or(CoreError::BadConfig {
         detail: "no S-U-C shape satisfies the worst-case capacity rule".into(),
     })?;
-    let cfg = EngineConfig { tiling: Tiling::Suc(sizes.clone()), ..base.clone() };
-    let report = run_spmspm_exec(a, b, &cfg, &Probe::disabled(), exec)?;
-    Ok((report, sizes))
+    Ok(sizes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
     use drt_core::config::Partitions;
     use drt_core::probe::JsonlSink;
     use drt_kernels::spmspm::gustavson;
     use drt_sim::memory::BufferSpec;
+    use drt_tensor::format::SizeModel;
     use drt_workloads::patterns::{diamond_band, unstructured};
     use std::collections::BTreeSet;
     use std::sync::Mutex;
@@ -1424,8 +1243,17 @@ mod tests {
         }
     }
 
-    fn run(a: &CsMatrix, b: &CsMatrix, cfg: &EngineConfig) -> Result<RunReport, CoreError> {
-        run_spmspm_exec(a, b, cfg, &Probe::disabled(), &ExecPolicy::serial())
+    fn run(a: &CsMatrix, b: &CsMatrix, cfg: &EngineConfig) -> Result<RunReport, DrtError> {
+        run_exec(a, b, cfg, ExecPolicy::serial())
+    }
+
+    fn run_exec(
+        a: &CsMatrix,
+        b: &CsMatrix,
+        cfg: &EngineConfig,
+        exec: ExecPolicy,
+    ) -> Result<RunReport, DrtError> {
+        Session::from_engine_config(cfg.clone()).exec(exec).run_spmspm(a, b)
     }
 
     #[test]
@@ -1471,14 +1299,10 @@ mod tests {
         // The paper's core claim at engine level.
         let a = unstructured(192, 192, 1400, 2.0, 5);
         let drt = run(&a, &a, &engine_cfg("drt", Tiling::Drt, 6 * 1024)).expect("run");
-        let (best_suc, _) = run_spmspm_best_suc_exec(
-            &a,
-            &a,
-            &engine_cfg("suc", Tiling::Suc(BTreeMap::new()), 6 * 1024),
-            6,
-            &ExecPolicy::serial(),
-        )
-        .expect("run");
+        let base = engine_cfg("suc", Tiling::Suc(BTreeMap::new()), 6 * 1024);
+        let shape = best_suc_shape(&a, &a, &base, 6, &ExecPolicy::serial()).expect("sweep");
+        let best_suc =
+            run(&a, &a, &EngineConfig { tiling: Tiling::Suc(shape), ..base }).expect("run");
         assert!(
             drt.traffic.total() < best_suc.traffic.total(),
             "DRT traffic {} must beat best S-U-C traffic {}",
@@ -1639,8 +1463,7 @@ mod tests {
                     max_retries: 0,
                 },
             ] {
-                let sharded =
-                    run_spmspm_exec(&a, &a, &cfg, &Probe::disabled(), &exec).expect("sharded");
+                let sharded = run_exec(&a, &a, &cfg, exec).expect("sharded");
                 report_bits_eq(label, &serial, &sharded);
             }
         }
@@ -1666,7 +1489,11 @@ mod tests {
     fn traced_run(a: &CsMatrix, cfg: &EngineConfig, exec: &ExecPolicy) -> (RunReport, String) {
         let buf = SharedBuf::default();
         let sink = Arc::new(JsonlSink::new(Box::new(buf.clone())));
-        let r = run_spmspm_exec(a, a, cfg, &Probe::new(sink), exec).expect("run");
+        let r = Session::from_engine_config(cfg.clone())
+            .probe(Probe::new(sink))
+            .exec(exec.clone())
+            .run_spmspm(a, a)
+            .expect("run");
         let text = String::from_utf8(
             buf.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone(),
         )
@@ -1706,8 +1533,7 @@ mod tests {
         let b = unstructured(64, 64, 200, 2.0, 16);
         let cfg = engine_cfg("empty", Tiling::Drt, 8192);
         let serial = run(&a, &b, &cfg).expect("serial");
-        let sharded = run_spmspm_exec(&a, &b, &cfg, &Probe::disabled(), &ExecPolicy::threads(4))
-            .expect("run");
+        let sharded = run_exec(&a, &b, &cfg, ExecPolicy::threads(4)).expect("run");
         report_bits_eq("empty", &serial, &sharded);
         assert_eq!(sharded.tasks, 0);
     }
@@ -1716,12 +1542,9 @@ mod tests {
     fn best_suc_winner_independent_of_exec() {
         let a = unstructured(128, 128, 1000, 2.0, 23);
         let base = engine_cfg("suc", Tiling::Suc(BTreeMap::new()), 6 * 1024);
-        let (r1, s1) =
-            run_spmspm_best_suc_exec(&a, &a, &base, 4, &ExecPolicy::serial()).expect("serial");
-        let (r4, s4) =
-            run_spmspm_best_suc_exec(&a, &a, &base, 4, &ExecPolicy::threads(4)).expect("threads");
+        let s1 = best_suc_shape(&a, &a, &base, 4, &ExecPolicy::serial()).expect("serial");
+        let s4 = best_suc_shape(&a, &a, &base, 4, &ExecPolicy::threads(4)).expect("threads");
         assert_eq!(s1, s4, "winning shape must not depend on the execution policy");
-        report_bits_eq("best-suc", &r1, &r4);
     }
 
     /// The sort-based finalize that [`finalize_output`] replaced, kept as
@@ -1904,8 +1727,7 @@ mod tests {
         let serial = run(&a, &a, &cfg).expect("serial");
         let z1 = serial.output.as_ref().expect("functional");
         assert!(z1.approx_eq(&gustavson(&a, &a).z, 1e-9));
-        let sharded = run_spmspm_exec(&a, &a, &cfg, &Probe::disabled(), &ExecPolicy::threads(4))
-            .expect("sharded");
+        let sharded = run_exec(&a, &a, &cfg, ExecPolicy::threads(4)).expect("sharded");
         assert_eq!(z_bits(z1), z_bits(sharded.output.as_ref().expect("functional")));
         report_bits_eq("suc-k8", &serial, &sharded);
     }

@@ -1,8 +1,8 @@
 //! The accelerator layer's unified error type.
 //!
-//! [`DrtError`] is what every fault-tolerant entry point
-//! ([`crate::session::Session::run_ref`] and the doors that lower to it,
-//! `engine::run_spmspm_ft`) returns.
+//! [`DrtError`] is what the execution door,
+//! [`crate::session::Session::run_ref`], and every session entry point
+//! that lowers to it return.
 //! It wraps configuration/planning failures from `drt-core` and adds the
 //! execution-layer failures that only exist once runs are sharded,
 //! retried, budgeted, and cancellable.

@@ -11,17 +11,19 @@
 //!
 //! ## Why splicing is bit-identical
 //!
-//! The sharded engine already proves the required purity: a worker's
-//! load/compute/extract effects for task *t* depend only on task *t*'s
-//! plan, the residency seeded from task *t − 1*, and the operand values
-//! under the task's coordinate ranges — never on how earlier tasks
-//! executed. Order-dependent state (the Z-cache LRU, PE round-robin,
-//! output assembly) is confined to a per-task merge record that the
-//! reducer replays in global task order. A stored [`TaskCapture`] is
-//! exactly a one-task shard's output, so replaying captures — whether
-//! freshly computed or spliced from a previous run — reproduces the
-//! serial run bit-for-bit. The conformance suite pins
-//! `RunReport::bit_diff == None` against from-scratch runs.
+//! Every engine run executes tasks through one worker step and commits
+//! them through one reducer ([`crate::engine`]). A step's effects for
+//! task *t* depend only on task *t*'s plan, the residency seeded from
+//! task *t − 1*, and the operand values under the task's coordinate
+//! ranges — never on how earlier tasks executed. Order-dependent state
+//! (the Z-cache LRU, PE round-robin, output assembly) is confined to the
+//! task's merge record, which the reducer commits in global task order.
+//! A stored `TaskCapture` is exactly a one-task shard (the step's totals
+//! plus its merge record), so reducing captures — whether freshly
+//! computed or spliced from a previous run — reproduces the serial run
+//! bit-for-bit, by the same argument that makes sharded runs match it.
+//! The conformance suite pins `RunReport::bit_diff == None` against
+//! from-scratch runs.
 //!
 //! ## What a task result is keyed by
 //!
@@ -66,9 +68,9 @@
 //! Incremental runs are complete, unprobed, inert-fault serial runs —
 //! the fast path the delta workloads need. Probed, budget-capped,
 //! chaos-injected, or cancelled runs must go through
-//! [`crate::engine::run_spmspm_ft`], which reports degradation honestly;
-//! this type does not accept those knobs at all rather than silently
-//! ignoring them.
+//! [`crate::session::Session::run_ref`], which reports degradation
+//! honestly; this type does not accept those knobs at all rather than
+//! silently ignoring them.
 //!
 //! ```rust
 //! use drt_accel::engine::{EngineConfig, Tiling};
@@ -98,12 +100,13 @@
 //! # let _ = (first, second);
 //! ```
 
-use crate::engine::{capture_task, replay_captures, EngineConfig, TaskCapture, Tiling};
+use crate::engine::{materialize, EngineConfig, Reducer, TaskCapture};
 use crate::error::DrtError;
 use crate::report::RunReport;
 use drt_core::drt::TilePlan;
 use drt_core::kernel::Kernel;
-use drt_core::taskgen::{Task, TaskGenOptions, TaskStream};
+use drt_core::probe::Probe;
+use drt_core::taskgen::{Task, TaskStream};
 use drt_tensor::{CsMatrix, MajorAxis};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -299,8 +302,8 @@ impl IncrementalSpmspm {
     /// Run `Z = A · B`, splicing stored results for every task whose key
     /// (plan, predecessor residency, operand-row content) is unchanged
     /// since an earlier run of this instance. The report is bit-identical
-    /// to a from-scratch [`crate::engine::run_spmspm_exec`] of the same
-    /// operands under the same configuration.
+    /// to a from-scratch [`crate::session::Session::from_engine_config`]
+    /// run of the same operands under the same configuration.
     ///
     /// # Errors
     ///
@@ -313,16 +316,10 @@ impl IncrementalSpmspm {
         let b_cow = b.as_major(MajorAxis::Row);
         let (a_rows, b_rows) = (a_cow.as_ref(), b_cow.as_ref());
 
-        let opts = match &cfg.tiling {
-            Tiling::Suc(sizes) => TaskGenOptions::suc(&cfg.loop_order, cfg.drt.clone(), sizes),
-            Tiling::Drt => TaskGenOptions::drt(&cfg.loop_order, cfg.drt.clone()),
-        };
-        let mut stream = TaskStream::build(&kernel, opts)?;
-        let tasks: Vec<Task> = (&mut stream).collect();
-        let skipped = stream.skipped_empty();
         // No budget and an inert cancel token: the stream cannot degrade
         // or abort, so every generated task is a committed task.
-        debug_assert!(stream.aborted().is_none() && stream.degraded().is_none());
+        let list = materialize(TaskStream::build(&kernel, cfg.task_options())?, None);
+        let tasks = list.tasks;
 
         let a_fps = row_fps(a_rows);
         let b_fps = row_fps(b_rows);
@@ -347,12 +344,17 @@ impl IncrementalSpmspm {
                 }
                 _ => {
                     misses.push((i, d, tail));
-                    Arc::new(capture_task(a_rows, b_rows, cfg, prev, task))
+                    Arc::new(TaskCapture::new(a_rows, b_rows, cfg, prev, task))
                 }
             };
             captures.push(c);
         }
-        let report = replay_captures(a.nrows(), b.ncols(), cfg, a_rows, b_rows, &captures, skipped);
+        // The engine's reducer, over one-task shards.
+        let mut red = Reducer::new(cfg, Probe::disabled(), None);
+        for c in &captures {
+            red.fold(&c.totals, std::slice::from_ref(&c.rec));
+        }
+        let report = red.finish(a.nrows(), b.ncols(), list.skipped);
 
         let n = tasks.len();
         let executed = misses.len();
@@ -370,7 +372,7 @@ impl IncrementalSpmspm {
             tasks: n as u64,
             executed: executed as u64,
             spliced: (n - executed) as u64,
-            plans_computed: stream.plan_calls(),
+            plans_computed: list.plan_calls,
             plans_reused: 0,
         };
         Ok(report)
@@ -418,9 +420,9 @@ impl IncrementalSpmspm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_spmspm_exec;
+    use crate::engine::Tiling;
+    use crate::session::Session;
     use drt_core::config::{DrtConfig, Partitions};
-    use drt_core::probe::Probe;
     use drt_tensor::DeltaBatch;
 
     fn band(n: u32, w: u32) -> CsMatrix {
@@ -444,8 +446,7 @@ mod tests {
     fn first_run_matches_from_scratch() {
         let (a, b) = (band(64, 1), band(64, 2));
         let cfg = drt_cfg();
-        let scratch = run_spmspm_exec(&a, &b, &cfg, &Probe::disabled(), &Default::default())
-            .expect("from-scratch run");
+        let scratch = scratch_run(&a, &b, &cfg);
         let mut eng = IncrementalSpmspm::new(cfg);
         let incr = eng.run(&a, &b).expect("incremental run");
         assert_eq!(scratch.bit_diff(&incr), None);
@@ -479,9 +480,7 @@ mod tests {
         delta.upsert(10, 12, 5.0);
         a.apply_delta(&delta);
 
-        let cfg2 = eng.config().clone();
-        let scratch = run_spmspm_exec(&a, &b, &cfg2, &Probe::disabled(), &Default::default())
-            .expect("from-scratch run on patched operand");
+        let scratch = scratch_run(&a, &b, eng.config());
         let incr = eng.run(&a, &b).expect("incremental run on patched operand");
         assert_eq!(scratch.bit_diff(&incr), None);
 
@@ -509,9 +508,7 @@ mod tests {
         delta.upsert(5, 5, 99.0); // (5,5) already exists in a band matrix
         a.apply_delta(&delta);
 
-        let cfg2 = eng.config().clone();
-        let scratch = run_spmspm_exec(&a, &b, &cfg2, &Probe::disabled(), &Default::default())
-            .expect("from-scratch run");
+        let scratch = scratch_run(&a, &b, eng.config());
         let incr = eng.run(&a, &b).expect("incremental run");
         assert_eq!(scratch.bit_diff(&incr), None);
         let s = eng.last_stats();
@@ -531,9 +528,7 @@ mod tests {
         eng.run(&a, &b).expect("incremental run");
 
         let kernel = Kernel::spmspm_fmt(&a, &b, cfg.micro, cfg.micro_format).expect("kernel");
-        let mut fresh =
-            TaskStream::build(&kernel, TaskGenOptions::drt(&cfg.loop_order, cfg.drt.clone()))
-                .expect("stream");
+        let mut fresh = TaskStream::build(&kernel, cfg.task_options()).expect("stream");
         let tasks = (&mut fresh).count() as u64;
         let s = eng.last_stats();
         assert_eq!(s.tasks, tasks);
@@ -555,8 +550,7 @@ mod tests {
         delta.upsert(2, 3, -1.5);
         a.apply_delta(&delta);
 
-        let scratch = run_spmspm_exec(&a, &b, &cfg, &Probe::disabled(), &Default::default())
-            .expect("from-scratch run");
+        let scratch = scratch_run(&a, &b, &cfg);
         let incr = eng.run(&a, &b).expect("incremental run");
         assert_eq!(scratch.bit_diff(&incr), None);
         let s = eng.last_stats();
@@ -631,8 +625,7 @@ mod tests {
     }
 
     fn scratch_run(a: &CsMatrix, b: &CsMatrix, cfg: &EngineConfig) -> RunReport {
-        run_spmspm_exec(a, b, cfg, &Probe::disabled(), &Default::default())
-            .expect("from-scratch run")
+        Session::from_engine_config(cfg.clone()).run_spmspm(a, b).expect("from-scratch run")
     }
 
     #[test]

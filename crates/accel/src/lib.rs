@@ -32,12 +32,13 @@
 //! * [`engine`] — the shared SpMSpM simulation engine: task streams from
 //!   `drt-core`, stationarity-aware input reuse, an LRU output-tile cache
 //!   for partial-sum spilling, intersection/PE cycle models, and functional
-//!   output collection for validation. Supports sharded parallel execution
-//!   with a deterministic reduction — reports and traces are bit-identical
-//!   across thread counts.
+//!   output collection for validation. One worker step executes every
+//!   task and one reducer commits them in task order, for serial,
+//!   sharded and incremental runs alike — reports and traces are
+//!   bit-identical across thread counts.
 //! * [`incremental`] — incremental re-execution across operand deltas:
-//!   content-addressed per-task result splicing, bit-identical to
-//!   from-scratch runs.
+//!   content-addressed per-task result splicing through the engine's
+//!   reducer, bit-identical to from-scratch runs.
 //! * [`session`] — the unified run API ([`session::Session`]): the one
 //!   execution door fronting the engine, every registered variant, and
 //!   every staged pipeline.

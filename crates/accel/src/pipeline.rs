@@ -591,7 +591,10 @@ fn emit_phases(probe: &Probe, phases: &PhaseBreakdown) {
 /// entry (the engine's all-zero report), or `None` to run.
 fn entry_stop(name: &str, ctx: &RunCtx) -> Option<RunReport> {
     let kind = ctx.cancel.expiry_kind()?;
-    Some(crate::engine::degrade_before_work(name, kind, &ctx.probe).into_report())
+    let reason = crate::engine::expiry_reason(kind);
+    let outcome =
+        crate::engine::degraded_entry(name, reason, "expired before any work ran", &ctx.probe);
+    Some(outcome.into_report())
 }
 
 /// The degradation record for a pipeline stopped at a task boundary by

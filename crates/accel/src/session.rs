@@ -260,7 +260,7 @@ impl Session {
         match (w, &self.target) {
             (WorkloadRef::Spmspm { a, b }, Target::Spec(spec)) => spec.run_ft(a, b, &self.ctx),
             (WorkloadRef::Spmspm { a, b }, Target::Config(cfg)) => {
-                run_spmspm_ft(a, b, cfg, &self.ctx.probe, &self.ctx.exec, &self.ctx.fault_policy())
+                run_spmspm_ft(a, b, cfg, &self.ctx)
             }
             (WorkloadRef::Pipeline { input, pipe }, Target::Spec(spec)) => {
                 crate::pipeline::run_pipeline(input, pipe, spec, &self.ctx)
@@ -271,7 +271,7 @@ impl Session {
                     (PipelineInput::Matrix(a), [Stage::Spmspm { b }]) => {
                         self.run_ref(WorkloadRef::Spmspm { a, b })
                     }
-                    _ => Err(DrtError::Core(drt_core::CoreError::BadConfig {
+                    _ => Err(DrtError::Core(CoreError::BadConfig {
                         detail: "multi-stage pipelines need a spec-backed session".into(),
                     })),
                 }
@@ -360,9 +360,11 @@ impl Session {
 
     /// The concrete engine configuration a `run_spmspm(a, b)` call would
     /// execute, with data-dependent knobs (S-U-C sweep winner, adapt-micro
-    /// halving) resolved the same way the run resolves them. `None` for
-    /// analytic variants. External checkers use this to rebuild the run's
-    /// task stream and audit it against the report.
+    /// halving) resolved the same way the run resolves them; a
+    /// [`Session::from_engine_config`] session around it reproduces this
+    /// session's run bit for bit. `None` for analytic variants. External
+    /// checkers use this to rebuild the run's task stream and audit it
+    /// against the report.
     ///
     /// # Errors
     ///
@@ -371,7 +373,7 @@ impl Session {
         &self,
         a: &CsMatrix,
         b: &CsMatrix,
-    ) -> Result<Option<EngineConfig>, CoreError> {
+    ) -> Result<Option<EngineConfig>, DrtError> {
         match &self.target {
             Target::Spec(spec) => spec.resolved_engine_config(a, b, &self.ctx),
             Target::Config(cfg) => Ok(Some(cfg.clone())),

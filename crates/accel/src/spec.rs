@@ -15,18 +15,17 @@
 
 use crate::cpu::{run_mkl_like, CpuSpec};
 use crate::engine::{
-    expiry_reason, run_spmspm_best_suc_exec, run_spmspm_ft, EngineConfig, ExecPolicy, FaultPolicy,
-    Tiling,
+    best_suc_shape, degraded_entry, expiry_reason, run_spmspm_ft, EngineConfig, ExecPolicy, Tiling,
 };
 use crate::error::DrtError;
-use crate::report::{Degradation, DegradeReason, RunOutcome, RunReport};
+use crate::report::{DegradeReason, RunOutcome};
 use drt_core::budget::ExecBudget;
 use drt_core::cancel::CancelToken;
 use drt_core::chaos::FaultInjector;
 use drt_core::config::{DrtConfig, GrowthOrder, Partitions};
 use drt_core::extractor::ExtractorModel;
 use drt_core::micro::MicroFormat;
-use drt_core::probe::{Event, Probe};
+use drt_core::probe::Probe;
 use drt_core::{CoreError, RankId};
 use drt_sim::intersect_unit::IntersectUnit;
 use drt_sim::memory::{BufferSpec, HierarchySpec};
@@ -294,30 +293,6 @@ impl RunCtx {
         self.chaos = Some(chaos);
         self
     }
-
-    /// The engine-level fault policy assembled from this context.
-    pub fn fault_policy(&self) -> FaultPolicy {
-        FaultPolicy {
-            budget: self.budget.clone(),
-            cancel: self.cancel.clone(),
-            chaos: self.chaos.clone(),
-        }
-    }
-}
-
-/// Whether any fault-tolerance knob in this context is non-inert (so a
-/// legacy path that would otherwise skip the fault plumbing must not).
-fn fault_active(ctx: &RunCtx) -> bool {
-    ctx.budget.is_limited() || ctx.chaos.is_some() || ctx.cancel.expired()
-}
-
-/// The degraded outcome for a run rejected at entry (expired token, zero
-/// task budget): an all-zero report and one `aborted` trace record.
-fn degraded_entry(name: &str, reason: DegradeReason, detail: &str, probe: &Probe) -> RunOutcome {
-    let mut report = RunReport::empty(name);
-    report.degradation = Some(Degradation { reason, completed_tasks: 0, detail: detail.into() });
-    probe.emit(|| Event::Aborted { reason: reason.tag(), completed_tasks: 0 });
-    RunOutcome::Degraded(report)
 }
 
 /// The hierarchy the software study runs on: an LLB the size of the
@@ -336,15 +311,28 @@ pub fn llc_hierarchy(spec: &CpuSpec) -> HierarchySpec {
 /// The engine's configuration-time feasibility check, without running:
 /// build the kernel and task stream (whose constructors enforce the
 /// micro-tile and worst-case-dense capacity rules) and discard them.
-fn engine_preflight(a: &CsMatrix, b: &CsMatrix, cfg: &EngineConfig) -> Result<(), CoreError> {
-    use drt_core::kernel::Kernel;
-    use drt_core::taskgen::{TaskGenOptions, TaskStream};
-    let kernel = Kernel::spmspm_fmt(a, b, cfg.micro, cfg.micro_format)?;
-    let opts = match &cfg.tiling {
-        Tiling::Suc(sizes) => TaskGenOptions::suc(&cfg.loop_order, cfg.drt.clone(), sizes),
-        Tiling::Drt => TaskGenOptions::drt(&cfg.loop_order, cfg.drt.clone()),
-    };
-    TaskStream::build(&kernel, opts).map(|_| ())
+fn engine_preflight(a: &CsMatrix, b: &CsMatrix, cfg: &EngineConfig) -> Result<(), DrtError> {
+    let kernel = drt_core::kernel::Kernel::spmspm_fmt(a, b, cfg.micro, cfg.micro_format)?;
+    drt_core::taskgen::TaskStream::build(&kernel, cfg.task_options())?;
+    Ok(())
+}
+
+/// Configuration-time micro-shape adjustment (§5.2.4): `attempt` the
+/// configured micro shape, squared, and halve it while a partition
+/// cannot hold even one dense micro tile (possible at scaled-down buffer
+/// sizes), down to 2 × 2.
+fn halve_micro<T>(
+    cfg: &mut EngineConfig,
+    mut attempt: impl FnMut(&EngineConfig) -> Result<T, DrtError>,
+) -> Result<T, DrtError> {
+    let mut m = cfg.micro.0.max(cfg.micro.1);
+    loop {
+        cfg.micro = (m, m);
+        match attempt(cfg) {
+            Err(DrtError::Core(CoreError::TileTooLarge { .. })) if m >= 4 => m /= 2,
+            last => return last,
+        }
+    }
 }
 
 /// Pin `cfg` to an S-U-C sweep's winning shape, quantizing the kernel's
@@ -462,11 +450,12 @@ impl AccelSpec {
     }
 
     /// The concrete [`EngineConfig`] a run of this spec on `(a, b)` under
-    /// `ctx` would execute, with every data-dependent knob resolved: the
-    /// S-U-C sweep's winning shape (found by running the sweep, as the run
-    /// does) and the
-    /// adapt-micro halving (resolved by the same capacity preflight the
-    /// engine applies). `None` for analytic (non-engine) variants.
+    /// `ctx` executes, with every data-dependent knob resolved: the S-U-C
+    /// sweep's winning shape (the same sweep the run performs) and the
+    /// adapt-micro halving (resolved by the capacity preflight the run's
+    /// task stream applies). Running the result through
+    /// [`crate::session::Session::from_engine_config`] reproduces the
+    /// spec run bit for bit. `None` for analytic (non-engine) variants.
     ///
     /// This is the introspection hook external checkers (`drt-verify`)
     /// use to rebuild a run's task stream and audit tile footprints and
@@ -480,31 +469,33 @@ impl AccelSpec {
         a: &CsMatrix,
         b: &CsMatrix,
         ctx: &RunCtx,
-    ) -> Result<Option<EngineConfig>, CoreError> {
+    ) -> Result<Option<EngineConfig>, DrtError> {
         let SpecKind::Engine(es) = &self.kind else {
             return Ok(None);
         };
-        let hier = if es.hier_from_cpu { llc_hierarchy(&ctx.cpu) } else { ctx.hier };
-        let mut cfg = self.engine_config(es, &hier);
-        match &es.tiling {
-            TilingSpec::SucSweep { candidates } => {
-                let (_, shape) = run_spmspm_best_suc_exec(a, b, &cfg, *candidates, &ctx.exec)?;
-                use_suc_winner(&mut cfg, shape);
-            }
-            TilingSpec::Drt if es.adapt_micro => {
-                let mut m = cfg.micro.0.max(cfg.micro.1);
-                loop {
-                    cfg.micro = (m, m);
-                    match engine_preflight(a, b, &cfg) {
-                        Err(CoreError::TileTooLarge { .. }) if m >= 4 => m /= 2,
-                        Err(e) => return Err(e),
-                        Ok(()) => break,
-                    }
-                }
-            }
-            _ => {}
+        let mut cfg = self.swept_config(es, a, b, ctx)?;
+        if es.adapt_micro && es.tiling == TilingSpec::Drt {
+            halve_micro(&mut cfg, |c| engine_preflight(a, b, c))?;
         }
         Ok(Some(cfg))
+    }
+
+    /// The engine configuration of `es` on the context's hierarchy (or
+    /// its CPU's LLC), with an S-U-C sweep resolved to its winning shape.
+    fn swept_config(
+        &self,
+        es: &EngineSpec,
+        a: &CsMatrix,
+        b: &CsMatrix,
+        ctx: &RunCtx,
+    ) -> Result<EngineConfig, DrtError> {
+        let hier = if es.hier_from_cpu { llc_hierarchy(&ctx.cpu) } else { ctx.hier };
+        let mut cfg = self.engine_config(es, &hier);
+        if let TilingSpec::SucSweep { candidates } = es.tiling {
+            let shape = best_suc_shape(a, b, &cfg, candidates, &ctx.exec)?;
+            use_suc_winner(&mut cfg, shape);
+        }
+        Ok(cfg)
     }
 
     fn run_engine_ft(
@@ -514,54 +505,26 @@ impl AccelSpec {
         b: &CsMatrix,
         ctx: &RunCtx,
     ) -> Result<RunOutcome, DrtError> {
-        let hier = if es.hier_from_cpu { llc_hierarchy(&ctx.cpu) } else { ctx.hier };
-        let mut cfg = self.engine_config(es, &hier);
-        let fault = ctx.fault_policy();
-        match &es.tiling {
-            TilingSpec::SucSweep { candidates } => {
-                let (report, shape) = run_spmspm_best_suc_exec(a, b, &cfg, *candidates, &ctx.exec)?;
-                // The sweep is an offline search the paper doesn't charge
-                // (§5.2.1); the token is polled once it finishes, so an
-                // expiry during the sweep degrades here instead of
-                // surfacing a stale report.
-                if let Some(kind) = ctx.cancel.expiry_kind() {
-                    return Ok(degraded_entry(
-                        &cfg.name,
-                        expiry_reason(kind),
-                        "expired during the offline S-U-C shape sweep",
-                        &ctx.probe,
-                    ));
-                }
-                if !ctx.probe.is_enabled() && !fault_active(ctx) {
-                    return Ok(RunOutcome::Complete(report));
-                }
-                // Re-run the winning shape with the probe and fault policy
-                // attached so the trace and degradation accounting reflect
-                // the reported run.
-                use_suc_winner(&mut cfg, shape);
-                run_spmspm_ft(a, b, &cfg, &ctx.probe, &ctx.exec, &fault)
+        let mut cfg = self.swept_config(es, a, b, ctx)?;
+        if matches!(es.tiling, TilingSpec::SucSweep { .. }) {
+            // The sweep is an offline search the paper doesn't charge
+            // (§5.2.1); the token is polled once it finishes, so an
+            // expiry during the sweep degrades here.
+            if let Some(kind) = ctx.cancel.expiry_kind() {
+                return Ok(degraded_entry(
+                    &cfg.name,
+                    expiry_reason(kind),
+                    "expired during the offline S-U-C shape sweep",
+                    &ctx.probe,
+                ));
             }
-            TilingSpec::Drt if es.adapt_micro => {
-                // Configuration-time micro-shape adjustment (§5.2.4): when
-                // a partition cannot hold even one dense micro tile —
-                // possible at scaled-down buffer sizes — halve the shape
-                // until the preflight passes.
-                let mut last = Err(DrtError::Core(CoreError::BadConfig {
-                    detail: "no feasible micro shape".into(),
-                }));
-                let mut m = cfg.micro.0.max(cfg.micro.1);
-                while m >= 2 {
-                    cfg.micro = (m, m);
-                    last = run_spmspm_ft(a, b, &cfg, &ctx.probe, &ctx.exec, &fault);
-                    match &last {
-                        Err(DrtError::Core(CoreError::TileTooLarge { .. })) => m /= 2,
-                        _ => return last,
-                    }
-                }
-                last
-            }
-            _ => run_spmspm_ft(a, b, &cfg, &ctx.probe, &ctx.exec, &fault),
         }
+        if es.adapt_micro && es.tiling == TilingSpec::Drt {
+            // Halve by trying the run itself: a separate preflight would
+            // build the operands' micro grids twice.
+            return halve_micro(&mut cfg, |c| run_spmspm_ft(a, b, c, ctx));
+        }
+        run_spmspm_ft(a, b, &cfg, ctx)
     }
 
     // ---- standard variants ------------------------------------------------

@@ -70,24 +70,52 @@ fn every_registered_variant_matches_gustavson() {
     }
 }
 
-/// Attaching a probe observes the run — it must never perturb it.
+/// Attaching a probe observes the run — it must never perturb it — on
+/// every registered variant. For engine-backed variants, a session
+/// around the spec's resolved engine configuration also reproduces the
+/// spec run bit for bit: the S-U-C winner pinning of fig08 and
+/// `drt-verify`'s stream audit rely on that. The second, smaller
+/// hierarchy makes ExTensor-OP-DRT halve its micro shape (adapt-micro).
 #[test]
 fn probe_does_not_perturb_reports() {
-    let hier = test_hier();
-    let a = diamond_band(96, 1_500, 13);
-    let session = Session::new(AccelSpec::extensor_op_drt()).hierarchy(&hier);
-    let plain = session.run_spmspm(&a, &a).expect("plain");
-    let sink = Arc::new(CountingSink::new());
-    let probed = session.probe(Probe::new(sink.clone())).run_spmspm(&a, &a).expect("probed");
-    assert_eq!(plain.traffic, probed.traffic);
-    assert_eq!(plain.seconds.to_bits(), probed.seconds.to_bits());
-    assert_eq!(plain.tasks, probed.tasks);
-    // The sink saw the run: emitted-task events match the report's count,
-    // and per-phase byte totals were reported.
     use std::sync::atomic::Ordering;
-    assert_eq!(sink.tasks_emitted.load(Ordering::Relaxed), probed.tasks);
-    assert_eq!(sink.tasks_skipped.load(Ordering::Relaxed), probed.skipped_tasks);
-    assert!(sink.events.load(Ordering::Relaxed) > probed.tasks, "expected fetch/phase events too");
+    for hier in [test_hier(), HierarchySpec::default().scaled_down(1024)] {
+        for (wl, a) in test_workloads() {
+            for spec in Registry::standard().iter() {
+                let at = format!("{wl}/{} (LLB {} B)", spec.name, hier.llb.capacity_bytes);
+                let session = Session::new(spec.clone()).hierarchy(&hier);
+                let plain = session.run_spmspm(&a, &a).expect("plain");
+                let sink = Arc::new(CountingSink::new());
+                let probed = session
+                    .clone()
+                    .probe(Probe::new(sink.clone()))
+                    .run_spmspm(&a, &a)
+                    .expect("probed");
+                assert_eq!(plain.bit_diff(&probed), None, "{at}: the probe perturbed the run");
+                let Some(cfg) = session.resolved_engine_config(&a, &a).expect("resolve") else {
+                    continue;
+                };
+                // The sink saw the run: emitted-task events match the
+                // report's count, and fetches and phases were reported too.
+                assert_eq!(sink.tasks_emitted.load(Ordering::Relaxed), probed.tasks, "{at}");
+                assert_eq!(
+                    sink.tasks_skipped.load(Ordering::Relaxed),
+                    probed.skipped_tasks,
+                    "{at}"
+                );
+                assert!(
+                    sink.events.load(Ordering::Relaxed) > probed.tasks,
+                    "{at}: expected fetch/phase events too"
+                );
+                let pinned = Session::from_engine_config(cfg).run_spmspm(&a, &a).expect("pinned");
+                assert_eq!(
+                    plain.bit_diff(&pinned),
+                    None,
+                    "{at}: the resolved engine configuration diverged from the spec run"
+                );
+            }
+        }
+    }
 }
 
 /// The parallel determinism contract, across the whole registry: running
@@ -202,7 +230,7 @@ fn phase_bytes_sum_to_traffic() {
 /// oracles, across a sequence of upserts and deletes.
 #[test]
 fn incremental_runs_are_bit_identical_to_from_scratch() {
-    use drt_accel::engine::{run_spmspm_exec, EngineConfig, Tiling};
+    use drt_accel::engine::{EngineConfig, Tiling};
     use drt_accel::incremental::IncrementalSpmspm;
     use drt_core::config::{DrtConfig, Partitions};
     use drt_tensor::DeltaBatch;
@@ -255,14 +283,10 @@ fn incremental_runs_are_bit_identical_to_from_scratch() {
             }
             let incr = eng.run(&a, &b).unwrap_or_else(|e| panic!("{name}: step {step}: {e:?}"));
             for threads in [1usize, 4] {
-                let scratch = run_spmspm_exec(
-                    &a,
-                    &b,
-                    &cfg,
-                    &Probe::disabled(),
-                    &ExecPolicy::threads(threads),
-                )
-                .unwrap_or_else(|e| panic!("{name}: step {step} oracle t{threads}: {e:?}"));
+                let scratch = Session::from_engine_config(cfg.clone())
+                    .threads(threads)
+                    .run_spmspm(&a, &b)
+                    .unwrap_or_else(|e| panic!("{name}: step {step} oracle t{threads}: {e:?}"));
                 assert_eq!(
                     scratch.bit_diff(&incr),
                     None,

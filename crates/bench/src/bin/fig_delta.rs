@@ -13,14 +13,14 @@
 //! stdout is fully deterministic (counters and fractions only) so the CI
 //! golden can byte-diff a `--quick --json` run. Wall-clock measurements
 //! (incremental vs. from-scratch milliseconds) go to stderr under
-//! `--quick`; a full run prints them to stdout and writes
-//! `BENCH_delta.json`.
+//! `--quick`; a full run prints them to stdout, plus one `JSON` row per
+//! update size under `--json`. The binary writes no files.
 
-use drt_accel::engine::{run_spmspm_exec, EngineConfig, ExecPolicy, Tiling};
+use drt_accel::engine::{EngineConfig, Tiling};
 use drt_accel::incremental::IncrementalSpmspm;
-use drt_bench::{banner, emit_json, json_row, BenchOpts, JsonVal};
+use drt_accel::session::Session;
+use drt_bench::{banner, emit_json, BenchOpts, JsonVal};
 use drt_core::config::{DrtConfig, Partitions};
-use drt_core::probe::Probe;
 use drt_tensor::DeltaBatch;
 use drt_workloads::patterns;
 use std::time::Instant;
@@ -107,8 +107,8 @@ fn main() {
         let incr_ms = t1.elapsed().as_secs_f64() * 1e3;
 
         let t2 = Instant::now();
-        let scratch = run_spmspm_exec(&a, &b, &cfg, &Probe::disabled(), &ExecPolicy::serial())
-            .expect("from-scratch run");
+        let scratch =
+            Session::from_engine_config(cfg.clone()).run_spmspm(&a, &b).expect("from-scratch run");
         let scratch_ms = t2.elapsed().as_secs_f64() * 1e3;
 
         let identical = match scratch.bit_diff(&incr) {
@@ -145,7 +145,7 @@ fn main() {
     }
 
     // Wall-clock: nondeterministic, so stderr under --quick (keeping the
-    // golden byte-stable) and stdout + BENCH_delta.json on a full run.
+    // golden byte-stable) and stdout on a full run.
     let mut metrics = format!("\ncold run: {cold_ms:.2} ms\n");
     for (ops, incr_ms, scratch_ms, _, cached) in &wall {
         metrics.push_str(&format!(
@@ -158,22 +158,19 @@ fn main() {
         eprint!("{metrics}");
     } else {
         print!("{metrics}");
-        let rows: Vec<String> = wall
-            .iter()
-            .map(|(ops, incr_ms, scratch_ms, s, _)| {
-                json_row(&[
-                    ("figure", JsonVal::S("fig_delta".into())),
+        for (ops, incr_ms, scratch_ms, s, _) in &wall {
+            emit_json(
+                &opts,
+                &[
+                    ("figure", JsonVal::S("fig_delta_wall".into())),
                     ("update_size", JsonVal::U(*ops as u64)),
                     ("tasks", JsonVal::U(s.tasks)),
                     ("reexecuted_fraction", JsonVal::S(frac(s.executed_fraction()))),
                     ("incremental_ms", JsonVal::F(*incr_ms)),
                     ("from_scratch_ms", JsonVal::F(*scratch_ms)),
                     ("speedup", JsonVal::F(scratch_ms / incr_ms.max(1e-9))),
-                ])
-            })
-            .collect();
-        if let Err(e) = std::fs::write("BENCH_delta.json", rows.join("\n") + "\n") {
-            eprintln!("warning: cannot write BENCH_delta.json: {e}");
+                ],
+            );
         }
     }
     if errors > 0 {

@@ -12,7 +12,8 @@
 //! counts, outcomes, bit-identity verdicts) so the CI golden can byte-
 //! diff a `--quick` run. Wall-clock measurements — latency percentiles,
 //! req/s, server counters — go to stderr under `--quick`; a full run
-//! prints them to stdout and writes them to `BENCH_serve.json`.
+//! prints them to stdout, plus one `JSON` row under `--json`. The binary
+//! writes no files.
 //!
 //! Extra flags (on top of the common [`BenchOpts`] set):
 //!
@@ -25,7 +26,7 @@ use drt_accel::pipeline::PipelineSpec;
 use drt_accel::report::RunReport;
 use drt_accel::session::Session;
 use drt_accel::workload::{Priority, TenantId, Workload};
-use drt_bench::{banner, emit_json, json_row, BenchOpts, JsonVal};
+use drt_bench::{banner, emit_json, BenchOpts, JsonVal};
 use drt_serve::{ServeConfig, Server};
 use drt_workloads::patterns;
 use drt_workloads::tensor3::{dense_factor, Tensor3Gen};
@@ -254,8 +255,7 @@ fn main() {
     }
 
     // Wall-clock measurements: nondeterministic, so stderr under --quick
-    // (keeping the golden byte-stable) and stdout + BENCH_serve.json on a
-    // full run.
+    // (keeping the golden byte-stable) and stdout on a full run.
     latencies.sort_unstable();
     let (p50, p99, p999) =
         (percentile(&latencies, 0.50), percentile(&latencies, 0.99), percentile(&latencies, 0.999));
@@ -283,32 +283,32 @@ fn main() {
         eprint!("{metrics}");
     } else {
         print!("{metrics}");
-        let json = json_row(&[
-            ("figure", JsonVal::S("fig_serve".into())),
-            ("requests", JsonVal::U(total as u64)),
-            ("distinct_workloads", JsonVal::U(mix.len() as u64)),
-            ("workers", JsonVal::U(workers as u64)),
-            ("offered_rps", JsonVal::U(rate)),
-            ("sustained_rps", JsonVal::F(sustained)),
-            ("p50_us", JsonVal::F(p50.as_secs_f64() * 1e6)),
-            ("p99_us", JsonVal::F(p99.as_secs_f64() * 1e6)),
-            ("p999_us", JsonVal::F(p999.as_secs_f64() * 1e6)),
-            ("completed", JsonVal::U(stats.completed)),
-            ("cache_hits", JsonVal::U(stats.cache_hits)),
-            ("batches", JsonVal::U(stats.batches)),
-            ("batched_requests", JsonVal::U(stats.batched_requests)),
-            ("max_queue_depth", JsonVal::U(stats.max_queue_depth as u64)),
-            ("worker_panics", JsonVal::U(stats.worker_panics)),
-            ("crashed", JsonVal::U(stats.crashed)),
-            ("retried", JsonVal::U(stats.retried)),
-            ("quarantined", JsonVal::U(stats.quarantined)),
-            ("quarantine_rejected", JsonVal::U(stats.quarantine_rejected)),
-            ("tenant_rejected", JsonVal::U(stats.tenant_rejected)),
-            ("errors", JsonVal::U(errors as u64)),
-        ]);
-        if let Err(e) = std::fs::write("BENCH_serve.json", format!("{json}\n")) {
-            eprintln!("warning: cannot write BENCH_serve.json: {e}");
-        }
+        emit_json(
+            &opts,
+            &[
+                ("figure", JsonVal::S("fig_serve_wall".into())),
+                ("requests", JsonVal::U(total as u64)),
+                ("distinct_workloads", JsonVal::U(mix.len() as u64)),
+                ("workers", JsonVal::U(workers as u64)),
+                ("offered_rps", JsonVal::U(rate)),
+                ("sustained_rps", JsonVal::F(sustained)),
+                ("p50_us", JsonVal::F(p50.as_secs_f64() * 1e6)),
+                ("p99_us", JsonVal::F(p99.as_secs_f64() * 1e6)),
+                ("p999_us", JsonVal::F(p999.as_secs_f64() * 1e6)),
+                ("completed", JsonVal::U(stats.completed)),
+                ("cache_hits", JsonVal::U(stats.cache_hits)),
+                ("batches", JsonVal::U(stats.batches)),
+                ("batched_requests", JsonVal::U(stats.batched_requests)),
+                ("max_queue_depth", JsonVal::U(stats.max_queue_depth as u64)),
+                ("worker_panics", JsonVal::U(stats.worker_panics)),
+                ("crashed", JsonVal::U(stats.crashed)),
+                ("retried", JsonVal::U(stats.retried)),
+                ("quarantined", JsonVal::U(stats.quarantined)),
+                ("quarantine_rejected", JsonVal::U(stats.quarantine_rejected)),
+                ("tenant_rejected", JsonVal::U(stats.tenant_rejected)),
+                ("errors", JsonVal::U(errors as u64)),
+            ],
+        );
     }
     if errors > 0 {
         eprintln!("fig_serve: {errors} request(s) failed or diverged");

@@ -373,7 +373,7 @@ pub enum JsonVal {
 /// same formatter — [`drt_core::probe::write_json_fields`] — as the JSONL
 /// event traces, so bench rows and trace rows share escaping and number
 /// formatting.
-pub fn json_row(fields: &[(&str, JsonVal)]) -> String {
+fn json_row(fields: &[(&str, JsonVal)]) -> String {
     let borrowed: Vec<(&str, JsonValue<'_>)> = fields
         .iter()
         .map(|(k, v)| {

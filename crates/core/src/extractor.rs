@@ -19,7 +19,6 @@
 //! [`ExtractorModel::ideal`] reproduces.
 
 use crate::drt::{ExtractionTrace, TileStats};
-use crate::probe::{Event, Probe};
 
 /// Cycle cost of extracting one macro tile.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -118,23 +117,6 @@ impl ExtractorModel {
         let bytes: u64 = tiles.iter().map(|t| t.footprint()).sum();
         let distribute = bytes.div_ceil(self.distribute_bytes_per_cycle as u64);
         ExtractionCost { aggregate, md_build, distribute }
-    }
-
-    /// [`ExtractorModel::tile_cost`] with the per-step breakdown reported
-    /// through `probe` as an [`Event::Extraction`].
-    pub fn tile_cost_probed(
-        &self,
-        trace: &ExtractionTrace,
-        tiles: &[TileStats],
-        probe: &Probe,
-    ) -> ExtractionCost {
-        let cost = self.tile_cost(trace, tiles);
-        probe.emit(|| Event::Extraction {
-            aggregate: cost.aggregate,
-            md_build: cost.md_build,
-            distribute: cost.distribute,
-        });
-        cost
     }
 
     /// Extraction overhead of a task stream relative to its compute time:

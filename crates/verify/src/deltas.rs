@@ -12,10 +12,10 @@
 //! same engine, so `RunReport::bit_diff` must be `None`.
 
 use crate::driver::{Failure, VerifyOptions, VerifySummary};
-use drt_accel::engine::{run_spmspm_exec, EngineConfig, ExecPolicy, Tiling};
+use drt_accel::engine::{EngineConfig, Tiling};
 use drt_accel::incremental::IncrementalSpmspm;
+use drt_accel::session::Session;
 use drt_core::config::{DrtConfig, Partitions};
-use drt_core::probe::Probe;
 use drt_tensor::{CsMatrix, DeltaBatch};
 use drt_workloads::corpus::differential_pairs;
 use std::collections::BTreeMap;
@@ -91,7 +91,7 @@ pub fn check_delta_sequence(
         };
         for &t in threads {
             let scratch =
-                match run_spmspm_exec(&a, b0, cfg, &Probe::disabled(), &ExecPolicy::threads(t)) {
+                match Session::from_engine_config(cfg.clone()).threads(t).run_spmspm(&a, b0) {
                     Ok(r) => r,
                     Err(e) => return Some(format!("step {step}: from-scratch t{t} failed: {e}")),
                 };
@@ -118,15 +118,7 @@ pub fn verify_deltas(opts: &VerifyOptions) -> VerifySummary {
             for cfg in delta_configs() {
                 // Feasibility probe: a pair the config cannot tile at all
                 // is out of scope for this mode.
-                if run_spmspm_exec(
-                    &pair.a,
-                    &pair.b,
-                    &cfg,
-                    &Probe::disabled(),
-                    &ExecPolicy::serial(),
-                )
-                .is_err()
-                {
+                if Session::from_engine_config(cfg.clone()).run_spmspm(&pair.a, &pair.b).is_err() {
                     continue;
                 }
                 summary.runs += 1;
