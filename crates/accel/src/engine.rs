@@ -28,26 +28,28 @@
 //! merge record. One `Reducer` commits merge records in global task order
 //! (the Z output cache, PE round-robin assignment and the merge and
 //! extraction trace records), folds totals, and writes the report back.
+//! A run takes one of two paths:
 //!
-//! * A serial run streams: each generated task is stepped and committed
-//!   at once, one resident task at a time.
-//! * A sharded run (an [`ExecPolicy`] picks the schedule) materializes
-//!   the task list, steps contiguous shards on their own workers, and
-//!   reduces the shards in order.
-//! * An incremental run ([`crate::incremental`]) steps only the tasks an
-//!   operand delta touched, each as a one-task shard (`TaskCapture`), and
-//!   reduces those with the stored captures of every other task.
+//! * **Serial streaming.** Each generated task is stepped and committed
+//!   at once. With a task store ([`crate::incremental`]) a task whose key
+//!   hits folds its stored one-task capture (`TaskCapture`: totals plus
+//!   merge record); a miss is stepped by the same worker and stored.
+//! * **Sharded.** More than one thread, an explicit schedule, retries or
+//!   a chaos hook ([`ExecPolicy`], `RunCtx`) materialize the task list,
+//!   step contiguous shards on their own workers, and reduce the shards
+//!   in order.
 //!
-//! All three produce **bit-identical** reports and traces. Workers can
-//! step tasks independently because residency after task *t* depends only
-//! on task *t* itself: a worker seeds its resident-tile table from the
-//! task immediately preceding its first.
+//! Both produce **bit-identical** reports and traces. Workers can step
+//! tasks independently because residency after task *t* depends only on
+//! task *t* itself: a worker seeds its resident-tile table from the task
+//! before its first, and a store run re-seeds it before each miss.
 //!
 //! The public door is [`crate::session::Session::run_ref`]; a
 //! hand-built [`EngineConfig`] runs through
 //! [`crate::session::Session::from_engine_config`].
 
 use crate::error::DrtError;
+use crate::incremental::TaskStore;
 use crate::report::{Degradation, DegradeReason, PhaseBreakdown, RunOutcome, RunReport};
 use crate::spec::{AccelSpec, RunCtx, SpecKind};
 use crate::zcache::OutputCache;
@@ -230,7 +232,8 @@ impl EngineConfig {
 /// Simulate `Z = A · B` under `cfg` in the run context `ctx`: its probe,
 /// execution policy, budgets, cancellation token and chaos hook (the
 /// context's hierarchy is ignored; `cfg` carries its own). Reached
-/// through [`crate::session::Session::run_ref`].
+/// through [`crate::session::Session::run_ref`], or with a `store`
+/// through [`crate::incremental::IncrementalSpmspm::run`].
 ///
 /// Outcomes:
 ///
@@ -250,6 +253,7 @@ pub(crate) fn run_spmspm_ft(
     b: &CsMatrix,
     cfg: &EngineConfig,
     ctx: &RunCtx,
+    store: Option<&mut TaskStore>,
 ) -> Result<RunOutcome, DrtError> {
     let probe = &ctx.probe;
     if let Some(kind) = ctx.cancel.expiry_kind() {
@@ -280,7 +284,9 @@ pub(crate) fn run_spmspm_ft(
         && exec.max_retries == 0
         && ctx.chaos.is_none()
     {
-        return Ok(run_serial(a_rows, b_rows, cfg, probe, stream(probe.clone())?, None));
+        // A splice would cut a probed run's trace.
+        let store = store.filter(|_| !probe.is_enabled());
+        return Ok(run_serial(a_rows, b_rows, cfg, probe, stream(probe.clone())?, None, store));
     }
 
     // ---- sharded path -----------------------------------------------------
@@ -290,22 +296,21 @@ pub(crate) fn run_spmspm_ft(
     //    task execution shards. Generator events buffer into a tagging
     //    sink, to be re-interleaved with engine events at the end.
     let gen_sink = probe.is_enabled().then(|| Arc::new(TaggingSink::auto_gen()));
-    let list = materialize(stream(tagging_probe(&gen_sink))?, ctx.budget.max_resident_bytes);
-    if list.over_budget {
-        // The materialized list is over budget: drop it and fall back to
-        // serial streaming, which holds one task at a time. Numbers are
-        // bit-identical to the sharded run (the determinism contract);
-        // only wall-clock parallelism is lost, and the report records the
-        // degradation.
-        drop(list);
+    let mut gen = stream(tagging_probe(&gen_sink))?;
+    let Some(tasks) = materialize(&mut gen, ctx.budget.max_resident_bytes) else {
+        // The materialized list went over budget (and is dropped): fall
+        // back to serial streaming, which holds one task at a time.
+        // Numbers are bit-identical to the sharded run (the determinism
+        // contract); only wall-clock parallelism is lost, and the report
+        // records the degradation.
         let detail = format!(
             "materialized task list exceeded max_resident_bytes={}; \
              fell back to serial streaming execution",
             ctx.budget.max_resident_bytes.unwrap_or_default()
         );
-        return Ok(run_serial(a_rows, b_rows, cfg, probe, stream(probe.clone())?, Some(detail)));
-    }
-    let tasks = &list.tasks;
+        let stream = stream(probe.clone())?;
+        return Ok(run_serial(a_rows, b_rows, cfg, probe, stream, Some(detail), None));
+    };
 
     // 2. Shard bounds over the task list, per the schedule.
     let bounds = shard_ranges(tasks.len(), exec);
@@ -323,8 +328,8 @@ pub(crate) fn run_spmspm_ft(
         }
         let range = bounds[sidx].clone();
         let sink = traced.then(|| Arc::new(TaggingSink::manual()));
-        let prev = (!range.is_empty() && range.start > 0).then(|| &tasks[range.start - 1]);
-        let mut worker = Worker::new(a_rows, b_rows, cfg, tagging_probe(&sink), prev);
+        let mut worker = Worker::new(a_rows, b_rows, cfg, tagging_probe(&sink));
+        worker.seed(range.start.checked_sub(1).map(|p| ranges6(&tasks[p])));
         let mut totals = Totals::default();
         let mut recs = Vec::with_capacity(range.len());
         let mut aborted_at = None;
@@ -376,7 +381,7 @@ pub(crate) fn run_spmspm_ft(
             let prefix = results.into_iter().take(bad).map_while(|s| s).collect();
             let gen_events = gen_sink.map(|s| s.drain()).unwrap_or_default();
             let (mut partial, _) =
-                reduce_shards(dims, cfg, prefix, list.skipped, gen_events, probe, true);
+                reduce_shards(dims, cfg, prefix, gen.skipped_empty(), gen_events, probe, true);
             partial.output = None;
             let committed = partial.tasks;
             probe.emit(|| Event::Aborted { reason: "shard_panicked", completed_tasks: committed });
@@ -398,16 +403,16 @@ pub(crate) fn run_spmspm_ft(
     debug_assert_eq!(shard_outs.len(), bounds.len());
     let gen_events = gen_sink.map(|s| s.drain()).unwrap_or_default();
     let (report, cut) =
-        reduce_shards(dims, cfg, shard_outs, list.skipped, gen_events, probe, false);
+        reduce_shards(dims, cfg, shard_outs, gen.skipped_empty(), gen_events, probe, false);
     // A worker that saw the token expire cut the run short; otherwise
     // generation may have stopped early, and every materialized task
     // committed.
     let aborted = if cut {
         Some(ctx.cancel.expiry_kind().unwrap_or(ExpiryKind::Cancelled))
     } else {
-        list.aborted
+        gen.aborted()
     };
-    Ok(outcome(report, aborted, list.degraded, None, probe))
+    Ok(outcome(report, aborted, gen.degraded(), None, probe))
 }
 
 /// The serial streaming path of [`run_spmspm_ft`]: each task is stepped
@@ -416,6 +421,7 @@ pub(crate) fn run_spmspm_ft(
 /// by the stream itself — so every generated task is a committed task.
 /// `memory_note` marks a run that landed here because
 /// `max_resident_bytes` rejected the materialized task list.
+/// A `store` (unprobed runs only) supplies or takes each task's capture.
 fn run_serial(
     a_rows: &CsMatrix,
     b_rows: &CsMatrix,
@@ -423,12 +429,31 @@ fn run_serial(
     probe: &Probe,
     mut stream: TaskStream<'_>,
     memory_note: Option<String>,
+    store: Option<&mut TaskStore>,
 ) -> RunOutcome {
-    let mut worker = Worker::new(a_rows, b_rows, cfg, probe.clone(), None);
+    let mut worker = Worker::new(a_rows, b_rows, cfg, probe.clone());
     let mut red = Reducer::new(cfg, probe.clone(), None);
-    for task in &mut stream {
-        let rec = worker.step(&task, &mut red.totals);
-        red.commit(&rec);
+    if let Some(store) = store {
+        store.begin(a_rows, b_rows);
+        for task in &mut stream {
+            let capture = store.capture(task, |task, prev| {
+                // The worker skips spliced tasks, so its residency may be
+                // stale: re-seed it (a no-op after a stepped task).
+                worker.seed(prev);
+                let mut totals = Totals::default();
+                let rec = worker.step(task, &mut totals);
+                // A capture may be stored for many runs.
+                totals.out_entries.shrink_to_fit();
+                TaskCapture { totals, rec }
+            });
+            red.fold(&capture.totals, std::slice::from_ref(&capture.rec));
+        }
+        store.finish(stream.plan_calls());
+    } else {
+        for task in &mut stream {
+            let rec = worker.step(&task, &mut red.totals);
+            red.commit(&rec);
+        }
     }
     let report = red.finish(a_rows.nrows(), b_rows.ncols(), stream.skipped_empty());
     outcome(report, stream.aborted(), stream.degraded(), memory_note, probe)
@@ -574,43 +599,21 @@ pub(crate) fn degraded_entry(
     RunOutcome::Degraded(report)
 }
 
-/// A run's materialized task list and the end state of the stream that
-/// generated it.
-pub(crate) struct TaskList {
-    pub(crate) tasks: Vec<Task>,
-    pub(crate) skipped: u64,
-    pub(crate) plan_calls: u64,
-    aborted: Option<ExpiryKind>,
-    degraded: Option<BudgetCause>,
-    /// Generation stopped early because the list outgrew the
-    /// `max_resident_bytes` cap.
-    over_budget: bool,
-}
-
-/// Drain `stream` into a [`TaskList`], stopping as soon as the estimated
+/// Drain `stream` into a task list; `None` as soon as the estimated
 /// resident bytes of the tasks so far exceed `max_resident_bytes`.
-pub(crate) fn materialize(mut stream: TaskStream<'_>, max_resident_bytes: Option<u64>) -> TaskList {
-    let mut tasks = Vec::new();
-    let (mut resident, mut over_budget) = (0u64, false);
-    for task in &mut stream {
+fn materialize(stream: &mut TaskStream<'_>, max_resident_bytes: Option<u64>) -> Option<Vec<Task>> {
+    let (mut tasks, mut resident) = (Vec::new(), 0u64);
+    for task in &mut *stream {
         if let Some(cap) = max_resident_bytes {
             resident += estimated_task_bytes(&task);
-            over_budget = resident > cap;
+            if resident > cap {
+                return None;
+            }
         }
         tasks.push(task);
-        if over_budget {
-            break;
-        }
     }
-    debug_assert!(over_budget || stream.emitted() as usize == tasks.len());
-    TaskList {
-        tasks,
-        skipped: stream.skipped_empty(),
-        plan_calls: stream.plan_calls(),
-        aborted: stream.aborted(),
-        degraded: stream.degraded(),
-        over_budget,
-    }
+    debug_assert_eq!(stream.emitted() as usize, tasks.len());
+    Some(tasks)
 }
 
 /// Deterministic estimate of one materialized task's resident heap
@@ -651,6 +654,15 @@ fn shard_ranges(n_tasks: usize, exec: &ExecPolicy) -> Vec<Range<usize>> {
     }
 }
 
+/// The i/k/j coordinate ranges of a task, flattened. Planner invariant,
+/// not user input: every SpMSpM plan from `drt-core` taskgen carries
+/// exactly these three ranges.
+pub(crate) fn ranges6(task: &Task) -> [u32; 6] {
+    let p = &task.plan.coord_ranges;
+    let (i, k, j) = (&p[&'i'], &p[&'k'], &p[&'j']);
+    [i.start, i.end, k.start, k.end, j.start, j.end]
+}
+
 /// Micro-tile parallelism of one task: how many PEs the LLB-level
 /// distributor can spread the task's work over (paper Figure 5's task
 /// list). Saturates at 1 for empty plans and all-zero micro-tile counts
@@ -659,40 +671,17 @@ fn subtask_parallelism(tiles: &[TileStats]) -> u64 {
     tiles.iter().map(|t| t.micro_tiles).fold(1, u64::max)
 }
 
-/// The three coordinate ranges of one SpMSpM task.
-struct TaskRanges {
-    ir: Range<u32>,
-    kr: Range<u32>,
-    jr: Range<u32>,
-}
-
-impl TaskRanges {
-    fn of(task: &Task) -> TaskRanges {
-        // Planner invariant, not user input: every SpMSpM plan from
-        // `drt-core` taskgen carries exactly the i/k/j coordinate ranges.
-        TaskRanges {
-            ir: task.plan.coord_ranges[&'i'].clone(),
-            kr: task.plan.coord_ranges[&'k'].clone(),
-            jr: task.plan.coord_ranges[&'j'].clone(),
-        }
-    }
-
-    /// The residency slot (0 for "A", 1 for "B": SpMSpM plans carry
-    /// exactly these two tiles) and the coordinate ranges that identify
-    /// the tensor's resident tile.
-    fn tile(&self, name: &str) -> (usize, [u32; 4]) {
-        match name {
-            "A" => (0, [self.ir.start, self.ir.end, self.kr.start, self.kr.end]),
-            _ => (1, [self.kr.start, self.kr.end, self.jr.start, self.jr.end]),
-        }
-    }
+/// The resident-tile keys a task with i/k/j ranges `r` leaves: A's
+/// (i, k) and B's (k, j) coordinate rectangles, in residency-slot order.
+fn tile_keys([i0, i1, k0, k1, j0, j1]: [u32; 6]) -> [[u32; 4]; 2] {
+    [[i0, i1, k0, k1], [k0, k1, j0, j1]]
 }
 
 /// The order-independent effects of a run, a shard, or one task. Every
 /// field is a sum, so totals fold in any grouping; output entries
 /// concatenate, and folding in task order keeps them in task order.
 #[derive(Debug, Default)]
-pub(crate) struct Totals {
+struct Totals {
     traffic: TrafficCounter,
     actions: ActionCounts,
     maccs: u64,
@@ -715,7 +704,7 @@ impl Totals {
 /// Order-dependent effects of one task, measured by [`Worker::step`] and
 /// committed in global task order by [`Reducer::commit`].
 #[derive(Debug)]
-pub(crate) struct MergeRec {
+struct MergeRec {
     /// Z-cache key of the task's output tile (`Copy`, no per-task heap).
     key: [u32; 4],
     /// Compressed bytes the task adds to its output tile.
@@ -749,32 +738,29 @@ struct Worker<'c> {
 }
 
 impl<'c> Worker<'c> {
-    /// A worker whose residency is seeded, without charging traffic, from
-    /// `prev`, the task before its first. Residency after task *t − 1* is
-    /// fully determined by task *t − 1* alone (every plan carries tiles
-    /// for all inputs), so the worker makes exactly the serial run's
-    /// hit/fetch decisions.
+    /// A worker with nothing resident.
     fn new(
         a_rows: &'c CsMatrix,
         b_rows: &'c CsMatrix,
         cfg: &'c EngineConfig,
         probe: Probe,
-        prev: Option<&Task>,
     ) -> Worker<'c> {
-        let mut resident = [None; 2];
-        if let Some(p) = prev {
-            let r = TaskRanges::of(p);
-            for tile in &p.plan.tiles {
-                let (slot, ranges) = r.tile(&tile.name);
-                resident[slot] = Some(ranges);
-            }
-        }
         // The operands are borrowed for the worker's whole life, so their
         // addresses are stable and the workspace may cache fiber windows
         // across tasks.
         let mut ws = SpaWorkspace::new();
         ws.assume_stable_parents();
-        Worker { cfg, a_rows, b_rows, resident, ws, probe }
+        Worker { cfg, a_rows, b_rows, resident: [None; 2], ws, probe }
+    }
+
+    /// Set residency, without charging traffic, to what it is right after
+    /// a task with the i/k/j ranges `prev` executed (`None`: no task
+    /// before, nothing resident). Residency after task *t − 1* is fully
+    /// determined by task *t − 1* alone (every plan carries both input
+    /// tiles), so the worker makes exactly the serial run's hit/fetch
+    /// decisions.
+    fn seed(&mut self, prev: Option<[u32; 6]>) {
+        self.resident = prev.map(tile_keys).map_or([None; 2], |keys| keys.map(Some));
     }
 
     /// The per-task pipeline: load the tiles whose ranges changed, compute
@@ -799,12 +785,15 @@ impl<'c> Worker<'c> {
     /// column order with exact cancellations skipped, which is precisely
     /// what iterating the extracted tile product produced.
     fn step(&mut self, task: &Task, totals: &mut Totals) -> MergeRec {
-        let r = TaskRanges::of(task);
+        let r = ranges6(task);
+        let [i0, i1, k0, k1, j0, j1] = r;
         let cfg = self.cfg;
 
-        // Load: fetch input tiles whose coordinate ranges changed.
+        // Load: fetch input tiles whose coordinate ranges changed. SpMSpM
+        // plans carry exactly the tiles "A" (slot 0) and "B" (slot 1).
         for tile in &task.plan.tiles {
-            let (slot, ranges) = r.tile(&tile.name);
+            let slot = usize::from(tile.name != "A");
+            let ranges = tile_keys(r)[slot];
             let bytes = tile.footprint();
             if self.resident[slot] != Some(ranges) {
                 totals.traffic.read(&tile.name, bytes);
@@ -827,16 +816,9 @@ impl<'c> Worker<'c> {
         // volume is operand-nnz × co-iterated-fiber-count (exactly the
         // work a skip-based unit skips through and a parallel unit
         // divides — Figure 12's lever).
-        let va = self.a_rows.view(r.ir.clone(), r.kr.clone());
-        let vb = self.b_rows.view(r.kr.clone(), r.jr.clone());
-        let tp = gustavson_view_into(
-            &va,
-            &vb,
-            &mut self.ws,
-            r.ir.start,
-            r.jr.start,
-            &mut totals.out_entries,
-        );
+        let va = self.a_rows.view(i0..i1, k0..k1);
+        let vb = self.b_rows.view(k0..k1, j0..j1);
+        let tp = gustavson_view_into(&va, &vb, &mut self.ws, i0, j0, &mut totals.out_entries);
         if cfg.skip_output {
             // The entries would only feed the (skipped) output assembly;
             // dropping them per task keeps the buffer's capacity bounded
@@ -851,8 +833,8 @@ impl<'c> Worker<'c> {
         // re-counting the rectangles per task.
         let a_nnz = task.plan.tile("A").map_or(0, |t| t.nnz);
         let b_nnz = task.plan.tile("B").map_or(0, |t| t.nnz);
-        let occ_i = a_nnz.min(r.ir.len() as u64).max(1);
-        let occ_j = b_nnz.min(r.jr.len() as u64).max(1);
+        let occ_i = a_nnz.min(u64::from(i1.saturating_sub(i0))).max(1);
+        let occ_j = b_nnz.min(u64::from(j1.saturating_sub(j0))).max(1);
         let scan = a_nnz * occ_j + b_nnz * occ_i;
         let isect_cycles = cfg.intersect.cycles_from_counts(scan, tp.maccs);
         totals.actions.intersect_steps += scan;
@@ -873,7 +855,7 @@ impl<'c> Worker<'c> {
         });
 
         MergeRec {
-            key: [r.ir.start, r.ir.end, r.jr.start, r.jr.end],
+            key: [i0, i1, j0, j1],
             added: cfg.drt.size_model.coo_bytes(tp.out_nnz as usize, 2) as u64,
             merge_cycles,
             on_chip_cycles,
@@ -884,44 +866,24 @@ impl<'c> Worker<'c> {
 }
 
 /// One task stepped as a one-task shard: its totals plus its merge
-/// record. This is the content-addressed unit of incremental
-/// re-execution ([`crate::incremental`]): a task whose plan, predecessor
-/// residency, and operand rows are unchanged since a previous run
-/// contributes exactly this capture again, so splicing it is
-/// bit-identical to re-executing the task — the same purity argument that
-/// makes sharded runs bit-identical to serial ones.
+/// record. This is the content-addressed unit of a task store
+/// ([`crate::incremental`]): a task whose plan, predecessor residency,
+/// and operand rows are unchanged since a previous run contributes
+/// exactly this capture again, so splicing it is bit-identical to
+/// re-executing the task — the same purity argument that makes sharded
+/// runs bit-identical to serial ones.
 #[derive(Debug)]
 pub(crate) struct TaskCapture {
-    pub(crate) totals: Totals,
-    pub(crate) rec: MergeRec,
-}
-
-impl TaskCapture {
-    /// Step `task` alone with residency seeded from `prev`, exactly as a
-    /// shard worker whose range starts at `task` would. The output
-    /// entries are trimmed to their length: a capture may be stored for
-    /// many runs.
-    pub(crate) fn new(
-        a_rows: &CsMatrix,
-        b_rows: &CsMatrix,
-        cfg: &EngineConfig,
-        prev: Option<&Task>,
-        task: &Task,
-    ) -> TaskCapture {
-        let mut totals = Totals::default();
-        let mut worker = Worker::new(a_rows, b_rows, cfg, Probe::disabled(), prev);
-        let rec = worker.step(task, &mut totals);
-        totals.out_entries.shrink_to_fit();
-        TaskCapture { totals, rec }
-    }
+    totals: Totals,
+    rec: MergeRec,
 }
 
 /// The order-dependent half of every run: commits merge records in
 /// global task order through the Z output cache and the PE round-robin,
 /// folds totals, and writes the report back. Serial runs commit each
-/// task as it is stepped; sharded and incremental runs fold whole shards
-/// (an incremental task is a one-task shard).
-pub(crate) struct Reducer<'c> {
+/// task as it is stepped or fold its capture from a task store; sharded
+/// runs fold whole shards.
+struct Reducer<'c> {
     cfg: &'c EngineConfig,
     /// The run's totals: the folded shards' plus the reducer's own merge
     /// and writeback charges.
@@ -938,11 +900,7 @@ pub(crate) struct Reducer<'c> {
 }
 
 impl<'c> Reducer<'c> {
-    pub(crate) fn new(
-        cfg: &'c EngineConfig,
-        probe: Probe,
-        tags: Option<Arc<TaggingSink>>,
-    ) -> Reducer<'c> {
+    fn new(cfg: &'c EngineConfig, probe: Probe, tags: Option<Arc<TaggingSink>>) -> Reducer<'c> {
         Reducer {
             cfg,
             totals: Totals::default(),
@@ -990,7 +948,7 @@ impl<'c> Reducer<'c> {
 
     /// Commit a shard's merge records (in task order), then fold its
     /// totals.
-    pub(crate) fn fold(&mut self, totals: &Totals, recs: &[MergeRec]) {
+    fn fold(&mut self, totals: &Totals, recs: &[MergeRec]) {
         for rec in recs {
             self.commit(rec);
         }
@@ -1002,7 +960,7 @@ impl<'c> Reducer<'c> {
     /// the task-ordered partials with [`finalize_output`] (host work
     /// only, modeled by none of the report's numbers), and assemble the
     /// report over the committed tasks.
-    pub(crate) fn finish(mut self, nrows: u32, ncols: u32, skipped_tasks: u64) -> RunReport {
+    fn finish(mut self, nrows: u32, ncols: u32, skipped_tasks: u64) -> RunReport {
         if let Some(s) = &self.tags {
             s.set_position(u64::MAX, lane::FINISH);
         }
@@ -1198,7 +1156,7 @@ pub(crate) fn best_suc_shape(
     let mut best: Option<(f64, BTreeMap<RankId, u32>)> = None;
     for sizes in candidates {
         let cfg = EngineConfig { tiling: Tiling::Suc(sizes.clone()), ..base.clone() };
-        let seconds = run_spmspm_ft(a, b, &cfg, &ctx)?.into_report().seconds;
+        let seconds = run_spmspm_ft(a, b, &cfg, &ctx, None)?.into_report().seconds;
         if best.as_ref().is_none_or(|(s, _)| seconds < *s) {
             best = Some((seconds, sizes));
         }

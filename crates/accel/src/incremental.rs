@@ -1,29 +1,30 @@
 //! Incremental re-execution of SpMSpM runs across small operand deltas.
 //!
-//! An [`IncrementalSpmspm`] owns one engine configuration and a
-//! content-addressed store of per-task engine results. After a
-//! [`drt_tensor::DeltaBatch`] patches an operand in place
-//! ([`CsMatrix::apply_delta`]), the next [`IncrementalSpmspm::run`]
-//! plans the whole task stream from scratch (planning reads only prefix
-//! sums, so it is cheap), re-executes only the tasks whose inputs
-//! actually changed, and splices the stored results for everything else.
-//! A spliced task shares its stored capture by pointer.
+//! An [`IncrementalSpmspm`] is a thin handle: a [`Session`] around one
+//! engine configuration plus a content-addressed store of per-task
+//! results. After a [`drt_tensor::DeltaBatch`] patches an operand in
+//! place ([`CsMatrix::apply_delta`]), [`IncrementalSpmspm::run`] takes
+//! the engine's serial streaming path with the store attached: it plans
+//! the whole stream from scratch (planning reads only prefix sums, so it
+//! is cheap), steps only the tasks whose inputs changed, and splices the
+//! stored results, shared by pointer, for everything else.
 //!
 //! ## Why splicing is bit-identical
 //!
 //! Every engine run executes tasks through one worker step and commits
 //! them through one reducer ([`crate::engine`]). A step's effects for
-//! task *t* depend only on task *t*'s plan, the residency seeded from
-//! task *t − 1*, and the operand values under the task's coordinate
-//! ranges — never on how earlier tasks executed. Order-dependent state
-//! (the Z-cache LRU, PE round-robin, output assembly) is confined to the
+//! task *t* depend only on task *t*'s plan, the residency left by task
+//! *t − 1*, and the operand values under the task's coordinate ranges —
+//! never on how earlier tasks executed. Order-dependent state (the
+//! Z-cache LRU, PE round-robin, output assembly) is confined to the
 //! task's merge record, which the reducer commits in global task order.
 //! A stored `TaskCapture` is exactly a one-task shard (the step's totals
-//! plus its merge record), so reducing captures — whether freshly
-//! computed or spliced from a previous run — reproduces the serial run
+//! plus its merge record), so folding captures — whether freshly stepped
+//! or spliced from a previous run — reproduces the plain serial run
 //! bit-for-bit, by the same argument that makes sharded runs match it.
-//! The conformance suite pins `RunReport::bit_diff == None` against
-//! from-scratch runs.
+//! The worker skips spliced tasks, so before it steps a miss it re-seeds
+//! its residency from the previous task's ranges. The conformance
+//! suite pins `RunReport::bit_diff == None` against from-scratch runs.
 //!
 //! ## What a task result is keyed by
 //!
@@ -46,13 +47,13 @@
 //! key and confirms every hit by exact equality against the stored key
 //! (plan, predecessor ranges, both 128-bit fingerprints). A digest
 //! collision is therefore a miss, never a wrong splice. Only a miss
-//! stores a key, and its plan is moved out of the run's task list after
-//! replay rather than cloned.
+//! stores a key, and its plan is moved in from the streamed task rather
+//! than cloned.
 //!
 //! Keys are conservative (a changed row invalidates every task crossing
 //! it; an unchanged task always matches, modulo 128-bit fingerprint
-//! collisions) and config-blind: one `IncrementalSpmspm` serves exactly
-//! one engine configuration.
+//! collisions) and config-blind: one store serves exactly one engine
+//! configuration.
 //!
 //! ## How the store stays bounded
 //!
@@ -60,17 +61,21 @@
 //! it. When a run leaves more than `STORE_CAP_RUNS` (4) times its own
 //! task count in the store, whole runs' entries are dropped, least
 //! recently hit first, until at most `STORE_KEEP_RUNS` (2) times its task
-//! count remain. The latest run's own entries always survive. Superseded
+//! count remain. The latest run's entries always survive. Superseded
 //! results are kept until then on purpose: a delta that is later
 //! reverted makes them valid again, and a revert that finds them splices
 //! instead of re-executing.
 //!
-//! Incremental runs are complete, unprobed, inert-fault serial runs —
-//! the fast path the delta workloads need. Probed, budget-capped,
-//! chaos-injected, or cancelled runs must go through
-//! [`crate::session::Session::run_ref`], which reports degradation
-//! honestly; this type does not accept those knobs at all rather than
-//! silently ignoring them.
+//! ## What each kind of session does
+//!
+//! * Plain, budgeted and cancelled sessions splice on the streaming path
+//!   and degrade exactly as their from-scratch runs do.
+//! * Probed (a splice would cut the trace), multi-threaded, retrying and
+//!   chaos sessions run the engine's ordinary path, leave the store
+//!   untouched, and count every committed task as executed.
+//! * A spec-backed session is a typed `BadConfig` error at
+//!   [`IncrementalSpmspm::run`]: the store is keyed for one engine
+//!   configuration.
 //!
 //! ```rust
 //! use drt_accel::engine::{EngineConfig, Tiling};
@@ -100,14 +105,13 @@
 //! # let _ = (first, second);
 //! ```
 
-use crate::engine::{materialize, EngineConfig, Reducer, TaskCapture};
+use crate::engine::{ranges6, TaskCapture};
 use crate::error::DrtError;
 use crate::report::RunReport;
+use crate::session::Session;
 use drt_core::drt::TilePlan;
-use drt_core::kernel::Kernel;
-use drt_core::probe::Probe;
-use drt_core::taskgen::{Task, TaskStream};
-use drt_tensor::{CsMatrix, MajorAxis};
+use drt_core::taskgen::Task;
+use drt_tensor::CsMatrix;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::Range;
@@ -178,14 +182,6 @@ fn range_fp(sums: &[RangeFp], r: &Range<u32>) -> RangeFp {
     [hi[0].wrapping_sub(lo[0]), hi[1].wrapping_sub(lo[1])]
 }
 
-/// The i/k/j coordinate ranges of a task, flattened — what the task seeds
-/// as residency for its successor.
-fn ranges6(task: &Task) -> [u32; 6] {
-    let p = &task.plan.coord_ranges;
-    let (i, k, j) = (&p[&'i'], &p[&'k'], &p[&'j']);
-    [i.start, i.end, k.start, k.end, j.start, j.end]
-}
-
 /// Multiply-rotate [`Hasher`] over [`fp_mix`]: digests task keys, and
 /// hashes the store's digest keys. The store holds one entry per digest,
 /// so keys whose digests collide replace each other instead of piling
@@ -253,12 +249,12 @@ struct Entry {
 pub struct IncrStats {
     /// Committed tasks in the run.
     pub tasks: u64,
-    /// Tasks executed for real (key missed the result store).
+    /// Tasks executed for real (missed the store, or ran the ordinary path).
     pub executed: u64,
     /// Tasks spliced from the result store.
     pub spliced: u64,
-    /// DRT planner invocations this run ([`TaskStream::plan_calls`]):
-    /// every run plans from scratch, so this is every call.
+    /// DRT planner invocations of a store run (every run plans from
+    /// scratch); 0 for a run that took the ordinary path.
     pub plans_computed: u64,
     /// Always 0 (no plan is reused across runs); kept for the repo
     /// benchmark's (`perfbench`) field reads.
@@ -272,110 +268,73 @@ impl IncrStats {
     }
 }
 
-/// A reusable SpMSpM runner that re-executes only what an operand delta
-/// touched. See the module docs for the determinism contract and the
-/// gating rules.
-pub struct IncrementalSpmspm {
-    cfg: EngineConfig,
+/// The content-addressed store of per-task engine results behind an
+/// [`IncrementalSpmspm`]. The engine's serial streaming path opens a run
+/// with [`TaskStore::begin`], asks [`TaskStore::capture`] for each task
+/// in stream order, and closes the run with [`TaskStore::finish`].
+#[derive(Default)]
+pub(crate) struct TaskStore {
     results: HashMap<u64, Entry, BuildHasherDefault<DigestHasher>>,
     /// Runs so far: the stamp of the current run's hits and inserts.
     runs: u64,
+    /// The open run's row fingerprint prefix sums of A and B, previous
+    /// task's ranges, and task and miss counts.
+    a_fps: Vec<RangeFp>,
+    b_fps: Vec<RangeFp>,
+    prev: Option<[u32; 6]>,
+    tasks: u64,
+    executed: u64,
+    /// Counters of the latest run.
     last: IncrStats,
 }
 
-impl std::fmt::Debug for IncrementalSpmspm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IncrementalSpmspm")
-            .field("cfg", &self.cfg.name)
-            .field("cached_tasks", &self.results.len())
-            .field("last", &self.last)
-            .finish()
-    }
-}
-
-impl IncrementalSpmspm {
-    /// Wrap `cfg` for incremental execution, with an empty result store.
-    pub fn new(cfg: EngineConfig) -> IncrementalSpmspm {
-        IncrementalSpmspm { cfg, results: HashMap::default(), runs: 0, last: IncrStats::default() }
-    }
-
-    /// Run `Z = A · B`, splicing stored results for every task whose key
-    /// (plan, predecessor residency, operand-row content) is unchanged
-    /// since an earlier run of this instance. The report is bit-identical
-    /// to a from-scratch [`crate::session::Session::from_engine_config`]
-    /// run of the same operands under the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Tiling configuration errors from `drt-core`, as
-    /// [`DrtError::Core`] — the same surface as a from-scratch run.
-    pub fn run(&mut self, a: &CsMatrix, b: &CsMatrix) -> Result<RunReport, DrtError> {
-        let cfg = &self.cfg;
-        let kernel = Kernel::spmspm_fmt(a, b, cfg.micro, cfg.micro_format)?;
-        let a_cow = a.as_major(MajorAxis::Row);
-        let b_cow = b.as_major(MajorAxis::Row);
-        let (a_rows, b_rows) = (a_cow.as_ref(), b_cow.as_ref());
-
-        // No budget and an inert cancel token: the stream cannot degrade
-        // or abort, so every generated task is a committed task.
-        let list = materialize(TaskStream::build(&kernel, cfg.task_options())?, None);
-        let tasks = list.tasks;
-
-        let a_fps = row_fps(a_rows);
-        let b_fps = row_fps(b_rows);
+impl TaskStore {
+    /// Open a run over the row-major operands `a_rows` and `b_rows`.
+    pub(crate) fn begin(&mut self, a_rows: &CsMatrix, b_rows: &CsMatrix) {
         self.runs += 1;
-        let run = self.runs;
-        let mut captures: Vec<Arc<TaskCapture>> = Vec::with_capacity(tasks.len());
-        // (task position, digest, key tail) of every task that missed.
-        let mut misses: Vec<(usize, u64, KeyTail)> = Vec::new();
-        for (i, task) in tasks.iter().enumerate() {
-            let prev = i.checked_sub(1).map(|p| &tasks[p]);
-            let p = &task.plan.coord_ranges;
-            let tail = KeyTail {
-                prev: prev.map(ranges6),
-                a_fp: range_fp(&a_fps, &p[&'i']),
-                b_fp: range_fp(&b_fps, &p[&'k']),
-            };
-            let d = digest(&task.plan, &tail);
-            let c = match self.results.get_mut(&d) {
-                Some(e) if e.tail == tail && e.plan == task.plan => {
-                    e.run = run;
-                    Arc::clone(&e.capture)
-                }
-                _ => {
-                    misses.push((i, d, tail));
-                    Arc::new(TaskCapture::new(a_rows, b_rows, cfg, prev, task))
-                }
-            };
-            captures.push(c);
-        }
-        // The engine's reducer, over one-task shards.
-        let mut red = Reducer::new(cfg, Probe::disabled(), None);
-        for c in &captures {
-            red.fold(&c.totals, std::slice::from_ref(&c.rec));
-        }
-        let report = red.finish(a.nrows(), b.ncols(), list.skipped);
+        self.a_fps = row_fps(a_rows);
+        self.b_fps = row_fps(b_rows);
+        (self.prev, self.tasks, self.executed) = (None, 0, 0);
+    }
 
-        let n = tasks.len();
-        let executed = misses.len();
-        // Store each miss under its digest, moving its plan out of the
-        // run's tasks (misses are in task order).
-        let mut owned = tasks.into_iter().enumerate();
-        for (i, d, tail) in misses {
-            let (_, task) = owned.find(|(j, _)| *j == i).expect("misses are in task order");
-            let capture = Arc::clone(&captures[i]);
-            self.results.insert(d, Entry { plan: task.plan, tail, capture, run });
+    /// The capture of the run's next task: the stored one when the task's
+    /// key hits, else `step(task, prev)`'s, stored under the key (`prev`
+    /// is the previous task's i/k/j ranges).
+    pub(crate) fn capture(
+        &mut self,
+        task: Task,
+        step: impl FnOnce(&Task, Option<[u32; 6]>) -> TaskCapture,
+    ) -> Arc<TaskCapture> {
+        let p = &task.plan.coord_ranges;
+        let tail = KeyTail {
+            prev: self.prev.replace(ranges6(&task)),
+            a_fp: range_fp(&self.a_fps, &p[&'i']),
+            b_fp: range_fp(&self.b_fps, &p[&'k']),
+        };
+        self.tasks += 1;
+        let d = digest(&task.plan, &tail);
+        if let Some(e) = self.results.get_mut(&d).filter(|e| e.tail == tail && e.plan == task.plan)
+        {
+            e.run = self.runs;
+            return Arc::clone(&e.capture);
         }
-        self.evict(n);
+        self.executed += 1;
+        let capture = Arc::new(step(&task, tail.prev));
+        let entry = Entry { plan: task.plan, tail, capture: Arc::clone(&capture), run: self.runs };
+        self.results.insert(d, entry);
+        capture
+    }
 
+    /// Close the run: bound the store and record the run's counters.
+    pub(crate) fn finish(&mut self, plan_calls: u64) {
+        self.evict(self.tasks as usize);
         self.last = IncrStats {
-            tasks: n as u64,
-            executed: executed as u64,
-            spliced: (n - executed) as u64,
-            plans_computed: list.plan_calls,
+            tasks: self.tasks,
+            executed: self.executed,
+            spliced: self.tasks - self.executed,
+            plans_computed: plan_calls,
             plans_reused: 0,
         };
-        Ok(report)
     }
 
     /// Enforce the store bound after a run of `tasks` tasks: above
@@ -392,38 +351,77 @@ impl IncrementalSpmspm {
         let (_, &mut cutoff, _) = runs.select_nth_unstable_by(keep, |x, y| y.cmp(x));
         self.results.retain(|_, e| e.run > cutoff);
     }
+}
+
+/// A reusable SpMSpM runner that re-executes only what an operand delta
+/// touched: a session plus its task store. See the module docs for the
+/// determinism contract and what each kind of session does.
+pub struct IncrementalSpmspm {
+    session: Session,
+    store: TaskStore,
+}
+
+impl std::fmt::Debug for IncrementalSpmspm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("IncrementalSpmspm")
+            .field("session", &self.session)
+            .field("cached_tasks", &self.store.results.len())
+            .field("last", &self.store.last)
+            .finish()
+    }
+}
+
+impl IncrementalSpmspm {
+    /// A runner around `session` (an [`crate::engine::EngineConfig`]
+    /// converts into its [`Session::from_engine_config`] session), with
+    /// an empty task store.
+    pub fn new(session: impl Into<Session>) -> IncrementalSpmspm {
+        IncrementalSpmspm { session: session.into(), store: TaskStore::default() }
+    }
+
+    /// Run `Z = A · B`, splicing stored results for every task whose key
+    /// (plan, predecessor residency, operand-row content) is unchanged
+    /// since an earlier run of this instance. The report is bit-identical
+    /// to the same session's from-scratch [`Session::run_spmspm`] run,
+    /// degradation included.
+    ///
+    /// # Errors
+    ///
+    /// The session's own run errors (tiling configuration errors as
+    /// [`DrtError::Core`], a shard that panicked through every retry as
+    /// [`DrtError::ShardPanicked`]), and a `BadConfig` [`DrtError::Core`]
+    /// for a spec-backed session.
+    pub fn run(&mut self, a: &CsMatrix, b: &CsMatrix) -> Result<RunReport, DrtError> {
+        let runs = self.store.runs;
+        let report = self.session.run_stored(a, b, &mut self.store)?;
+        if self.store.runs == runs {
+            // The ordinary path: every committed task executed.
+            let tasks = report.tasks;
+            self.store.last = IncrStats { tasks, executed: tasks, ..IncrStats::default() };
+        }
+        Ok(report)
+    }
 
     /// Counters for the most recent [`IncrementalSpmspm::run`].
     pub fn last_stats(&self) -> IncrStats {
-        self.last
+        self.store.last
     }
 
     /// Number of distinct task results currently stored: at most four
-    /// times the latest run's task count (see the module docs).
+    /// times the latest store run's task count (see the module docs).
     pub fn cached_tasks(&self) -> usize {
-        self.results.len()
-    }
-
-    /// The wrapped configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
-    }
-
-    /// Drop every stored task result. The store bounds itself relative to
-    /// the latest run (see the module docs); this frees it early, for
-    /// example when the operands are replaced rather than patched.
-    pub fn clear(&mut self) {
-        self.results.clear();
+        self.store.results.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Tiling;
-    use crate::session::Session;
+    use crate::engine::{EngineConfig, Tiling};
     use drt_core::config::{DrtConfig, Partitions};
-    use drt_tensor::DeltaBatch;
+    use drt_core::kernel::Kernel;
+    use drt_core::taskgen::TaskStream;
+    use drt_tensor::{DeltaBatch, MajorAxis};
 
     fn band(n: u32, w: u32) -> CsMatrix {
         let mut entries = Vec::new();
@@ -472,7 +470,8 @@ mod tests {
     #[test]
     fn small_delta_reexecutes_a_strict_subset() {
         let (mut a, b) = (band(96, 1), band(96, 2));
-        let mut eng = IncrementalSpmspm::new(drt_cfg());
+        let cfg = drt_cfg();
+        let mut eng = IncrementalSpmspm::new(cfg.clone());
         eng.run(&a, &b).expect("cold run");
         let cold = eng.last_stats();
 
@@ -480,7 +479,7 @@ mod tests {
         delta.upsert(10, 12, 5.0);
         a.apply_delta(&delta);
 
-        let scratch = scratch_run(&a, &b, eng.config());
+        let scratch = scratch_run(&a, &b, &cfg);
         let incr = eng.run(&a, &b).expect("incremental run on patched operand");
         assert_eq!(scratch.bit_diff(&incr), None);
 
@@ -501,14 +500,15 @@ mod tests {
         // crossing tasks re-run, and the output still matches from-scratch
         // bit-for-bit.
         let (mut a, b) = (band(64, 1), band(64, 2));
-        let mut eng = IncrementalSpmspm::new(drt_cfg());
+        let cfg = drt_cfg();
+        let mut eng = IncrementalSpmspm::new(cfg.clone());
         eng.run(&a, &b).expect("cold run");
 
         let mut delta = DeltaBatch::new();
         delta.upsert(5, 5, 99.0); // (5,5) already exists in a band matrix
         a.apply_delta(&delta);
 
-        let scratch = scratch_run(&a, &b, eng.config());
+        let scratch = scratch_run(&a, &b, &cfg);
         let incr = eng.run(&a, &b).expect("incremental run");
         assert_eq!(scratch.bit_diff(&incr), None);
         let s = eng.last_stats();
@@ -556,6 +556,46 @@ mod tests {
         let s = eng.last_stats();
         assert!(s.spliced > 0, "S-U-C tasks away from the delta must splice");
         assert_eq!(s.plans_computed, 0, "S-U-C never calls the DRT planner");
+    }
+
+    /// A value-only delta on one A row: every plan stays, and the tasks
+    /// crossing the row miss. Under the default `j, k, i` order a miss's
+    /// predecessor in the same (k, j) box splices and shares its B tile,
+    /// so unless the run's worker re-seeds residency from that spliced
+    /// task before stepping the miss, the miss re-fetches B and the
+    /// traffic diverges from the from-scratch run.
+    #[test]
+    fn a_miss_after_a_spliced_task_reseeds_residency() {
+        let sizes = std::collections::BTreeMap::from([('i', 16), ('k', 16), ('j', 16)]);
+        let parts = Partitions::from_bytes(&[("A", 4096), ("B", 4096), ("Z", 4096)]);
+        let suc = EngineConfig::new(("incr-suc", Tiling::Suc(sizes), DrtConfig::new(parts)));
+        let row = 50;
+        for cfg in [drt_cfg(), suc] {
+            let (mut a, b) = (band(96, 1), band(96, 2));
+            let mut eng = IncrementalSpmspm::new(cfg.clone());
+            eng.run(&a, &b).expect("cold run");
+            let mut delta = DeltaBatch::new();
+            delta.upsert(row, row, -3.25); // (row, row) exists in a band matrix
+            a.apply_delta(&delta);
+
+            let kernel = Kernel::spmspm_fmt(&a, &b, cfg.micro, cfg.micro_format).expect("kernel");
+            let tasks: Vec<Task> =
+                TaskStream::build(&kernel, cfg.task_options()).expect("stream").collect();
+            let crosses = |t: &Task| t.plan.coord_ranges[&'i'].contains(&row);
+            let b_tile = |t: &Task| ranges6(t)[2..].to_vec();
+            assert!(
+                tasks.windows(2).any(|w| {
+                    !crosses(&w[0]) && crosses(&w[1]) && b_tile(&w[0]) == b_tile(&w[1])
+                }),
+                "{}: no miss follows a spliced task sharing its B tile",
+                cfg.name
+            );
+
+            let incr = eng.run(&a, &b).expect("incremental run");
+            assert_eq!(scratch_run(&a, &b, &cfg).bit_diff(&incr), None, "{}", cfg.name);
+            let s = eng.last_stats();
+            assert!(s.executed > 0 && s.spliced > 0, "{}: {s:?}", cfg.name);
+        }
     }
 
     /// A small deterministic generator for delta streams (splitmix64).
@@ -697,10 +737,10 @@ mod tests {
         for mutate in plant {
             let mut eng = IncrementalSpmspm::new(cfg.clone());
             eng.run(&a, &b).expect("cold run");
-            let mut digests: Vec<u64> = eng.results.keys().copied().collect();
+            let mut digests: Vec<u64> = eng.store.results.keys().copied().collect();
             digests.sort_unstable();
-            let other = Arc::clone(&eng.results[&digests[1]].capture);
-            let e = eng.results.get_mut(&digests[0]).expect("stored entry");
+            let other = Arc::clone(&eng.store.results[&digests[1]].capture);
+            let e = eng.store.results.get_mut(&digests[0]).expect("stored entry");
             e.capture = other;
             mutate(e);
 

@@ -6,7 +6,7 @@
 //!
 //! A [`PipelineSpec`] is a list of 1..N [`Stage`]s applied to one sparse
 //! input. Single-stage SpMSpM is the degenerate case and delegates
-//! verbatim to the engine ([`crate::spec::AccelSpec::run_ft`]), so its
+//! verbatim to the engine (through `AccelSpec::run_ft`), so its
 //! reports and traces stay bit-identical to `Session::run_spmspm` for
 //! every registered variant. Every other pipeline runs through **one
 //! stage loop**. Each stage is data: a [`Kernel`] with its loop order and

@@ -42,6 +42,7 @@
 use crate::cpu::CpuSpec;
 use crate::engine::{run_spmspm_ft, EngineConfig, ExecPolicy, ShardSchedule};
 use crate::error::DrtError;
+use crate::incremental::TaskStore;
 use crate::pipeline::{PipelineInput, PipelineSpec, Stage};
 use crate::report::{RunOutcome, RunReport};
 use crate::spec::{AccelSpec, Registry, RunCtx};
@@ -75,6 +76,12 @@ pub struct Session {
     ctx: RunCtx,
 }
 
+impl From<EngineConfig> for Session {
+    fn from(cfg: EngineConfig) -> Session {
+        Session::from_engine_config(cfg)
+    }
+}
+
 impl Session {
     /// A session around anything spec-like: a registered [`AccelSpec`],
     /// or an ad-hoc `(name, Tiling, DrtConfig)` triple.
@@ -101,6 +108,22 @@ impl Session {
     pub fn from_engine_config(cfg: EngineConfig) -> Session {
         let ctx = RunCtx::new(&cfg.hier);
         Session { target: Target::Config(cfg), ctx }
+    }
+
+    /// [`Session::run_spmspm`] with a task store ([`crate::incremental`]).
+    /// A spec-backed session is a `BadConfig` error: a store is keyed for
+    /// one engine configuration.
+    pub(crate) fn run_stored(
+        &self,
+        a: &CsMatrix,
+        b: &CsMatrix,
+        store: &mut TaskStore,
+    ) -> Result<RunReport, DrtError> {
+        let Target::Config(cfg) = &self.target else {
+            let detail = "a task store needs a session around an engine configuration".into();
+            return Err(DrtError::Core(CoreError::BadConfig { detail }));
+        };
+        run_spmspm_ft(a, b, cfg, &self.ctx, Some(store)).map(RunOutcome::into_report)
     }
 
     /// Replace the session's entire run context (hierarchy, CPU, probe,
@@ -260,7 +283,7 @@ impl Session {
         match (w, &self.target) {
             (WorkloadRef::Spmspm { a, b }, Target::Spec(spec)) => spec.run_ft(a, b, &self.ctx),
             (WorkloadRef::Spmspm { a, b }, Target::Config(cfg)) => {
-                run_spmspm_ft(a, b, cfg, &self.ctx)
+                run_spmspm_ft(a, b, cfg, &self.ctx, None)
             }
             (WorkloadRef::Pipeline { input, pipe }, Target::Spec(spec)) => {
                 crate::pipeline::run_pipeline(input, pipe, spec, &self.ctx)

@@ -24,6 +24,7 @@ use drt_core::cancel::CancelToken;
 use drt_core::chaos::FaultInjector;
 use drt_core::config::{DrtConfig, GrowthOrder, Partitions};
 use drt_core::extractor::ExtractorModel;
+use drt_core::kernel::check_inner_dims;
 use drt_core::micro::MicroFormat;
 use drt_core::probe::Probe;
 use drt_core::{CoreError, RankId};
@@ -355,14 +356,17 @@ impl AccelSpec {
     ///
     /// # Errors
     ///
-    /// Configuration errors as [`DrtError::Core`]; a shard that kept
-    /// panicking after every retry as [`DrtError::ShardPanicked`].
+    /// Configuration errors as [`DrtError::Core`] (mismatched inner
+    /// dimensions first, for every variant); a shard that kept panicking
+    /// after every retry as [`DrtError::ShardPanicked`].
     pub(crate) fn run_ft(
         &self,
         a: &CsMatrix,
         b: &CsMatrix,
         ctx: &RunCtx,
     ) -> Result<RunOutcome, DrtError> {
+        // Analytic models assume a chaining pair: reject it for every variant.
+        check_inner_dims(a, b)?;
         if let Some(kind) = ctx.cancel.expiry_kind() {
             return Ok(degraded_entry(
                 &self.name,
@@ -522,9 +526,9 @@ impl AccelSpec {
         if es.adapt_micro && es.tiling == TilingSpec::Drt {
             // Halve by trying the run itself: a separate preflight would
             // build the operands' micro grids twice.
-            return halve_micro(&mut cfg, |c| run_spmspm_ft(a, b, c, ctx));
+            return halve_micro(&mut cfg, |c| run_spmspm_ft(a, b, c, ctx, None));
         }
-        run_spmspm_ft(a, b, &cfg, ctx)
+        run_spmspm_ft(a, b, &cfg, ctx, None)
     }
 
     // ---- standard variants ------------------------------------------------

@@ -7,15 +7,19 @@
 //! attaching an instrumentation probe never changes the simulated numbers,
 //! and sharded runs are bit-identical to serial ones.
 
-use drt_accel::engine::{ExecPolicy, ShardSchedule};
+use drt_accel::engine::{EngineConfig, ExecPolicy, ShardSchedule, Tiling};
+use drt_accel::error::DrtError;
+use drt_accel::incremental::IncrementalSpmspm;
 use drt_accel::report::RunReport;
 use drt_accel::session::Session;
 use drt_accel::spec::{AccelSpec, Registry};
+use drt_core::config::{DrtConfig, Partitions};
 use drt_core::probe::{CountingSink, JsonlSink, Probe};
+use drt_core::CoreError;
 use drt_kernels::spmspm::gustavson;
 use drt_sim::memory::HierarchySpec;
-use drt_tensor::CsMatrix;
-use drt_workloads::patterns::{diamond_band, rmat};
+use drt_tensor::{CsMatrix, DeltaBatch};
+use drt_workloads::patterns::{diamond_band, rmat, unstructured};
 use std::sync::{Arc, Mutex};
 
 /// A hierarchy small enough that the tiny test workloads actually
@@ -223,6 +227,39 @@ fn phase_bytes_sum_to_traffic() {
     }
 }
 
+/// Two incremental test configurations: DRT and fixed-shape S-U-C.
+fn incr_configs() -> Vec<EngineConfig> {
+    vec![
+        EngineConfig::new((
+            "incr-drt",
+            Tiling::Drt,
+            DrtConfig::new(Partitions::from_bytes(&[("A", 4096), ("B", 4096), ("Z", 1024)])),
+        )),
+        EngineConfig::new((
+            "incr-suc",
+            Tiling::Suc(std::collections::BTreeMap::from([('i', 16), ('k', 16), ('j', 16)])),
+            DrtConfig::new(Partitions::from_bytes(&[("A", 4096), ("B", 4096), ("Z", 4096)])),
+        )),
+    ]
+}
+
+/// The operand pair the incremental tests patch.
+fn incr_operands() -> (CsMatrix, CsMatrix) {
+    (diamond_band(128, 900, 13), rmat(128, 1_000, 0.45, 0.25, 0.2, 11))
+}
+
+/// Three deltas: a new entry, a value overwrite, then a delete that
+/// reverts the first step (exercising re-validation of old results).
+fn incr_deltas() -> Vec<DeltaBatch> {
+    let mut add = DeltaBatch::new();
+    add.upsert(10, 12, 5.0).upsert(40, 3, -2.0);
+    let mut overwrite = DeltaBatch::new();
+    overwrite.upsert(10, 12, 7.5);
+    let mut revert = DeltaBatch::new();
+    revert.delete(10, 12).delete(40, 3);
+    vec![add, overwrite, revert]
+}
+
 /// The delta-path determinism contract (incremental re-execution): a run
 /// that splices cached task results after operand deltas must be
 /// bit-identical to a from-scratch run of the patched operands — for DRT
@@ -230,53 +267,12 @@ fn phase_bytes_sum_to_traffic() {
 /// oracles, across a sequence of upserts and deletes.
 #[test]
 fn incremental_runs_are_bit_identical_to_from_scratch() {
-    use drt_accel::engine::{EngineConfig, Tiling};
-    use drt_accel::incremental::IncrementalSpmspm;
-    use drt_core::config::{DrtConfig, Partitions};
-    use drt_tensor::DeltaBatch;
-
-    let configs = vec![
-        (
-            "incr-drt",
-            EngineConfig::new((
-                "incr-drt",
-                Tiling::Drt,
-                DrtConfig::new(Partitions::from_bytes(&[("A", 4096), ("B", 4096), ("Z", 1024)])),
-            )),
-        ),
-        (
-            "incr-suc",
-            EngineConfig::new((
-                "incr-suc",
-                Tiling::Suc(std::collections::BTreeMap::from([('i', 16), ('k', 16), ('j', 16)])),
-                DrtConfig::new(Partitions::from_bytes(&[("A", 4096), ("B", 4096), ("Z", 4096)])),
-            )),
-        ),
-    ];
-    // Three deltas: a new entry, a value overwrite, then a delete that
-    // reverts the first step (exercising re-validation of old results).
-    let deltas: Vec<DeltaBatch> = vec![
-        {
-            let mut d = DeltaBatch::new();
-            d.upsert(10, 12, 5.0).upsert(40, 3, -2.0);
-            d
-        },
-        {
-            let mut d = DeltaBatch::new();
-            d.upsert(10, 12, 7.5);
-            d
-        },
-        {
-            let mut d = DeltaBatch::new();
-            d.delete(10, 12).delete(40, 3);
-            d
-        },
-    ];
-    for (name, cfg) in configs {
-        let mut a = diamond_band(128, 900, 13);
-        let b = rmat(128, 1_000, 0.45, 0.25, 0.2, 11);
+    for cfg in incr_configs() {
+        let name = cfg.name.clone();
+        let (mut a, b) = incr_operands();
         let mut eng = IncrementalSpmspm::new(cfg.clone());
         let mut total_spliced = 0u64;
+        let deltas = incr_deltas();
         for (step, delta) in std::iter::once(None).chain(deltas.iter().map(Some)).enumerate() {
             if let Some(d) = delta {
                 a.apply_delta(d);
@@ -298,5 +294,64 @@ fn incremental_runs_are_bit_identical_to_from_scratch() {
             }
         }
         assert!(total_spliced > 0, "{name}: no task result was ever spliced across deltas");
+    }
+}
+
+/// Incremental runs through sessions the store does not serve the usual
+/// way: a pre-expired token degrades exactly like the same session's
+/// from-scratch run, and a 2-thread session takes the ordinary sharded
+/// path (every task executed, the store untouched) with the sharded
+/// run's bits.
+#[test]
+fn incremental_sessions_match_their_from_scratch_runs() {
+    for cfg in incr_configs() {
+        let name = cfg.name.clone();
+        let (mut a, b) = incr_operands();
+
+        let expired = Session::from_engine_config(cfg.clone());
+        expired.cancel_token().cancel();
+        let mut eng = IncrementalSpmspm::new(expired.clone());
+        let incr = eng.run(&a, &b).expect("a pre-expired run degrades, never fails");
+        assert!(incr.degradation.is_some(), "{name}: an expired token must degrade the run");
+        assert_eq!(expired.run_spmspm(&a, &b).expect("scratch").bit_diff(&incr), None, "{name}");
+        assert_eq!(eng.last_stats().tasks, 0, "{name}");
+
+        let sharded = Session::from_engine_config(cfg.clone()).threads(2);
+        let mut eng = IncrementalSpmspm::new(sharded.clone());
+        for (step, delta) in std::iter::once(None).chain(incr_deltas().iter().map(Some)).enumerate()
+        {
+            if let Some(d) = delta {
+                a.apply_delta(d);
+            }
+            let incr = eng.run(&a, &b).unwrap_or_else(|e| panic!("{name}: step {step}: {e:?}"));
+            let scratch = sharded.run_spmspm(&a, &b).expect("from-scratch t2");
+            assert_eq!(scratch.bit_diff(&incr), None, "{name}: step {step}");
+            let s = eng.last_stats();
+            assert!(s.tasks > 0 && s.executed == s.tasks && s.spliced == 0, "{name}: {s:?}");
+            assert_eq!(eng.cached_tasks(), 0, "{name}: a sharded run must not fill the store");
+        }
+    }
+}
+
+/// The task store is keyed for one engine configuration, so a
+/// spec-backed session is a typed error at `run`, never a panic.
+#[test]
+fn incremental_run_on_a_spec_session_is_a_typed_error() {
+    let (a, _) = incr_operands();
+    let mut eng = IncrementalSpmspm::new(Session::new(AccelSpec::extensor_op_drt()));
+    let got = eng.run(&a, &a);
+    assert!(matches!(got, Err(DrtError::Core(CoreError::BadConfig { .. }))), "{got:?}");
+}
+
+/// Every registered variant, analytic models included, rejects a pair
+/// whose inner dimensions disagree with a typed `BadConfig` error.
+#[test]
+fn mismatched_inner_dims_are_a_typed_error_for_every_variant() {
+    let a = unstructured(40, 30, 200, 1.5, 1);
+    let b = unstructured(50, 40, 200, 1.0, 2);
+    for name in Registry::standard().names() {
+        let session = Session::from_registry(name).expect("registered").hierarchy(&test_hier());
+        let got = session.run_spmspm(&a, &b);
+        assert!(matches!(got, Err(DrtError::Core(CoreError::BadConfig { .. }))), "{name}: {got:?}");
     }
 }

@@ -7,7 +7,8 @@
 //! (`DRT_BENCH_THREADS` overrides the worker count); rows print in the
 //! paper's order regardless of scheduling.
 
-use drt_bench::{banner, emit_json, geomean, par, try_run_suite_cells_req, BenchOpts, JsonVal};
+use drt_bench::{banner, emit_json, geomean, try_run_suite_cells_req, BenchOpts, JsonVal};
+use drt_core::par::par_map;
 use drt_workloads::suite::{Catalog, PatternClass};
 
 fn main() {
@@ -21,7 +22,7 @@ fn main() {
 
     // Generate matrices (and their micro-tile grids, inside each engine
     // run) in parallel; S² squares each matrix against itself.
-    let pairs: Vec<(String, _, _)> = par::par_map(&workloads, |_, entry| {
+    let pairs: Vec<(String, _, _)> = par_map(&workloads, |_, entry| {
         let a = entry.generate(opts.scale, opts.seed);
         (entry.name.to_string(), a.clone(), a)
     });

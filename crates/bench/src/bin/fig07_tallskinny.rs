@@ -2,7 +2,8 @@
 //! the short-long product `Fᵀ·F` then the tall-skinny product `F·Fᵀ`
 //! (paper §6.1.1, "Tall-skinny matrices").
 
-use drt_bench::{banner, emit_json, geomean, par, try_run_suite_cells_req, BenchOpts, JsonVal};
+use drt_bench::{banner, emit_json, geomean, try_run_suite_cells_req, BenchOpts, JsonVal};
+use drt_core::par::par_map;
 use drt_workloads::suite::Catalog;
 use drt_workloads::tallskinny::figure7_pair;
 
@@ -45,7 +46,7 @@ fn main() {
     // Each matrix yields two operand pairs (short-long Fᵀ·F, tall-skinny
     // F·Fᵀ). Generate them in parallel, then run all (engine × pair)
     // cells in parallel; rows print in the paper's order.
-    let pairs: Vec<(String, _, _)> = par::par_map(names, |_, name| {
+    let pairs: Vec<(String, _, _)> = par_map(names, |_, name| {
         let entry = catalog.get(name).expect("name in Table 3");
         let s = entry.generate(opts.scale, opts.seed);
         let (f, ft) = figure7_pair(&s, aspect);

@@ -48,12 +48,11 @@ use drt_accel::report::RunOutcome;
 use drt_accel::session::Session;
 use drt_accel::spec::RunCtx;
 use drt_accel::workload::{Priority, Request, Workload};
+use drt_core::par::par_map;
 use drt_core::probe::{JsonValue, JsonlSink, Probe};
 use drt_sim::memory::HierarchySpec;
 use std::sync::Arc;
 use std::time::Duration;
-
-pub mod par;
 
 /// Common command-line options shared by all bench binaries.
 #[derive(Debug, Clone)]
@@ -275,7 +274,7 @@ pub fn try_run_request(
 
 /// Run the standard four-variant suite over independent operand pairs,
 /// fanning the (variant × dataset) cells out over worker threads via
-/// [`par::par_map`]; results come back in input order, so table rows and
+/// [`par_map`]; results come back in input order, so table rows and
 /// `--json` output are deterministic regardless of thread scheduling.
 /// Every cell goes through [`try_run_request`] — the serving layer's
 /// execution path — on a per-pair `Arc`-shared workload (the four
@@ -296,7 +295,7 @@ pub fn try_run_suite_cells_req(
         pairs.iter().map(|(_, a, b)| Workload::spmspm(a.clone(), b.clone())).collect();
     let cells: Vec<(usize, usize)> =
         (0..pairs.len()).flat_map(|w| (0..SUITE_VARIANTS.len()).map(move |e| (w, e))).collect();
-    let reports = par::par_map(&cells, |_, &(w, e)| {
+    let reports = par_map(&cells, |_, &(w, e)| {
         let (label, _, _) = &pairs[w];
         let name = SUITE_VARIANTS[e];
         try_run_request(name, &req.wrap(workloads[w].clone()), ctx)
@@ -317,7 +316,7 @@ pub fn try_run_suite_cells_req(
     // Functional cross-check (the paper's MKL validation), fanned out too:
     // output comparison is O(nnz) per workload and independent per cell.
     let idx: Vec<usize> = (0..pairs.len()).collect();
-    let diverged = par::par_map(&idx, |_, &w| {
+    let diverged = par_map(&idx, |_, &w| {
         let Ok(c) = &out[w] else { return None };
         let (Some(got), Some(want)) = (c.drt.output.as_ref(), c.base.output.as_ref()) else {
             return Some(format!("{}: functional output missing", pairs[w].0));

@@ -36,7 +36,7 @@ const RANK_CAP: usize = 6;
 /// sorted by rank — the drop-in replacement for the
 /// `BTreeMap<RankId, Range<u32>>` fields of [`TilePlan`]. Task streams
 /// build one plan per emitted task, so the plan's maps must not heap
-/// allocate; with at most [`RANK_CAP`] ranks, an inline sorted array
+/// allocate; with at most `RANK_CAP` (6) ranks, an inline sorted array
 /// serves lookups in a couple of comparisons and iterates in exactly the
 /// `BTreeMap` key order.
 #[derive(Clone, PartialEq, Eq, Default)]
@@ -56,7 +56,7 @@ impl RankRanges {
     ///
     /// # Panics
     ///
-    /// Panics when inserting more than [`RANK_CAP`] distinct ranks.
+    /// Panics when inserting more than `RANK_CAP` (6) distinct ranks.
     pub fn insert(&mut self, r: RankId, range: Range<u32>) {
         let n = self.len as usize;
         let pos = self.items[..n].partition_point(|(k, _)| *k < r);

@@ -24,6 +24,17 @@ pub struct TensorBinding {
     pub grid: MicroGrid,
 }
 
+/// `BadConfig` unless `A`'s column count equals `B`'s row count, so that
+/// `Z = A · B` chains.
+pub fn check_inner_dims(a: &CsMatrix, b: &CsMatrix) -> Result<(), CoreError> {
+    if a.ncols() == b.nrows() {
+        return Ok(());
+    }
+    let (ar, ac, br, bc) = (a.nrows(), a.ncols(), b.nrows(), b.ncols());
+    let detail = format!("inner dims disagree: A is {ar}x{ac}, B is {br}x{bc}");
+    Err(CoreError::BadConfig { detail })
+}
+
 /// An Einsum kernel over bound input tensors.
 #[derive(Debug, Clone)]
 pub struct Kernel {
@@ -118,17 +129,7 @@ impl Kernel {
         micro: (u32, u32),
         format: MicroFormat,
     ) -> Result<Kernel, CoreError> {
-        if a.ncols() != b.nrows() {
-            return Err(CoreError::BadConfig {
-                detail: format!(
-                    "inner dims disagree: A is {}x{}, B is {}x{}",
-                    a.nrows(),
-                    a.ncols(),
-                    b.nrows(),
-                    b.ncols()
-                ),
-            });
-        }
+        check_inner_dims(a, b)?;
         let ga = MicroGrid::from_matrix_fmt(a, micro, format)?;
         let gb = MicroGrid::from_matrix_fmt(b, micro, format)?;
         Kernel::new(

@@ -30,7 +30,7 @@
 //! * **Worker supervision** — request execution runs under panic
 //!   isolation: a crashing workload resolves its ticket with
 //!   [`ServeError::WorkerCrashed`] (optionally after
-//!   [`RetryPolicy`](config::RetryPolicy) re-attempts) while the worker
+//!   [`RetryPolicy`] re-attempts) while the worker
 //!   survives. Workloads that keep crashing are quarantined by content
 //!   fingerprint ([`ServeError::Quarantined`]) so a poison request
 //!   cannot grind the pool down.

@@ -40,7 +40,7 @@ pub type DeltaOp = Option<Value>;
 
 /// A normalized batch of point mutations against one matrix.
 ///
-/// Mutations are recorded in call order; [`DeltaBatch::apply`]-time
+/// Mutations are recorded in call order; [`CsMatrix::apply_delta`]-time
 /// normalization sorts by `(row, col)` and keeps the *last* recorded
 /// mutation per coordinate, so a batch behaves like a map written
 /// left-to-right.

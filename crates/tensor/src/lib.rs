@@ -17,7 +17,7 @@
 //! * [`fibertree`] — the format-agnostic fibertree view used throughout the
 //!   paper's exposition (Figure 2c): a tensor is a tree of coordinate/payload
 //!   lists, and each list is a *fiber*.
-//! * [`format`](crate::format) — `T-[uc]+` format descriptors and footprint accounting
+//! * [`mod@format`] — `T-[uc]+` format descriptors and footprint accounting
 //!   (bytes of metadata + data), used for all DRAM-traffic bookkeeping.
 //! * [`CsView`] — borrowed, origin-rebased rectangle views over a
 //!   [`CsMatrix`] (the zero-copy counterpart of

@@ -79,13 +79,14 @@ impl ChaosSummary {
 /// exact order the probe saw them. Byte-comparing two sinks' lines is the
 /// trace-identity check.
 #[derive(Debug, Default)]
-struct LineSink {
+pub(crate) struct LineSink {
     lines: Mutex<Vec<String>>,
 }
 
 impl LineSink {
-    fn lines(&self) -> Vec<String> {
-        self.lines.lock().unwrap_or_else(|p| p.into_inner()).clone()
+    /// The lines recorded since the previous call.
+    pub(crate) fn lines(&self) -> Vec<String> {
+        std::mem::take(&mut *self.lines.lock().unwrap_or_else(|p| p.into_inner()))
     }
 }
 

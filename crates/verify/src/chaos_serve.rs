@@ -10,7 +10,7 @@
 //!    of hanging it.
 //! 2. **Survivor bit-identity** — requests that execute around the
 //!    faults produce reports bit-identical to standalone
-//!    [`Session`](drt_accel::session::Session) runs: chaos changes who
+//!    [`Session`] runs: chaos changes who
 //!    crashes, never the bits of who survives.
 //! 3. **Quarantine precision** — a poison workload (persistent panic,
 //!    matched by content fingerprint) is quarantined after *exactly*

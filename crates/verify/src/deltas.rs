@@ -7,18 +7,23 @@
 //! ([`CsMatrix::apply_delta`]) and spliced task results must be
 //! *bit-identical* — not merely ULP-close — to planning and executing
 //! the patched operands from scratch, for DRT and S-U-C tiling, at every
-//! verified thread count.
+//! verified thread count, under plain, budgeted and probed sessions
+//! (traces included).
 //! Unlike the oracle sweep, no tolerance is involved: both sides run the
 //! same engine, so `RunReport::bit_diff` must be `None`.
 
+use crate::chaos::LineSink;
 use crate::driver::{Failure, VerifyOptions, VerifySummary};
 use drt_accel::engine::{EngineConfig, Tiling};
 use drt_accel::incremental::IncrementalSpmspm;
 use drt_accel::session::Session;
+use drt_core::budget::ExecBudget;
 use drt_core::config::{DrtConfig, Partitions};
+use drt_core::probe::Probe;
 use drt_tensor::{CsMatrix, DeltaBatch};
 use drt_workloads::corpus::differential_pairs;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Deterministic splitmix64 step — the delta generator's only source of
 /// randomness (the crate deliberately has no RNG dependency).
@@ -66,8 +71,12 @@ fn delta_configs() -> Vec<EngineConfig> {
 }
 
 /// Interleave `steps` random delta batches with incremental runs on one
-/// workload pair, checking each report against from-scratch runs at
-/// every thread count. `None` = clean; `Some(msg)` = first divergence.
+/// workload pair, under three sessions around `cfg`: a plain one, one
+/// budgeted tightly enough that a DRT config falls back to S-U-C tiles,
+/// and a probed one. Each incremental report is bit-diffed against the
+/// same session's from-scratch runs at every thread count, and a probed
+/// run's trace must match theirs line for line. `None` = clean;
+/// `Some(msg)` = first divergence.
 pub fn check_delta_sequence(
     cfg: &EngineConfig,
     a0: &CsMatrix,
@@ -76,33 +85,47 @@ pub fn check_delta_sequence(
     steps: usize,
     threads: &[usize],
 ) -> Option<String> {
-    let mut state = seed ^ 0xDE17_A5EE_D000_0001;
-    let mut a = a0.clone();
-    let mut eng = IncrementalSpmspm::new(cfg.clone());
-    for step in 0..=steps {
-        if step > 0 {
-            let ops = 1 + (splitmix(&mut state) % 6) as usize;
-            let d = random_batch(&mut state, a.nrows(), a.ncols(), ops);
-            a.apply_delta(&d);
-        }
-        let incr = match eng.run(&a, b0) {
-            Ok(r) => r,
-            Err(e) => return Some(format!("step {step}: incremental run failed: {e}")),
-        };
-        for &t in threads {
-            let scratch =
-                match Session::from_engine_config(cfg.clone()).threads(t).run_spmspm(&a, b0) {
-                    Ok(r) => r,
-                    Err(e) => return Some(format!("step {step}: from-scratch t{t} failed: {e}")),
-                };
-            if let Some(diff) = scratch.bit_diff(&incr) {
-                return Some(format!(
-                    "step {step}: incremental report diverged from from-scratch (t{t}): {diff}"
-                ));
+    let trace = Arc::new(LineSink::default());
+    let plain = Session::from_engine_config(cfg.clone());
+    let budget = ExecBudget::unlimited().with_max_tasks(1).with_max_plan_candidates(1);
+    let sessions = [
+        ("plain", plain.clone()),
+        ("budgeted", plain.clone().budget(budget)),
+        ("probed", plain.probe(Probe::new(trace.clone()))),
+    ];
+    let check = |label: &str, session: &Session| -> Result<(), String> {
+        let mut state = seed ^ 0xDE17_A5EE_D000_0001;
+        let mut a = a0.clone();
+        let mut eng = IncrementalSpmspm::new(session.clone());
+        for step in 0..=steps {
+            if step > 0 {
+                let ops = 1 + (splitmix(&mut state) % 6) as usize;
+                a.apply_delta(&random_batch(&mut state, a.nrows(), a.ncols(), ops));
+            }
+            let at = format!("{label} session, step {step}");
+            let incr = eng.run(&a, b0).map_err(|e| format!("{at}: incremental run failed: {e}"))?;
+            let incr_trace = trace.lines();
+            let drt = matches!(cfg.tiling, Tiling::Drt);
+            if label == "budgeted" && drt && incr.degradation.is_none() {
+                return Err(format!("{at}: the budget never switched to S-U-C tiles"));
+            }
+            for &t in threads {
+                let scratch = session.clone().threads(t).run_spmspm(&a, b0);
+                let scratch =
+                    scratch.map_err(|e| format!("{at}: from-scratch t{t} failed: {e}"))?;
+                let diff = scratch.bit_diff(&incr);
+                if let Some(diff) =
+                    diff.or_else(|| (trace.lines() != incr_trace).then(|| "trace".into()))
+                {
+                    return Err(format!(
+                        "{at}: incremental run diverged from from-scratch (t{t}): {diff}"
+                    ));
+                }
             }
         }
-    }
-    None
+        Ok(())
+    };
+    sessions.iter().find_map(|(label, session)| check(label, session).err())
 }
 
 /// The delta-mode sweep: each tiling configuration × a slice of the
