@@ -25,19 +25,21 @@
 //! the tile extraction. The step adds its order-independent effects to a
 //! `Totals` (traffic, actions, MACCs, exposed extract cycles, output
 //! entries, phases: all sums) and returns the task's order-dependent
-//! merge record. One `Reducer` commits merge records in global task order
-//! (the Z output cache, PE round-robin assignment and the merge and
-//! extraction trace records), folds totals, and writes the report back.
-//! A run takes one of two paths:
+//! merge record, which also says whether each input tile was fetched or
+//! hit. One `Reducer` commits merge records in global task order (the Z
+//! output cache, PE round-robin assignment and every engine trace
+//! record), folds totals, and writes the report back. A run takes one of
+//! two paths:
 //!
 //! * **Serial streaming.** Each generated task is stepped and committed
 //!   at once. With a task store ([`crate::incremental`]) a task whose key
 //!   hits folds its stored one-task capture (`TaskCapture`: totals plus
 //!   merge record); a miss is stepped by the same worker and stored.
-//! * **Sharded.** More than one thread, an explicit schedule, retries or
-//!   a chaos hook ([`ExecPolicy`], `RunCtx`) materialize the task list,
-//!   step contiguous shards on their own workers, and reduce the shards
-//!   in order.
+//! * **Sharded.** More than one thread (`RunCtx::threads`) or a chaos
+//!   hook materializes the task list, buffering a traced run's generator
+//!   events per task, steps one contiguous shard per thread on its own
+//!   worker, and reduces the shards in order; the reducer replays each
+//!   task's generator events just before committing it.
 //!
 //! Both produce **bit-identical** reports and traces. Workers can step
 //! tasks independently because residency after task *t* depends only on
@@ -53,7 +55,6 @@ use crate::incremental::TaskStore;
 use crate::report::{Degradation, DegradeReason, PhaseBreakdown, RunOutcome, RunReport};
 use crate::spec::{AccelSpec, RunCtx, SpecKind};
 use crate::zcache::OutputCache;
-use drt_core::budget::ExecBudget;
 use drt_core::cancel::ExpiryKind;
 use drt_core::config::DrtConfig;
 use drt_core::drt::TileStats;
@@ -61,7 +62,7 @@ use drt_core::extractor::{ExtractionCost, ExtractorModel};
 use drt_core::kernel::Kernel;
 use drt_core::micro::MicroFormat;
 use drt_core::par::par_map_isolated;
-use drt_core::probe::{lane, replay_sorted, Event, Probe, TaggedEvent, TaggingSink};
+use drt_core::probe::{Event, EventSink, OwnedEvent, Probe};
 use drt_core::taskgen::{shard_bounds, BudgetCause, Task, TaskGenOptions, TaskStream};
 use drt_core::{CoreError, RankId};
 use drt_kernels::spmspm::{gustavson_view_into, SpaWorkspace};
@@ -73,7 +74,7 @@ use drt_sim::traffic::TrafficCounter;
 use drt_tensor::{CsMatrix, MajorAxis};
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Tiling scheme the engine drives.
 #[derive(Debug, Clone)]
@@ -83,67 +84,6 @@ pub enum Tiling {
     Suc(BTreeMap<RankId, u32>),
     /// Dynamic reflexive tiling.
     Drt,
-}
-
-/// How a run's materialized task list is split into contiguous shards.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardSchedule {
-    /// One contiguous chunk per worker, balanced to within one task.
-    Static,
-    /// Fixed-size shards pulled off an atomic cursor: with more shards
-    /// than workers, fast workers steal the stragglers' leftover shards.
-    WorkStealing {
-        /// Tasks per shard (clamped to ≥ 1).
-        tasks_per_shard: usize,
-    },
-    /// Explicit shard cut points (task indices, ascending). Mainly for
-    /// tests that pin pathological boundaries — empty shards included.
-    Explicit(Vec<usize>),
-}
-
-/// Execution policy for one engine run: worker count plus shard schedule.
-///
-/// `threads == 1` with a non-[`ShardSchedule::Explicit`] schedule takes
-/// the classic serial path; everything else shards. Either way the report
-/// and trace are bit-identical — the determinism contract tested by
-/// `conformance.rs` and `shard_props.rs`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExecPolicy {
-    /// Worker threads (clamped to ≥ 1).
-    pub threads: usize,
-    /// Shard schedule.
-    pub schedule: ShardSchedule,
-    /// How many times a panicked shard is re-run before the run fails
-    /// with [`DrtError::ShardPanicked`]. Retried shards are bit-identical
-    /// to their first attempt (workers are pure functions of the task
-    /// list), so `max_retries > 0` never changes a successful run's
-    /// numbers. Any non-zero value also routes `threads == 1` runs
-    /// through the sharded path so panic isolation applies.
-    pub max_retries: u32,
-}
-
-impl ExecPolicy {
-    /// Single-threaded execution (the default).
-    pub fn serial() -> ExecPolicy {
-        ExecPolicy { threads: 1, schedule: ShardSchedule::Static, max_retries: 0 }
-    }
-
-    /// Statically sharded execution over `n` worker threads.
-    pub fn threads(n: usize) -> ExecPolicy {
-        ExecPolicy { threads: n.max(1), schedule: ShardSchedule::Static, max_retries: 0 }
-    }
-
-    /// This policy with up to `n` retries per panicked shard.
-    pub fn with_retries(mut self, n: u32) -> ExecPolicy {
-        self.max_retries = n;
-        self
-    }
-}
-
-impl Default for ExecPolicy {
-    fn default() -> ExecPolicy {
-        ExecPolicy::serial()
-    }
 }
 
 /// Engine configuration for one accelerator variant.
@@ -230,24 +170,23 @@ impl EngineConfig {
 }
 
 /// Simulate `Z = A · B` under `cfg` in the run context `ctx`: its probe,
-/// execution policy, budgets, cancellation token and chaos hook (the
+/// thread count, budgets, cancellation token and chaos hook (the
 /// context's hierarchy is ignored; `cfg` carries its own). Reached
 /// through [`crate::session::Session::run_ref`], or with a `store`
 /// through [`crate::incremental::IncrementalSpmspm::run`].
 ///
 /// Outcomes:
 ///
-/// * `Ok(RunOutcome::Complete(_))` — a fault-free run; bit-identical for
-///   every execution policy (retries that never fire change nothing).
+/// * `Ok(RunOutcome::Complete(_))` — a fault-free run; bit-identical at
+///   every thread count.
 /// * `Ok(RunOutcome::Degraded(_))` — the run stopped cleanly at a task
-///   boundary (cancel/deadline) or fell back to cheaper execution (budget
+///   boundary (cancel/deadline) or fell back to S-U-C tiles (budget
 ///   caps). The report's `degradation` field says why; its phase bytes
 ///   still partition its traffic, and a traced run ends with one
 ///   `aborted` record when the run stopped early.
 /// * `Err(_)` — no trustworthy report exists: a tiling configuration
-///   error ([`DrtError::Core`]), or a shard that kept panicking after
-///   `exec.max_retries` retries ([`DrtError::ShardPanicked`], carrying
-///   the committed-prefix report).
+///   error ([`DrtError::Core`]), or a panicked shard
+///   ([`DrtError::ShardPanicked`], carrying the committed-prefix report).
 pub(crate) fn run_spmspm_ft(
     a: &CsMatrix,
     b: &CsMatrix,
@@ -266,74 +205,48 @@ pub(crate) fn run_spmspm_ft(
     let a_cow = a.as_major(MajorAxis::Row);
     let b_cow = b.as_major(MajorAxis::Row);
     let (a_rows, b_rows): (&CsMatrix, &CsMatrix) = (a_cow.as_ref(), b_cow.as_ref());
-    let dims = (a.nrows(), b.ncols());
-    // Generator caps ride on the task stream; `max_resident_bytes` is an
-    // engine-level cap on the materialized task list (below).
-    let gen_budget = ExecBudget {
-        max_tasks: ctx.budget.max_tasks,
-        max_resident_bytes: None,
-        max_plan_candidates: ctx.budget.max_plan_candidates,
-    };
     let stream = |p: Probe| {
-        let opts = cfg.task_options().with_probe(p).with_budget(gen_budget.clone());
+        let opts = cfg.task_options().with_probe(p).with_budget(ctx.budget.clone());
         TaskStream::build(&kernel, opts.with_cancel(ctx.cancel.clone()))
     };
-    let exec = &ctx.exec;
-    if exec.threads <= 1
-        && !matches!(exec.schedule, ShardSchedule::Explicit(_))
-        && exec.max_retries == 0
-        && ctx.chaos.is_none()
-    {
+    if ctx.threads <= 1 && ctx.chaos.is_none() {
         // A splice would cut a probed run's trace.
         let store = store.filter(|_| !probe.is_enabled());
-        return Ok(run_serial(a_rows, b_rows, cfg, probe, stream(probe.clone())?, None, store));
+        return Ok(run_serial(a_rows, b_rows, cfg, probe, stream(probe.clone())?, store));
     }
 
     // ---- sharded path -----------------------------------------------------
 
     // 1. Materialize the task list. Generation is inherently sequential —
     //    each plan's base advances by the previous plan's extent — so only
-    //    task execution shards. Generator events buffer into a tagging
-    //    sink, to be re-interleaved with engine events at the end.
-    let gen_sink = probe.is_enabled().then(|| Arc::new(TaggingSink::auto_gen()));
-    let mut gen = stream(tagging_probe(&gen_sink))?;
-    let Some(tasks) = materialize(&mut gen, ctx.budget.max_resident_bytes) else {
-        // The materialized list went over budget (and is dropped): fall
-        // back to serial streaming, which holds one task at a time.
-        // Numbers are bit-identical to the sharded run (the determinism
-        // contract); only wall-clock parallelism is lost, and the report
-        // records the degradation.
-        let detail = format!(
-            "materialized task list exceeded max_resident_bytes={}; \
-             fell back to serial streaming execution",
-            ctx.budget.max_resident_bytes.unwrap_or_default()
-        );
-        let stream = stream(probe.clone())?;
-        return Ok(run_serial(a_rows, b_rows, cfg, probe, stream, Some(detail), None));
+    //    task execution shards. A traced run buffers the generator's
+    //    events per emitted task, for the reducer to replay.
+    let log = probe.is_enabled().then(|| Arc::new(EventLog::default()));
+    let gen_probe = match &log {
+        Some(l) => Probe::new(l.clone()),
+        None => Probe::disabled(),
     };
+    let mut gen = stream(gen_probe)?;
+    let (tasks, gen_events) = materialize(&mut gen, log.as_deref());
 
-    // 2. Shard bounds over the task list, per the schedule.
-    let bounds = shard_ranges(tasks.len(), exec);
-
-    // 3. Workers: each shard steps its tasks with its own residency,
-    //    totals and trace buffer. Merge records are kept, not committed:
-    //    the Z cache and PE assignment are order-dependent, so they belong
-    //    to the reducer. Workers poll the cancel token before each task
-    //    and call the chaos hook (if any) at shard and task boundaries.
-    let traced = probe.is_enabled();
+    // 2. Workers: each contiguous shard steps its tasks with its own
+    //    residency and totals. Merge records are kept, not committed:
+    //    the Z cache, PE assignment and trace are order-dependent, so
+    //    they belong to the reducer. Workers poll the cancel token before
+    //    each task and call the chaos hook (if any) at shard and task
+    //    boundaries.
+    let bounds = shard_bounds(tasks.len(), ctx.threads);
     let chaos = ctx.chaos.as_deref();
-    let run_shard = |sidx: usize, attempt: u32| -> ShardOut {
+    let run_shard = |sidx: usize, range: &Range<usize>| -> ShardOut {
         if let Some(ch) = chaos {
-            ch.before_shard(sidx, attempt);
+            ch.before_shard(sidx);
         }
-        let range = bounds[sidx].clone();
-        let sink = traced.then(|| Arc::new(TaggingSink::manual()));
-        let mut worker = Worker::new(a_rows, b_rows, cfg, tagging_probe(&sink));
+        let mut worker = Worker::new(a_rows, b_rows, cfg);
         worker.seed(range.start.checked_sub(1).map(|p| ranges6(&tasks[p])));
         let mut totals = Totals::default();
         let mut recs = Vec::with_capacity(range.len());
         let mut aborted_at = None;
-        for task in &tasks[range] {
+        for task in &tasks[range.clone()] {
             if ctx.cancel.expired() {
                 aborted_at = Some(task.index);
                 break;
@@ -341,69 +254,43 @@ pub(crate) fn run_spmspm_ft(
             if let Some(ch) = chaos {
                 ch.before_task(task.index);
             }
-            if let Some(s) = &sink {
-                s.set_position(task.index, lane::LOAD);
-            }
             recs.push(worker.step(task, &mut totals));
         }
-        let events = sink.map(|s| s.drain()).unwrap_or_default();
-        ShardOut { totals, recs, events, aborted_at }
+        ShardOut { totals, recs, aborted_at }
     };
 
-    // 4. Run every shard with per-shard panic isolation, retrying failed
-    //    shards up to `exec.max_retries` times. Workers are pure
-    //    functions of (task list, shard range) — shared state only ever
-    //    advances in the reducer — so a retried shard reproduces its
-    //    first attempt exactly and a recovered run stays bit-identical
-    //    to a fault-free one.
-    let mut results: Vec<Option<ShardOut>> = Vec::with_capacity(bounds.len());
-    results.resize_with(bounds.len(), || None);
-    let mut pending: Vec<usize> = (0..bounds.len()).collect();
-    let mut attempt: u32 = 0;
-    loop {
-        let outs = par_map_isolated(exec.threads, &pending, |_, &sidx| run_shard(sidx, attempt));
-        let mut failed: Vec<(usize, String)> = Vec::new();
-        for (&sidx, out) in pending.iter().zip(outs) {
-            match out {
-                Ok(s) => results[sidx] = Some(s),
-                Err(p) => failed.push((sidx, p.message)),
+    // 3. Run every shard with per-shard panic isolation. Workers are pure
+    //    functions of (task list, shard range), so a panic would recur on
+    //    any re-run: the lowest panicked shard fails the run with a typed
+    //    error carrying the report over the shards below it.
+    let dims = (a.nrows(), b.ncols());
+    let skipped = gen.skipped_empty();
+    let outs = par_map_isolated(ctx.threads, &bounds, run_shard);
+    let mut shard_outs = Vec::with_capacity(bounds.len());
+    for (out, range) in outs.into_iter().zip(&bounds) {
+        match out {
+            Ok(s) => shard_outs.push(s),
+            Err(p) => {
+                let (mut partial, _) =
+                    reduce_shards(dims, cfg, shard_outs, gen_events, skipped, probe);
+                partial.output = None;
+                let committed = partial.tasks;
+                probe.emit(|| Event::Aborted {
+                    reason: "shard_panicked",
+                    completed_tasks: committed,
+                });
+                return Err(DrtError::ShardPanicked {
+                    partial: Box::new(partial),
+                    task_range: (range.start as u64)..(range.end as u64),
+                    message: p.message,
+                });
             }
         }
-        if failed.is_empty() {
-            break;
-        }
-        if attempt >= exec.max_retries {
-            // Retries exhausted: surface a typed error carrying the
-            // report over the contiguous prefix of shards before the
-            // first (lowest) failing shard. `pending` is ascending, so
-            // `failed` is too, and every shard below it completed.
-            let (bad, message) = failed.remove(0);
-            let prefix = results.into_iter().take(bad).map_while(|s| s).collect();
-            let gen_events = gen_sink.map(|s| s.drain()).unwrap_or_default();
-            let (mut partial, _) =
-                reduce_shards(dims, cfg, prefix, gen.skipped_empty(), gen_events, probe, true);
-            partial.output = None;
-            let committed = partial.tasks;
-            probe.emit(|| Event::Aborted { reason: "shard_panicked", completed_tasks: committed });
-            let range = &bounds[bad];
-            return Err(DrtError::ShardPanicked {
-                partial: Box::new(partial),
-                task_range: (range.start as u64)..(range.end as u64),
-                message,
-                attempts: attempt + 1,
-            });
-        }
-        attempt += 1;
-        pending = failed.into_iter().map(|(s, _)| s).collect();
     }
 
-    // 5. Deterministic reduction + trace replay over the committed
-    //    shards (all of them unless a cancel cut execution short).
-    let shard_outs: Vec<ShardOut> = results.into_iter().flatten().collect();
-    debug_assert_eq!(shard_outs.len(), bounds.len());
-    let gen_events = gen_sink.map(|s| s.drain()).unwrap_or_default();
-    let (report, cut) =
-        reduce_shards(dims, cfg, shard_outs, gen.skipped_empty(), gen_events, probe, false);
+    // 4. Deterministic reduction over the committed shards (all of them
+    //    unless a cancel cut execution short).
+    let (report, cut) = reduce_shards(dims, cfg, shard_outs, gen_events, skipped, probe);
     // A worker that saw the token expire cut the run short; otherwise
     // generation may have stopped early, and every materialized task
     // committed.
@@ -412,15 +299,13 @@ pub(crate) fn run_spmspm_ft(
     } else {
         gen.aborted()
     };
-    Ok(outcome(report, aborted, gen.degraded(), None, probe))
+    Ok(outcome(report, aborted, gen.degraded(), probe))
 }
 
 /// The serial streaming path of [`run_spmspm_ft`]: each task is stepped
 /// and committed as the stream generates it (one resident task at a
 /// time), events flow straight to the probe, and cancellation is handled
 /// by the stream itself — so every generated task is a committed task.
-/// `memory_note` marks a run that landed here because
-/// `max_resident_bytes` rejected the materialized task list.
 /// A `store` (unprobed runs only) supplies or takes each task's capture.
 fn run_serial(
     a_rows: &CsMatrix,
@@ -428,11 +313,10 @@ fn run_serial(
     cfg: &EngineConfig,
     probe: &Probe,
     mut stream: TaskStream<'_>,
-    memory_note: Option<String>,
     store: Option<&mut TaskStore>,
 ) -> RunOutcome {
-    let mut worker = Worker::new(a_rows, b_rows, cfg, probe.clone());
-    let mut red = Reducer::new(cfg, probe.clone(), None);
+    let mut worker = Worker::new(a_rows, b_rows, cfg);
+    let mut red = Reducer::new(cfg, probe.clone(), GenEvents::default());
     if let Some(store) = store {
         store.begin(a_rows, b_rows);
         for task in &mut stream {
@@ -456,46 +340,41 @@ fn run_serial(
         }
     }
     let report = red.finish(a_rows.nrows(), b_rows.ncols(), stream.skipped_empty());
-    outcome(report, stream.aborted(), stream.degraded(), memory_note, probe)
+    outcome(report, stream.aborted(), stream.degraded(), probe)
 }
 
 /// One shard worker's complete output, handed to the reducer.
 struct ShardOut {
     totals: Totals,
     recs: Vec<MergeRec>,
-    events: Vec<TaggedEvent>,
     /// Global index of the first task *not* executed because the cancel
     /// token expired mid-shard; `None` when the shard ran to completion.
     aborted_at: Option<u64>,
 }
 
-/// Reduce committed shard outputs and replay the trace. Shards come back
-/// in input order and each shard's records are in task order, so folding
-/// shard by shard commits in exactly the global serial order —
-/// independent of how many workers ran.
+/// Reduce committed shard outputs. Shards come in input order and each
+/// shard's records are in task order, so folding shard by shard commits
+/// in exactly the global serial order — independent of how many workers
+/// ran — and the reducer's trace (generator events replayed per task,
+/// then the task's own records) is the serial trace.
 ///
 /// If a shard aborted mid-run (cancel/deadline), only shards up to and
-/// including it commit; per-task events past the committed prefix are
-/// dropped so the trace stays a byte-identical prefix of the fault-free
-/// trace (end-of-run summaries, which describe the partial run, stay).
-/// `prefix_only` truncates the same way for a prefix of a failed run.
-/// Returns the report (its `tasks` count the committed tasks) and
-/// whether a shard was cut short.
+/// including it commit, so the trace is a byte-identical prefix of the
+/// fault-free trace (end-of-run summaries, which describe the partial
+/// run, follow it). Returns the report (its `tasks` count the committed
+/// tasks) and whether a shard was cut short.
 fn reduce_shards(
     (nrows, ncols): (u32, u32),
     cfg: &EngineConfig,
     shard_outs: Vec<ShardOut>,
+    gen_events: GenEvents,
     skipped: u64,
-    mut events: Vec<TaggedEvent>,
     probe: &Probe,
-    prefix_only: bool,
 ) -> (RunReport, bool) {
     let cut = shard_outs.iter().position(|s| s.aborted_at.is_some());
     let commit_n = cut.map_or(shard_outs.len(), |i| i + 1);
-    let sink = probe.is_enabled().then(|| Arc::new(TaggingSink::manual()));
-    let mut red = Reducer::new(cfg, tagging_probe(&sink), sink.clone());
+    let mut red = Reducer::new(cfg, probe.clone(), gen_events);
     for sout in shard_outs.into_iter().take(commit_n) {
-        events.extend(sout.events);
         red.fold(&sout.totals, &sout.recs);
     }
     let report = red.finish(nrows, ncols, skipped);
@@ -504,38 +383,18 @@ fn reduce_shards(
         report.traffic.total(),
         "shard reduction must preserve the phase-byte partition of DRAM traffic"
     );
-    if prefix_only || cut.is_some() {
-        // Keep only the committed prefix of per-task events; end-of-run
-        // summaries (`pos == u64::MAX`) describe the partial run and stay.
-        events.retain(|e| e.pos < report.tasks || e.pos == u64::MAX);
-    }
-    if let Some(s) = &sink {
-        events.extend(s.drain());
-    }
-    // Replay the merged event log in (task, phase-lane, seq) order —
-    // bit-identical to the serial trace for any shard layout.
-    replay_sorted(events, probe);
     (report, cut.is_some())
 }
 
-/// A probe recording into `sink`, or a disabled one for an untraced run.
-fn tagging_probe(sink: &Option<Arc<TaggingSink>>) -> Probe {
-    match sink {
-        Some(s) => Probe::new(s.clone()),
-        None => Probe::disabled(),
-    }
-}
-
 /// The outcome of a finished run: degraded when it stopped early
-/// (`aborted`), fell back to S-U-C tiles (`degraded`) or to serial
-/// streaming (`memory_note`), in that precedence; complete otherwise.
-/// A run that stopped early drops its incomplete functional output and
-/// ends its trace with one `aborted` record.
+/// (`aborted`) or fell back to S-U-C tiles (`degraded`), in that
+/// precedence; complete otherwise. A run that stopped early drops its
+/// incomplete functional output and ends its trace with one `aborted`
+/// record.
 fn outcome(
     mut report: RunReport,
     aborted: Option<ExpiryKind>,
     degraded: Option<BudgetCause>,
-    memory_note: Option<String>,
     probe: &Probe,
 ) -> RunOutcome {
     let committed = report.tasks;
@@ -548,14 +407,8 @@ fn outcome(
             completed_tasks: committed,
             detail: format!("run stopped at a task boundary after {committed} committed task(s)"),
         })
-    } else if let Some(cause) = degraded {
-        Some(budget_degradation(cause, committed))
     } else {
-        memory_note.map(|detail| Degradation {
-            reason: DegradeReason::MemoryBudgetExhausted,
-            completed_tasks: committed,
-            detail,
-        })
+        degraded.map(|cause| budget_degradation(cause, committed))
     };
     RunOutcome::from_report(report)
 }
@@ -599,59 +452,56 @@ pub(crate) fn degraded_entry(
     RunOutcome::Degraded(report)
 }
 
-/// Drain `stream` into a task list; `None` as soon as the estimated
-/// resident bytes of the tasks so far exceed `max_resident_bytes`.
-fn materialize(stream: &mut TaskStream<'_>, max_resident_bytes: Option<u64>) -> Option<Vec<Task>> {
-    let (mut tasks, mut resident) = (Vec::new(), 0u64);
+/// The generator's trace events on a traced sharded run, buffered while
+/// the task list materialized: the events the stream emitted while
+/// producing each task (its skips, plan and `task_emitted` record), then
+/// the events after the last task (trailing skips). Empty on every other
+/// run.
+#[derive(Debug, Default)]
+struct GenEvents {
+    per_task: Vec<Vec<OwnedEvent>>,
+    trailing: Vec<OwnedEvent>,
+}
+
+/// A sink that buffers events for later replay.
+#[derive(Debug, Default)]
+struct EventLog(Mutex<Vec<OwnedEvent>>);
+
+impl EventLog {
+    /// The events recorded since the previous call.
+    fn take(&self) -> Vec<OwnedEvent> {
+        std::mem::take(&mut *self.0.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
+impl EventSink for EventLog {
+    fn record(&self, event: &Event<'_>) {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).push(OwnedEvent::from_event(event));
+    }
+}
+
+/// Re-emit buffered events through `probe`.
+fn replay(events: &[OwnedEvent], probe: &Probe) {
+    for e in events {
+        probe.emit(|| e.as_event());
+    }
+}
+
+/// Drain `stream` into a task list. With a `log` (the sink behind the
+/// stream's probe), the generator's events are split per emitted task.
+fn materialize(stream: &mut TaskStream<'_>, log: Option<&EventLog>) -> (Vec<Task>, GenEvents) {
+    let (mut tasks, mut events) = (Vec::new(), GenEvents::default());
     for task in &mut *stream {
-        if let Some(cap) = max_resident_bytes {
-            resident += estimated_task_bytes(&task);
-            if resident > cap {
-                return None;
-            }
+        if let Some(log) = log {
+            events.per_task.push(log.take());
         }
         tasks.push(task);
     }
-    debug_assert_eq!(stream.emitted() as usize, tasks.len());
-    Some(tasks)
-}
-
-/// Deterministic estimate of one materialized task's resident heap
-/// footprint, charged against `ExecBudget::max_resident_bytes`. A model
-/// cap, not an allocator measurement — it only needs to be monotone in
-/// task-list size and identical across platforms and thread counts.
-fn estimated_task_bytes(task: &Task) -> u64 {
-    let plan = &task.plan;
-    let tile_bytes: u64 =
-        plan.tiles.iter().map(|t| (std::mem::size_of::<TileStats>() + t.name.len()) as u64).sum();
-    let range_bytes = (plan.grid_ranges.len() + plan.coord_ranges.len()) as u64 * 40;
-    std::mem::size_of::<Task>() as u64 + tile_bytes + range_bytes
-}
-
-/// Contiguous shard bounds over `n_tasks` tasks under `exec`'s schedule.
-fn shard_ranges(n_tasks: usize, exec: &ExecPolicy) -> Vec<Range<usize>> {
-    match &exec.schedule {
-        ShardSchedule::Static => shard_bounds(n_tasks, exec.threads),
-        ShardSchedule::WorkStealing { tasks_per_shard } => {
-            let per = (*tasks_per_shard).max(1);
-            if n_tasks == 0 {
-                vec![Range { start: 0, end: 0 }]
-            } else {
-                (0..n_tasks).step_by(per).map(|s| s..(s + per).min(n_tasks)).collect()
-            }
-        }
-        ShardSchedule::Explicit(cuts) => {
-            let mut bounds = Vec::with_capacity(cuts.len() + 1);
-            let mut start = 0usize;
-            for &c in cuts {
-                let c = c.clamp(start, n_tasks);
-                bounds.push(start..c);
-                start = c;
-            }
-            bounds.push(start..n_tasks);
-            bounds
-        }
+    if let Some(log) = log {
+        events.trailing = log.take();
     }
+    debug_assert_eq!(stream.emitted() as usize, tasks.len());
+    (tasks, events)
 }
 
 /// The i/k/j coordinate ranges of a task, flattened. Planner invariant,
@@ -715,11 +565,26 @@ struct MergeRec {
     on_chip_cycles: u64,
     /// Micro-tile parallelism for the PE distributor.
     subtasks: u64,
+    /// The load outcome of the input tiles, in residency-slot order
+    /// ("A", "B"), traced at commit ahead of the merge records.
+    loads: [Load; 2],
     /// The task's tile-extraction cost (DRT only), traced at commit so
     /// the extraction record follows the merge records as in Figure 5's
     /// pipeline order.
     extract: Option<ExtractionCost>,
 }
+
+/// One input tile's load in a task: fetched from DRAM, or served
+/// resident.
+#[derive(Debug, Clone, Copy, Default)]
+struct Load {
+    fetched: bool,
+    /// The tile's footprint.
+    bytes: u64,
+}
+
+/// The input tiles' names, in residency-slot order.
+const TILE_NAMES: [&str; 2] = ["A", "B"];
 
 /// One worker's per-task state: the operands, the resident input tiles
 /// and the SPA workspace. [`Worker::step`] is the only place a task
@@ -734,23 +599,17 @@ struct Worker<'c> {
     resident: [Option<[u32; 4]>; 2],
     /// SPA workspace, reused across every task the worker steps.
     ws: SpaWorkspace,
-    probe: Probe,
 }
 
 impl<'c> Worker<'c> {
     /// A worker with nothing resident.
-    fn new(
-        a_rows: &'c CsMatrix,
-        b_rows: &'c CsMatrix,
-        cfg: &'c EngineConfig,
-        probe: Probe,
-    ) -> Worker<'c> {
+    fn new(a_rows: &'c CsMatrix, b_rows: &'c CsMatrix, cfg: &'c EngineConfig) -> Worker<'c> {
         // The operands are borrowed for the worker's whole life, so their
         // addresses are stable and the workspace may cache fiber windows
         // across tasks.
         let mut ws = SpaWorkspace::new();
         ws.assume_stable_parents();
-        Worker { cfg, a_rows, b_rows, resident: [None; 2], ws, probe }
+        Worker { cfg, a_rows, b_rows, resident: [None; 2], ws }
     }
 
     /// Set residency, without charging traffic, to what it is right after
@@ -791,18 +650,18 @@ impl<'c> Worker<'c> {
 
         // Load: fetch input tiles whose coordinate ranges changed. SpMSpM
         // plans carry exactly the tiles "A" (slot 0) and "B" (slot 1).
+        let mut loads = [Load::default(); 2];
         for tile in &task.plan.tiles {
             let slot = usize::from(tile.name != "A");
             let ranges = tile_keys(r)[slot];
             let bytes = tile.footprint();
-            if self.resident[slot] != Some(ranges) {
+            let fetched = self.resident[slot] != Some(ranges);
+            if fetched {
                 totals.traffic.read(&tile.name, bytes);
                 self.resident[slot] = Some(ranges);
                 totals.phases.load.bytes += bytes;
-                self.probe.emit(|| Event::Fetch { tensor: &tile.name, bytes });
-            } else {
-                self.probe.emit(|| Event::Hit { tensor: &tile.name, bytes });
             }
+            loads[slot] = Load { fetched, bytes };
             // The tile streams over the NoC to PEs regardless of whether
             // DRAM supplied it or the LLB already held it.
             totals.actions.noc_bytes += bytes;
@@ -860,6 +719,7 @@ impl<'c> Worker<'c> {
             merge_cycles,
             on_chip_cycles,
             subtasks: subtask_parallelism(&task.plan.tiles),
+            loads,
             extract,
         }
     }
@@ -880,9 +740,10 @@ pub(crate) struct TaskCapture {
 
 /// The order-dependent half of every run: commits merge records in
 /// global task order through the Z output cache and the PE round-robin,
-/// folds totals, and writes the report back. Serial runs commit each
-/// task as it is stepped or fold its capture from a task store; sharded
-/// runs fold whole shards.
+/// folds totals, and writes the report back. It is also the only engine
+/// code that traces, so the trace follows commit order on every path.
+/// Serial runs commit each task as it is stepped or fold its capture
+/// from a task store; sharded runs fold whole shards.
 struct Reducer<'c> {
     cfg: &'c EngineConfig,
     /// The run's totals: the folded shards' plus the reducer's own merge
@@ -894,13 +755,13 @@ struct Reducer<'c> {
     /// so this is also the next record's task position.
     committed: u64,
     probe: Probe,
-    /// The tagging sink behind `probe` on the sharded path, whose trace
-    /// is replayed in task order afterwards.
-    tags: Option<Arc<TaggingSink>>,
+    /// Generator events to replay ahead of each commit (traced sharded
+    /// runs; on the serial path the stream emits its own).
+    gen: GenEvents,
 }
 
 impl<'c> Reducer<'c> {
-    fn new(cfg: &'c EngineConfig, probe: Probe, tags: Option<Arc<TaggingSink>>) -> Reducer<'c> {
+    fn new(cfg: &'c EngineConfig, probe: Probe, gen: GenEvents) -> Reducer<'c> {
         Reducer {
             cfg,
             totals: Totals::default(),
@@ -908,18 +769,27 @@ impl<'c> Reducer<'c> {
             zcache: OutputCache::new(cfg.drt.partitions.get("Z")),
             committed: 0,
             probe,
-            tags,
+            gen,
         }
     }
 
-    /// Commit one task's merge: push its delta through the LRU Z cache
-    /// (spill writes / refill reads on eviction) and hand its on-chip
-    /// work to a PE, then trace its extraction.
+    /// Commit one task's merge: trace the task's generator events (if
+    /// buffered) and its tile loads, push its delta through the LRU Z
+    /// cache (spill writes / refill reads on eviction) and hand its
+    /// on-chip work to a PE, then trace its extraction.
     fn commit(&mut self, rec: &MergeRec) {
-        if let Some(s) = &self.tags {
-            s.set_position(self.committed, lane::MERGE);
+        if let Some(events) = self.gen.per_task.get(self.committed as usize) {
+            replay(events, &self.probe);
         }
         self.committed += 1;
+        for (tensor, load) in TILE_NAMES.into_iter().zip(rec.loads) {
+            let bytes = load.bytes;
+            if load.fetched {
+                self.probe.emit(|| Event::Fetch { tensor, bytes });
+            } else {
+                self.probe.emit(|| Event::Hit { tensor, bytes });
+            }
+        }
         let t = &mut self.totals;
         t.phases.merge.cycles += rec.merge_cycles;
         // The LLB-level distributor schedules micro-tile pairs to PEs
@@ -959,10 +829,11 @@ impl<'c> Reducer<'c> {
     /// multi-segment spills merge), assemble the functional output from
     /// the task-ordered partials with [`finalize_output`] (host work
     /// only, modeled by none of the report's numbers), and assemble the
-    /// report over the committed tasks.
+    /// report over the committed tasks. The generator's trailing events
+    /// are replayed only when every buffered task committed.
     fn finish(mut self, nrows: u32, ncols: u32, skipped_tasks: u64) -> RunReport {
-        if let Some(s) = &self.tags {
-            s.set_position(u64::MAX, lane::FINISH);
+        if self.committed as usize == self.gen.per_task.len() {
+            replay(&self.gen.trailing, &self.probe);
         }
         let cfg = self.cfg;
         let mut t = self.totals;
@@ -1092,12 +963,12 @@ pub(crate) fn finalize_output(nrows: u32, ncols: u32, entries: Vec<(u32, u32, f6
 }
 
 /// The paper's offline S-U-C shape sweep (§5.2.1): run sampled candidate
-/// shapes of `base` under `exec`, unprobed and without output assembly,
-/// and return the shape (in coordinates) with the least modeled seconds,
-/// the first on ties. Callers pin it with [`Tiling::Suc`] and run once,
+/// shapes of `base` on `threads` worker threads, unprobed and without
+/// output assembly, and return the shape (in coordinates) with the least
+/// modeled seconds, the first on ties. Callers pin it with [`Tiling::Suc`] and run once,
 /// so repeated runs on similar operands — e.g. the BFS levels of one
-/// workload — can reuse the winner. The winner is independent of `exec`
-/// because every candidate's report is.
+/// workload — can reuse the winner. The winner is independent of
+/// `threads` because every candidate's report is.
 ///
 /// # Errors
 ///
@@ -1108,7 +979,7 @@ pub(crate) fn best_suc_shape(
     b: &CsMatrix,
     base: &EngineConfig,
     max_candidates: usize,
-    exec: &ExecPolicy,
+    threads: usize,
 ) -> Result<BTreeMap<RankId, u32>, DrtError> {
     // S-U-C tiles are not bound to DRT's micro-tile grid: the scheme may
     // pick any coordinate shape (it pre-tiles offline). Quantize the sweep
@@ -1152,7 +1023,7 @@ pub(crate) fn best_suc_shape(
     }
     // Candidate passes skip output assembly: selection compares modeled
     // seconds only, which are final before the output is built.
-    let ctx = RunCtx::default().with_exec(exec.clone());
+    let ctx = RunCtx { threads, ..RunCtx::default() };
     let mut best: Option<(f64, BTreeMap<RankId, u32>)> = None;
     for sizes in candidates {
         let cfg = EngineConfig { tiling: Tiling::Suc(sizes.clone()), ..base.clone() };
@@ -1202,16 +1073,16 @@ mod tests {
     }
 
     fn run(a: &CsMatrix, b: &CsMatrix, cfg: &EngineConfig) -> Result<RunReport, DrtError> {
-        run_exec(a, b, cfg, ExecPolicy::serial())
+        run_threads(a, b, cfg, 1)
     }
 
-    fn run_exec(
+    fn run_threads(
         a: &CsMatrix,
         b: &CsMatrix,
         cfg: &EngineConfig,
-        exec: ExecPolicy,
+        threads: usize,
     ) -> Result<RunReport, DrtError> {
-        Session::from_engine_config(cfg.clone()).exec(exec).run_spmspm(a, b)
+        Session::from_engine_config(cfg.clone()).threads(threads).run_spmspm(a, b)
     }
 
     #[test]
@@ -1258,7 +1129,7 @@ mod tests {
         let a = unstructured(192, 192, 1400, 2.0, 5);
         let drt = run(&a, &a, &engine_cfg("drt", Tiling::Drt, 6 * 1024)).expect("run");
         let base = engine_cfg("suc", Tiling::Suc(BTreeMap::new()), 6 * 1024);
-        let shape = best_suc_shape(&a, &a, &base, 6, &ExecPolicy::serial()).expect("sweep");
+        let shape = best_suc_shape(&a, &a, &base, 6, 1).expect("sweep");
         let best_suc =
             run(&a, &a, &EngineConfig { tiling: Tiling::Suc(shape), ..base }).expect("run");
         assert!(
@@ -1369,25 +1240,6 @@ mod tests {
         assert_eq!(subtask_parallelism(&[zero, some]), 7, "max over tensors");
     }
 
-    #[test]
-    fn shard_ranges_cover_schedules() {
-        let ws = |per| ExecPolicy {
-            threads: 3,
-            schedule: ShardSchedule::WorkStealing { tasks_per_shard: per },
-            max_retries: 0,
-        };
-        assert_eq!(shard_ranges(7, &ws(3)), vec![0..3, 3..6, 6..7]);
-        assert_eq!(shard_ranges(0, &ws(3)), vec![0..0]);
-        assert_eq!(shard_ranges(4, &ws(0)), vec![0..1, 1..2, 2..3, 3..4], "per-shard clamps to 1");
-        let ex = |cuts: &[usize]| ExecPolicy {
-            threads: 2,
-            schedule: ShardSchedule::Explicit(cuts.to_vec()),
-            max_retries: 0,
-        };
-        assert_eq!(shard_ranges(5, &ex(&[0, 2, 2, 9])), vec![0..0, 0..2, 2..2, 2..5, 5..5]);
-        assert_eq!(shard_ranges(6, &ExecPolicy::threads(2)), vec![0..3, 3..6]);
-    }
-
     fn report_bits_eq(name: &str, serial: &RunReport, sharded: &RunReport) {
         assert!(
             serial.bit_diff(sharded).is_none(),
@@ -1406,22 +1258,8 @@ mod tests {
             let cfg = engine_cfg(label, tiling, llb);
             let serial = run(&a, &a, &cfg).expect("serial");
             assert!(serial.tasks > 1, "{label}: workload must span several tasks");
-            for exec in [
-                ExecPolicy::threads(2),
-                ExecPolicy::threads(4),
-                ExecPolicy::threads(64),
-                ExecPolicy {
-                    threads: 3,
-                    schedule: ShardSchedule::WorkStealing { tasks_per_shard: 2 },
-                    max_retries: 0,
-                },
-                ExecPolicy {
-                    threads: 2,
-                    schedule: ShardSchedule::Explicit(vec![0, 0, 3, 3, 5]),
-                    max_retries: 0,
-                },
-            ] {
-                let sharded = run_exec(&a, &a, &cfg, exec).expect("sharded");
+            for threads in [2, 3, 4, 64] {
+                let sharded = run_threads(&a, &a, &cfg, threads).expect("sharded");
                 report_bits_eq(label, &serial, &sharded);
             }
         }
@@ -1444,14 +1282,11 @@ mod tests {
         }
     }
 
-    fn traced_run(a: &CsMatrix, cfg: &EngineConfig, exec: &ExecPolicy) -> (RunReport, String) {
+    /// Run `session` on `A · A` with a JSONL probe; the report and trace.
+    fn traced_run(a: &CsMatrix, session: Session) -> (RunReport, String) {
         let buf = SharedBuf::default();
         let sink = Arc::new(JsonlSink::new(Box::new(buf.clone())));
-        let r = Session::from_engine_config(cfg.clone())
-            .probe(Probe::new(sink))
-            .exec(exec.clone())
-            .run_spmspm(a, a)
-            .expect("run");
+        let r = session.probe(Probe::new(sink)).run_spmspm(a, a).expect("run");
         let text = String::from_utf8(
             buf.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone(),
         )
@@ -1461,27 +1296,33 @@ mod tests {
 
     #[test]
     fn sharded_trace_bit_identical_to_serial() {
-        let a = unstructured(96, 96, 900, 2.0, 22);
-        let cfg = engine_cfg("trace", Tiling::Drt, 6 * 1024);
-        let (serial_r, serial_t) = traced_run(&a, &cfg, &ExecPolicy::serial());
-        assert!(serial_t.lines().count() > 10, "trace must have substance");
-        for exec in [
-            ExecPolicy::threads(2),
-            ExecPolicy::threads(4),
-            ExecPolicy {
-                threads: 2,
-                schedule: ShardSchedule::WorkStealing { tasks_per_shard: 1 },
-                max_retries: 0,
-            },
-            ExecPolicy {
-                threads: 1,
-                schedule: ShardSchedule::Explicit(vec![2, 4]),
-                max_retries: 0,
-            },
+        // A's rows 64.. keep only columns below 48, so the last boxes of
+        // the sweep find an empty tile: the stream skips tasks after its
+        // last emitted one. The tight LLB forces fallback subdivisions.
+        let base = unstructured(96, 96, 900, 2.0, 22);
+        let kept = base.iter().filter(|&(r, c, _)| r < 64 || c < 48).collect();
+        let a = CsMatrix::from_entries(96, 96, kept, MajorAxis::Row);
+        let session = Session::from_engine_config(engine_cfg("trace", Tiling::Drt, 2 * 1024));
+        let (serial_r, serial_t) = traced_run(&a, session.clone());
+        let lines: Vec<&str> = serial_t.lines().collect();
+        let is = |l: &&str, kind: &str| l.contains(&format!("\"event\": \"{kind}\""));
+        let last_task = lines.iter().rposition(|l| is(l, "task_emitted")).expect("tasks");
+        assert!(lines.iter().any(|l| is(l, "fallback")), "no fallback subdivision traced");
+        assert!(
+            lines[last_task..].iter().any(|l| is(l, "task_skipped")),
+            "no task skipped after the last emitted task"
+        );
+        // A chaos hook routes a one-thread run through a shard worker.
+        let chaos = session.clone().chaos(Arc::new(drt_core::chaos::NoFaults));
+        for (label, sharded) in [
+            ("t1+chaos", chaos),
+            ("t2", session.clone().threads(2)),
+            ("t3", session.clone().threads(3)),
+            ("t4", session.threads(4)),
         ] {
-            let (r, t) = traced_run(&a, &cfg, &exec);
-            report_bits_eq("trace", &serial_r, &r);
-            assert_eq!(serial_t, t, "trace diverged under {exec:?}");
+            let (r, t) = traced_run(&a, sharded);
+            report_bits_eq(label, &serial_r, &r);
+            assert_eq!(serial_t, t, "trace diverged at {label}");
         }
     }
 
@@ -1491,7 +1332,7 @@ mod tests {
         let b = unstructured(64, 64, 200, 2.0, 16);
         let cfg = engine_cfg("empty", Tiling::Drt, 8192);
         let serial = run(&a, &b, &cfg).expect("serial");
-        let sharded = run_exec(&a, &b, &cfg, ExecPolicy::threads(4)).expect("run");
+        let sharded = run_threads(&a, &b, &cfg, 4).expect("run");
         report_bits_eq("empty", &serial, &sharded);
         assert_eq!(sharded.tasks, 0);
     }
@@ -1500,9 +1341,9 @@ mod tests {
     fn best_suc_winner_independent_of_exec() {
         let a = unstructured(128, 128, 1000, 2.0, 23);
         let base = engine_cfg("suc", Tiling::Suc(BTreeMap::new()), 6 * 1024);
-        let s1 = best_suc_shape(&a, &a, &base, 4, &ExecPolicy::serial()).expect("serial");
-        let s4 = best_suc_shape(&a, &a, &base, 4, &ExecPolicy::threads(4)).expect("threads");
-        assert_eq!(s1, s4, "winning shape must not depend on the execution policy");
+        let s1 = best_suc_shape(&a, &a, &base, 4, 1).expect("serial");
+        let s4 = best_suc_shape(&a, &a, &base, 4, 4).expect("threads");
+        assert_eq!(s1, s4, "winning shape must not depend on the thread count");
     }
 
     /// The sort-based finalize that [`finalize_output`] replaced, kept as
@@ -1685,7 +1526,7 @@ mod tests {
         let serial = run(&a, &a, &cfg).expect("serial");
         let z1 = serial.output.as_ref().expect("functional");
         assert!(z1.approx_eq(&gustavson(&a, &a).z, 1e-9));
-        let sharded = run_exec(&a, &a, &cfg, ExecPolicy::threads(4)).expect("sharded");
+        let sharded = run_threads(&a, &a, &cfg, 4).expect("sharded");
         assert_eq!(z_bits(z1), z_bits(sharded.output.as_ref().expect("functional")));
         report_bits_eq("suc-k8", &serial, &sharded);
     }

@@ -4,14 +4,13 @@
 //! [`crate::session::Session::run_ref`], and every session entry point
 //! that lowers to it return.
 //! It wraps configuration/planning failures from `drt-core` and adds the
-//! execution-layer failures that only exist once runs are sharded,
-//! retried, budgeted, and cancellable.
+//! two failures of the execution layer: a panicked shard and an
+//! unregistered variant name.
 //!
 //! Degradation is *not* an error: budget exhaustion, cancellation, and
 //! deadlines produce `Ok(RunOutcome::Degraded(..))` with a well-formed
 //! partial report. `DrtError` is reserved for runs that cannot produce a
-//! trustworthy report at all (exhausted retries, poisoned state, bad
-//! configuration).
+//! trustworthy report at all (a panicked shard, bad configuration).
 
 use std::ops::Range;
 
@@ -24,11 +23,12 @@ use crate::report::RunReport;
 pub enum DrtError {
     /// A configuration, planning, or validation failure from `drt-core`.
     Core(CoreError),
-    /// A shard worker panicked and every retry (up to
-    /// `ExecPolicy::max_retries`) panicked again. Carries the partial
-    /// report built from the contiguous prefix of committed shards —
-    /// its phase bytes still partition its traffic — plus the global
-    /// task range of the failing shard and the recovered panic message.
+    /// A shard worker panicked. Workers are pure functions of the task
+    /// list, so the panic would recur on any re-run. Carries the partial
+    /// report built from the contiguous prefix of shards below the
+    /// lowest failing one — its phase bytes still partition its traffic —
+    /// plus the global task range of that shard and the recovered panic
+    /// message.
     ShardPanicked {
         /// Report over the committed prefix (functional output dropped).
         partial: Box<RunReport>,
@@ -37,26 +37,6 @@ pub enum DrtError {
         /// Panic payload recovered from the worker (`&str`/`String`
         /// payloads verbatim, otherwise a placeholder).
         message: String,
-        /// Total attempts made on the failing shard (1 + retries).
-        attempts: u32,
-    },
-    /// A deadline expired where no partial result could be assembled.
-    /// (Deadline expiry during a run yields `RunOutcome::Degraded`
-    /// instead; this variant exists for entry points with nothing to
-    /// degrade to.)
-    DeadlineExceeded,
-    /// A resource budget was exhausted where no degraded continuation
-    /// exists. (Budget exhaustion during task generation degrades to
-    /// S-U-C tiling and yields `RunOutcome::Degraded` instead.)
-    BudgetExhausted {
-        /// Which budget tripped and where.
-        detail: String,
-    },
-    /// Shared state (a lock) was poisoned by a panic elsewhere and the
-    /// value could not be safely recovered.
-    PoisonedState {
-        /// What was poisoned.
-        detail: String,
     },
     /// A name did not resolve against the accelerator registry
     /// ([`crate::spec::Registry::standard`]).
@@ -70,15 +50,12 @@ impl std::fmt::Display for DrtError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DrtError::Core(e) => write!(f, "{e}"),
-            DrtError::ShardPanicked { partial, task_range, message, attempts } => write!(
+            DrtError::ShardPanicked { partial, task_range, message } => write!(
                 f,
-                "shard covering tasks {}..{} panicked after {} attempt(s): {} \
+                "shard covering tasks {}..{} panicked: {} \
                  ({} task(s) committed before the failure)",
-                task_range.start, task_range.end, attempts, message, partial.tasks
+                task_range.start, task_range.end, message, partial.tasks
             ),
-            DrtError::DeadlineExceeded => write!(f, "deadline exceeded before any work ran"),
-            DrtError::BudgetExhausted { detail } => write!(f, "budget exhausted: {detail}"),
-            DrtError::PoisonedState { detail } => write!(f, "poisoned state: {detail}"),
             DrtError::UnknownVariant { name } => {
                 write!(f, "no accelerator variant named {name:?} in the registry")
             }
@@ -111,11 +88,9 @@ mod tests {
             partial: Box::new(RunReport::empty("t")),
             task_range: 8..12,
             message: "boom".into(),
-            attempts: 3,
         };
         let s = err.to_string();
         assert!(s.contains("8..12"), "{s}");
-        assert!(s.contains("3 attempt"), "{s}");
         assert!(s.contains("boom"), "{s}");
     }
 

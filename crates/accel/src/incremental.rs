@@ -70,9 +70,10 @@
 //!
 //! * Plain, budgeted and cancelled sessions splice on the streaming path
 //!   and degrade exactly as their from-scratch runs do.
-//! * Probed (a splice would cut the trace), multi-threaded, retrying and
-//!   chaos sessions run the engine's ordinary path, leave the store
-//!   untouched, and count every committed task as executed.
+//! * Probed, multi-threaded and chaos sessions run the engine's ordinary
+//!   path without the store — serial streaming for a probed one-thread
+//!   session (a splice would cut the trace), sharded otherwise — leave
+//!   the store untouched, and count every committed task as executed.
 //! * A spec-backed session is a typed `BadConfig` error at
 //!   [`IncrementalSpmspm::run`]: the store is keyed for one engine
 //!   configuration.
@@ -388,7 +389,7 @@ impl IncrementalSpmspm {
     /// # Errors
     ///
     /// The session's own run errors (tiling configuration errors as
-    /// [`DrtError::Core`], a shard that panicked through every retry as
+    /// [`DrtError::Core`], a panicked shard as
     /// [`DrtError::ShardPanicked`]), and a `BadConfig` [`DrtError::Core`]
     /// for a spec-backed session.
     pub fn run(&mut self, a: &CsMatrix, b: &CsMatrix) -> Result<RunReport, DrtError> {

@@ -52,7 +52,6 @@ use crate::report::{Degradation, PhaseBreakdown, RunOutcome, RunReport, StagePha
 use crate::spec::TilingSpec;
 use crate::spec::{llc_hierarchy, AccelSpec, EngineSpec, PartitionPreset, RunCtx, SpecKind};
 use crate::zcache::OutputCache;
-use drt_core::budget::ExecBudget;
 use drt_core::cancel::ExpiryKind;
 use drt_core::config::{DrtConfig, Partitions};
 use drt_core::drt::RankRanges;
@@ -626,9 +625,6 @@ fn run_stages(
     if let Some(report) = entry_stop(&name, ctx) {
         return Ok(report);
     }
-    // The resident-bytes cap is an engine-level cap on materialized task
-    // lists and does not ride on task generation.
-    let gen_budget = ExecBudget { max_resident_bytes: None, ..ctx.budget };
     let sm = base.drt.size_model;
     let mut report = RunReport::empty(&name);
     let mut inter: Option<CsMatrix> = None;
@@ -646,7 +642,7 @@ fn run_stages(
         };
         let model = stage.model(operand, &in_name, si, pipe, es, &base).map_err(DrtError::Core)?;
         let opts = stage_opts(&model.kernel, es, &model.cfg, model.order)
-            .with_budget(gen_budget.clone())
+            .with_budget(ctx.budget.clone())
             .with_cancel(ctx.cancel.clone());
         let mut stream = TaskStream::build(&model.kernel, opts).map_err(DrtError::Core)?;
         let bindings = model.kernel.inputs();

@@ -107,9 +107,6 @@ pub enum DegradeReason {
     /// `ExecBudget::max_plan_candidates` exhausted; the remaining region
     /// fell back to S-U-C tiling.
     PlanBudgetExhausted,
-    /// `ExecBudget::max_resident_bytes` exhausted; sharded execution fell
-    /// back to serial streaming (no materialized task list).
-    MemoryBudgetExhausted,
 }
 
 impl DegradeReason {
@@ -120,7 +117,6 @@ impl DegradeReason {
             DegradeReason::DeadlineExceeded => "deadline",
             DegradeReason::TaskBudgetExhausted => "task_budget",
             DegradeReason::PlanBudgetExhausted => "plan_budget",
-            DegradeReason::MemoryBudgetExhausted => "memory_budget",
         }
     }
 }
@@ -297,7 +293,7 @@ impl RunReport {
     /// `None` means bit-identical (floats compared via `to_bits`, outputs
     /// entry-for-entry). This is the parallel determinism contract: a
     /// sharded run must satisfy `serial.bit_diff(&sharded).is_none()` for
-    /// every thread count and shard schedule.
+    /// every thread count.
     pub fn bit_diff(&self, other: &RunReport) -> Option<String> {
         if self.name != other.name {
             return Some(format!("name: {:?} vs {:?}", self.name, other.name));

@@ -40,7 +40,7 @@
 //! ```
 
 use crate::cpu::CpuSpec;
-use crate::engine::{run_spmspm_ft, EngineConfig, ExecPolicy, ShardSchedule};
+use crate::engine::{run_spmspm_ft, EngineConfig};
 use crate::error::DrtError;
 use crate::incremental::TaskStore;
 use crate::pipeline::{PipelineInput, PipelineSpec, Stage};
@@ -127,7 +127,7 @@ impl Session {
     }
 
     /// Replace the session's entire run context (hierarchy, CPU, probe,
-    /// execution policy, budgets, cancellation token) with a
+    /// thread count, budgets, cancellation token) with a
     /// caller-built one — the bench-harness path, where one [`RunCtx`]
     /// is shared across many variant sessions.
     #[must_use]
@@ -136,30 +136,16 @@ impl Session {
         self
     }
 
-    /// Run on `n` worker threads (statically sharded; 1 = serial).
+    /// Run on `n` worker threads, one contiguous shard of the task list
+    /// each (1 = serial streaming).
     #[must_use]
     pub fn threads(mut self, n: usize) -> Session {
-        self.ctx.exec.threads = n.max(1);
-        self
-    }
-
-    /// Select a shard schedule (static chunks, work stealing, or explicit
-    /// cut points).
-    #[must_use]
-    pub fn schedule(mut self, schedule: ShardSchedule) -> Session {
-        self.ctx.exec.schedule = schedule;
-        self
-    }
-
-    /// Set the full execution policy at once.
-    #[must_use]
-    pub fn exec(mut self, exec: ExecPolicy) -> Session {
-        self.ctx.exec = exec;
+        self.ctx.threads = n.max(1);
         self
     }
 
     /// Attach an instrumentation probe. Traces are bit-identical across
-    /// thread counts and shard schedules.
+    /// thread counts.
     #[must_use]
     pub fn probe(mut self, probe: Probe) -> Session {
         self.ctx.probe = probe;
@@ -216,27 +202,19 @@ impl Session {
     }
 
     /// Set resource budgets. Exhausting a DRT planning budget degrades
-    /// the rest of the run to S-U-C fallback tiles; exhausting the
-    /// resident-byte cap degrades sharded execution to serial streaming.
-    /// Either way the run completes and the report records why.
+    /// the rest of the run to S-U-C fallback tiles; the run completes and
+    /// the report records why.
     #[must_use]
     pub fn budget(mut self, budget: ExecBudget) -> Session {
         self.ctx.budget = budget;
         self
     }
 
-    /// Retry a panicked shard up to `n` times before failing with
-    /// [`DrtError::ShardPanicked`]. Recovered runs are bit-identical to
-    /// fault-free ones.
-    #[must_use]
-    pub fn retries(mut self, n: u32) -> Session {
-        self.ctx.exec.max_retries = n;
-        self
-    }
-
     /// Install a chaos injector (tests only): the engine calls it at
     /// shard and task boundaries so `drt-verify` can inject worker
-    /// panics, slow shards, and cancellations deterministically.
+    /// panics, slow shards, and cancellations deterministically. An
+    /// engine run with an injector takes the sharded path even on one
+    /// thread, so a panic surfaces as [`DrtError::ShardPanicked`].
     #[must_use]
     pub fn chaos(mut self, chaos: Arc<dyn FaultInjector>) -> Session {
         self.ctx.chaos = Some(chaos);
@@ -252,9 +230,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Engine/tiling configuration errors as [`DrtError::Core`]; a shard
-    /// that panicked through every retry as [`DrtError::ShardPanicked`].
-    /// Analytic models are infallible.
+    /// Engine/tiling configuration errors as [`DrtError::Core`]; a panicked
+    /// shard as [`DrtError::ShardPanicked`]. Analytic models are infallible.
     pub fn run_spmspm(&self, a: &CsMatrix, b: &CsMatrix) -> Result<RunReport, DrtError> {
         self.run_ref(WorkloadRef::Spmspm { a, b }).map(RunOutcome::into_report)
     }
@@ -273,12 +250,11 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Engine/tiling configuration errors as [`DrtError::Core`]; a shard
-    /// that panicked through every retry as [`DrtError::ShardPanicked`];
-    /// `BadConfig` for pipeline shapes the session target cannot run:
-    /// unsupported input/stage combinations, analytic specs on
-    /// multi-stage pipelines, or multi-stage pipelines on a
-    /// [`Session::from_engine_config`] session.
+    /// Engine/tiling configuration errors as [`DrtError::Core`]; a panicked
+    /// shard as [`DrtError::ShardPanicked`]; `BadConfig` for pipeline
+    /// shapes the session target cannot run: unsupported input/stage
+    /// combinations, analytic specs on multi-stage pipelines, or
+    /// multi-stage pipelines on a [`Session::from_engine_config`] session.
     pub fn run_ref(&self, w: WorkloadRef<'_>) -> Result<RunOutcome, DrtError> {
         match (w, &self.target) {
             (WorkloadRef::Spmspm { a, b }, Target::Spec(spec)) => spec.run_ft(a, b, &self.ctx),
@@ -437,11 +413,8 @@ mod tests {
             ..EngineConfig::new(("session", Tiling::Drt, DrtConfig::new(parts)))
         };
         let serial = Session::from_engine_config(cfg.clone()).run_spmspm(&a, &a).expect("serial");
-        let sharded = Session::from_engine_config(cfg)
-            .threads(4)
-            .schedule(ShardSchedule::WorkStealing { tasks_per_shard: 2 })
-            .run_spmspm(&a, &a)
-            .expect("sharded");
+        let sharded =
+            Session::from_engine_config(cfg).threads(4).run_spmspm(&a, &a).expect("sharded");
         assert!(serial.bit_diff(&sharded).is_none(), "{:?}", serial.bit_diff(&sharded));
     }
 

@@ -15,7 +15,7 @@
 
 use crate::cpu::{run_mkl_like, CpuSpec};
 use crate::engine::{
-    best_suc_shape, degraded_entry, expiry_reason, run_spmspm_ft, EngineConfig, ExecPolicy, Tiling,
+    best_suc_shape, degraded_entry, expiry_reason, run_spmspm_ft, EngineConfig, Tiling,
 };
 use crate::error::DrtError;
 use crate::report::{DegradeReason, RunOutcome};
@@ -223,11 +223,11 @@ pub struct RunCtx {
     pub cpu: CpuSpec,
     /// Instrumentation probe threaded through taskgen and the engine.
     pub probe: Probe,
-    /// Execution policy for engine-simulated variants (thread count,
-    /// shard schedule, shard retries); analytic models ignore it. Reports
-    /// and traces are bit-identical for every policy.
-    pub exec: ExecPolicy,
-    /// Resource budgets (task / planner-call / resident-byte caps).
+    /// Worker threads for engine-simulated variants (1 = serial
+    /// streaming; more shard the task list); analytic models ignore it.
+    /// Reports and traces are bit-identical at every thread count.
+    pub threads: usize,
+    /// Resource budgets (task / planner-call caps).
     /// DRT engine runs degrade gracefully on exhaustion; `max_tasks = 0`
     /// ("no work permitted") binds uniformly on every variant; other
     /// caps are non-binding for analytic and already-S-U-C runs.
@@ -245,7 +245,7 @@ impl Default for RunCtx {
             hier: HierarchySpec::default(),
             cpu: CpuSpec::default(),
             probe: Probe::disabled(),
-            exec: ExecPolicy::serial(),
+            threads: 1,
             budget: ExecBudget::unlimited(),
             cancel: CancelToken::new(),
             chaos: None,
@@ -257,42 +257,6 @@ impl RunCtx {
     /// A context around the given hierarchy, default CPU, no probe.
     pub fn new(hier: &HierarchySpec) -> RunCtx {
         RunCtx { hier: *hier, ..RunCtx::default() }
-    }
-
-    /// Builder-style: set the CPU spec.
-    pub fn with_cpu(mut self, cpu: CpuSpec) -> RunCtx {
-        self.cpu = cpu;
-        self
-    }
-
-    /// Builder-style: attach an instrumentation probe.
-    pub fn with_probe(mut self, probe: Probe) -> RunCtx {
-        self.probe = probe;
-        self
-    }
-
-    /// Builder-style: set the execution policy (sharded parallel runs).
-    pub fn with_exec(mut self, exec: ExecPolicy) -> RunCtx {
-        self.exec = exec;
-        self
-    }
-
-    /// Builder-style: set the resource budgets.
-    pub fn with_budget(mut self, budget: ExecBudget) -> RunCtx {
-        self.budget = budget;
-        self
-    }
-
-    /// Builder-style: share a cancellation/deadline token.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> RunCtx {
-        self.cancel = cancel;
-        self
-    }
-
-    /// Builder-style: install a chaos injector (tests only).
-    pub fn with_chaos(mut self, chaos: Arc<dyn FaultInjector>) -> RunCtx {
-        self.chaos = Some(chaos);
-        self
     }
 }
 
@@ -351,14 +315,14 @@ impl AccelSpec {
     /// degrades — never panics — for analytic models too; engine
     /// variants additionally degrade mid-run (DRT → S-U-C fallback on
     /// budget exhaustion, clean stops at task boundaries) and isolate
-    /// and retry panicked shards. [`crate::session::Session::run_ref`] is
-    /// the public door to it.
+    /// panicked shards. [`crate::session::Session::run_ref`] is the
+    /// public door to it.
     ///
     /// # Errors
     ///
     /// Configuration errors as [`DrtError::Core`] (mismatched inner
-    /// dimensions first, for every variant); a shard that kept panicking
-    /// after every retry as [`DrtError::ShardPanicked`].
+    /// dimensions first, for every variant); a panicked shard as
+    /// [`DrtError::ShardPanicked`].
     pub(crate) fn run_ft(
         &self,
         a: &CsMatrix,
@@ -496,7 +460,7 @@ impl AccelSpec {
         let hier = if es.hier_from_cpu { llc_hierarchy(&ctx.cpu) } else { ctx.hier };
         let mut cfg = self.engine_config(es, &hier);
         if let TilingSpec::SucSweep { candidates } = es.tiling {
-            let shape = best_suc_shape(a, b, &cfg, candidates, &ctx.exec)?;
+            let shape = best_suc_shape(a, b, &cfg, candidates, ctx.threads)?;
             use_suc_winner(&mut cfg, shape);
         }
         Ok(cfg)

@@ -24,9 +24,6 @@
 //!   instrumentation event — tile plans, fetches, spills, per-phase
 //!   totals) to `FILE` via [`drt_core::probe::JsonlSink`]. Trace rows and
 //!   `--json` rows share one formatter, so one parser handles both.
-//! * `--retries N` — retry a panicked engine shard up to `N` times before
-//!   failing. Retries that never fire do not change numbers, so output is
-//!   bit-identical with and without this flag (a CI gate pins this).
 //! * `--keep-going` — on a failing cell, emit an `"error"` JSON row and
 //!   continue with the remaining cells; exit nonzero at the end instead
 //!   of aborting on the first failure.
@@ -43,7 +40,6 @@
 #![warn(missing_debug_implementations)]
 
 use drt_accel::cpu::CpuSpec;
-use drt_accel::engine::ExecPolicy;
 use drt_accel::report::RunOutcome;
 use drt_accel::session::Session;
 use drt_accel::spec::RunCtx;
@@ -70,8 +66,6 @@ pub struct BenchOpts {
     /// Worker threads per engine run (sharded execution; 1 = serial).
     /// `None` when `--threads` was not given.
     pub threads: Option<usize>,
-    /// Shard retries per engine run (panic recovery; 0 = fail fast).
-    pub retries: u32,
     /// Keep running after a failing cell, reporting it as an error row.
     pub keep_going: bool,
     /// Request priority class stamped on every kernel run.
@@ -89,7 +83,6 @@ impl Default for BenchOpts {
             quick: false,
             trace: None,
             threads: None,
-            retries: 0,
             keep_going: false,
             priority: Priority::Normal,
             deadline_ms: None,
@@ -128,12 +121,6 @@ impl BenchOpts {
                 "--threads" => {
                     if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
                         opts.threads = Some(v);
-                        i += 1;
-                    }
-                }
-                "--retries" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.retries = v;
                         i += 1;
                     }
                 }
@@ -184,7 +171,7 @@ impl BenchOpts {
     }
 
     /// The shared run context at this scale: hierarchy, CPU, probe, and
-    /// the execution policy. An explicit `--threads` wins; otherwise
+    /// the engine thread count. An explicit `--threads` wins; otherwise
     /// `DRT_BENCH_THREADS` ([`drt_core::par::env_threads`]) sets the
     /// engine thread count, and runs are serial when neither is given.
     pub fn run_ctx(&self) -> RunCtx {
@@ -193,7 +180,7 @@ impl BenchOpts {
             hier: self.hierarchy(),
             cpu: self.cpu(),
             probe: self.probe(),
-            exec: ExecPolicy::threads(threads).with_retries(self.retries),
+            threads,
             ..RunCtx::default()
         }
     }
@@ -446,9 +433,9 @@ mod tests {
         // (including 1) is the engine thread count.
         for n in [1usize, 3] {
             let o = BenchOpts { threads: Some(n), ..BenchOpts::default() };
-            assert_eq!(o.run_ctx().exec.threads, n);
+            assert_eq!(o.run_ctx().threads, n);
         }
-        let unset = BenchOpts::default().run_ctx().exec.threads;
+        let unset = BenchOpts::default().run_ctx().threads;
         assert_eq!(unset, drt_core::par::env_threads().unwrap_or(1));
     }
 

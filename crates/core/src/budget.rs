@@ -9,9 +9,6 @@
 //!   the task generator from DRT planning to the S-U-C baseline grid for
 //!   the remaining region (see `taskgen`), so the run still covers the
 //!   full iteration space — just with cheaper, statically-sized tiles.
-//! * `max_resident_bytes` bounds the engine's materialized shard state;
-//!   when the task list would exceed it the engine degrades to serial
-//!   streaming execution instead of sharding.
 
 /// Per-run resource caps. `None` = unlimited (the default).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -19,9 +16,6 @@ pub struct ExecBudget {
     /// Maximum number of tasks the generator may *plan with DRT*; beyond
     /// this the remaining region is tiled with the S-U-C fallback.
     pub max_tasks: Option<u64>,
-    /// Cap on bytes of materialized per-run state (task list + per-shard
-    /// buffers); exceeding it degrades sharded execution to streaming.
-    pub max_resident_bytes: Option<u64>,
     /// Cap on DRT planner invocations (`plan_tile` calls); beyond this
     /// the remaining region is tiled with the S-U-C fallback.
     pub max_plan_candidates: Option<u64>,
@@ -35,20 +29,12 @@ impl ExecBudget {
 
     /// Whether any cap is configured.
     pub fn is_limited(&self) -> bool {
-        self.max_tasks.is_some()
-            || self.max_resident_bytes.is_some()
-            || self.max_plan_candidates.is_some()
+        self.max_tasks.is_some() || self.max_plan_candidates.is_some()
     }
 
     /// Builder: cap the DRT-planned task count.
     pub fn with_max_tasks(mut self, n: u64) -> ExecBudget {
         self.max_tasks = Some(n);
-        self
-    }
-
-    /// Builder: cap materialized resident bytes.
-    pub fn with_max_resident_bytes(mut self, n: u64) -> ExecBudget {
-        self.max_resident_bytes = Some(n);
         self
     }
 
@@ -82,7 +68,6 @@ impl ExecBudget {
         }
         ExecBudget {
             max_tasks: tighter(self.max_tasks, other.max_tasks),
-            max_resident_bytes: tighter(self.max_resident_bytes, other.max_resident_bytes),
             max_plan_candidates: tighter(self.max_plan_candidates, other.max_plan_candidates),
         }
     }
@@ -101,13 +86,9 @@ mod tests {
 
     #[test]
     fn builders_set_caps() {
-        let b = ExecBudget::unlimited()
-            .with_max_tasks(10)
-            .with_max_resident_bytes(1 << 20)
-            .with_max_plan_candidates(100);
+        let b = ExecBudget::unlimited().with_max_tasks(10).with_max_plan_candidates(100);
         assert!(b.is_limited());
         assert_eq!(b.max_tasks, Some(10));
-        assert_eq!(b.max_resident_bytes, Some(1 << 20));
         assert_eq!(b.max_plan_candidates, Some(100));
     }
 
@@ -117,16 +98,14 @@ mod tests {
         assert!(b.is_limited());
         assert_eq!(b.max_plan_candidates, Some(0));
         assert_eq!(b.max_tasks, None);
-        assert_eq!(b.max_resident_bytes, None);
     }
 
     #[test]
     fn min_with_takes_the_tighter_cap_per_axis() {
-        let a = ExecBudget::unlimited().with_max_tasks(10).with_max_resident_bytes(100);
+        let a = ExecBudget::unlimited().with_max_tasks(10);
         let b = ExecBudget::unlimited().with_max_tasks(20).with_max_plan_candidates(5);
         let m = a.min_with(&b);
         assert_eq!(m.max_tasks, Some(10));
-        assert_eq!(m.max_resident_bytes, Some(100));
         assert_eq!(m.max_plan_candidates, Some(5));
         assert_eq!(a.min_with(&ExecBudget::unlimited()), a, "unlimited is the identity");
     }

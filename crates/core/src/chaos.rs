@@ -7,7 +7,7 @@
 //! passes no injector (the call sites are a branch on `None`);
 //! `drt-verify`'s chaos harnesses install seeded injectors that panic,
 //! sleep, or cancel at chosen indices to prove the recovery machinery
-//! (panic isolation, bounded retry, deadline degradation, worker
+//! (panic isolation into a typed error, deadline degradation, worker
 //! supervision, poison-workload quarantine) actually recovers.
 //!
 //! Injectors must be deterministic for a given construction (seeded, no
@@ -21,12 +21,11 @@ use std::time::Duration;
 /// implementations may panic (to simulate worker crashes) or block (to
 /// simulate slow shards/requests).
 pub trait FaultInjector: Send + Sync + std::fmt::Debug {
-    /// Called once per shard attempt, before the shard's first task.
-    /// `_attempt` is 0 for the first run of the shard, 1.. for retries.
-    fn before_shard(&self, _shard: usize, _attempt: u32) {}
+    /// Called once per shard, before the shard's first task.
+    fn before_shard(&self, _shard: usize) {}
 
     /// Called before each task's phases execute. `task` is the global
-    /// task index (stable across thread counts and schedules).
+    /// task index (stable across thread counts).
     fn before_task(&self, _task: u64) {}
 
     /// Called by a serving worker before each request execution
@@ -135,7 +134,7 @@ mod tests {
     #[test]
     fn no_faults_is_inert() {
         let n = NoFaults;
-        n.before_shard(0, 0);
+        n.before_shard(0);
         n.before_task(42);
         n.before_request(0, 0xdead);
     }

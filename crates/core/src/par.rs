@@ -13,16 +13,18 @@
 //!   overridable with the `DRT_BENCH_THREADS` environment variable
 //!   (`DRT_BENCH_THREADS=1` forces sequential runs, useful when timing a
 //!   single cell). [`env_threads`] is the one parser of that variable.
-//! * [`par_map_threads`] takes an explicit worker count — the engine's
-//!   sharded execution layer uses this so a `Session`'s `threads(n)` knob
-//!   is authoritative rather than environment-dependent.
+//! * [`par_map_threads`] takes an explicit worker count, and
+//!   [`par_map_isolated`] is its panic-isolating form — the engine's
+//!   sharded execution layer uses the latter so a `Session`'s
+//!   `threads(n)` knob is authoritative rather than environment-dependent,
+//!   and one panicked shard keeps the results of the shards below it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A captured worker panic from [`par_map_isolated`]: which item panicked
 /// and the stringified payload. The index makes the failure *addressable*
-/// — the engine's retry layer re-runs exactly the failing shard, and the
+/// — the engine keeps the shards below the lowest failing one, and the
 /// error surfaced to callers names the failing task range.
 #[derive(Debug, Clone)]
 pub struct ItemPanic {
@@ -137,10 +139,6 @@ where
 /// the other items' completed results. Returns one `Result` per input,
 /// in input order — `Err(ItemPanic)` carries the failing index and the
 /// stringified payload.
-///
-/// `f` must be idempotent-on-retry for the engine's bounded-retry layer
-/// to preserve bit-identical results; that contract is the *caller's*,
-/// this function just reports faithfully.
 pub fn par_map_isolated<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<Result<R, ItemPanic>>
 where
     T: Sync,

@@ -23,7 +23,7 @@
 
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One instrumented action inside a simulated run.
@@ -450,27 +450,6 @@ impl EventSink for JsonlSink {
     }
 }
 
-/// Ordering lanes for deterministic trace reduction.
-///
-/// When a run is sharded across workers, every buffered event is tagged
-/// with `(pos, lane, seq)` — `pos` is the global emitted-task index the
-/// event belongs to, `lane` orders the event groups *within* one task the
-/// same way the serial engine interleaves them, and `seq` preserves
-/// emission order within a group. A stable sort on that key followed by
-/// [`replay_sorted`] reproduces the serial trace bit for bit.
-pub mod lane {
-    /// Task-generation events (tile planned / fallback / emitted / skipped).
-    pub const GEN: u8 = 0;
-    /// Input-load phase events (fetch / hit).
-    pub const LOAD: u8 = 1;
-    /// Merge-phase events (spill / refill), replayed by the reducer.
-    pub const MERGE: u8 = 2;
-    /// Extraction-cost events.
-    pub const EXTRACT: u8 = 3;
-    /// End-of-run phase-summary events (`pos` = `u64::MAX`).
-    pub const FINISH: u8 = 4;
-}
-
 /// An [`Event`] with its borrowed strings copied out, so it can outlive
 /// the emission site and be buffered for later replay.
 ///
@@ -610,148 +589,9 @@ impl OwnedEvent {
     }
 }
 
-/// A buffered event plus its deterministic ordering key (see [`lane`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TaggedEvent {
-    /// Global emitted-task index the event belongs to (`u64::MAX` for
-    /// end-of-run events).
-    pub pos: u64,
-    /// Within-task lane (see [`lane`]).
-    pub lane: u8,
-    /// Emission order within the owning sink.
-    pub seq: u64,
-    /// The event itself.
-    pub event: OwnedEvent,
-}
-
-impl TaggedEvent {
-    /// The `(pos, lane, seq)` sort key.
-    pub fn key(&self) -> (u64, u8, u64) {
-        (self.pos, self.lane, self.seq)
-    }
-}
-
-/// An [`EventSink`] that buffers events with `(pos, lane, seq)` tags
-/// instead of forwarding them, so sharded workers can each record into
-/// their own sink and the reducer can merge-sort the buffers into the real
-/// sink afterwards ([`replay_sorted`]).
-///
-/// Two tagging modes:
-///
-/// * [`TaggingSink::auto_gen`] — for the task-generation pass. Events are
-///   tagged at lane [`lane::GEN`] with `pos` = the index of the *next*
-///   emitted task; each [`Event::TaskEmitted`] advances `pos` after being
-///   tagged, so a task's plan/skip/emit events share its index and
-///   trailing skips sort after the last task (but before end-of-run
-///   events).
-/// * [`TaggingSink::manual`] — for engine workers and the reducer. The
-///   caller pins `(pos, lane)` with [`TaggingSink::set_position`] before
-///   each event group.
-#[derive(Debug)]
-pub struct TaggingSink {
-    auto_task_position: bool,
-    pos: AtomicU64,
-    lane: AtomicU8,
-    seq: AtomicU64,
-    events: Mutex<Vec<TaggedEvent>>,
-}
-
-impl TaggingSink {
-    /// A sink for the task-generation pass (see type docs).
-    pub fn auto_gen() -> TaggingSink {
-        TaggingSink {
-            auto_task_position: true,
-            pos: AtomicU64::new(0),
-            lane: AtomicU8::new(lane::GEN),
-            seq: AtomicU64::new(0),
-            events: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// A sink whose `(pos, lane)` tag is set explicitly via
-    /// [`TaggingSink::set_position`].
-    pub fn manual() -> TaggingSink {
-        TaggingSink {
-            auto_task_position: false,
-            pos: AtomicU64::new(0),
-            lane: AtomicU8::new(lane::LOAD),
-            seq: AtomicU64::new(0),
-            events: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Pin the `(pos, lane)` tag for subsequently recorded events.
-    pub fn set_position(&self, pos: u64, lane: u8) {
-        self.pos.store(pos, Ordering::Relaxed);
-        self.lane.store(lane, Ordering::Relaxed);
-    }
-
-    /// Take the buffered events (the sink is left empty but reusable).
-    ///
-    /// Recovers a poisoned guard: if a worker panicked mid-run, the
-    /// reducer still drains whatever was recorded instead of turning one
-    /// failure into a cascading poisoned-lock panic.
-    pub fn drain(&self) -> Vec<TaggedEvent> {
-        std::mem::take(&mut *self.events.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
-    }
-}
-
-impl EventSink for TaggingSink {
-    fn record(&self, event: &Event<'_>) {
-        let pos = self.pos.load(Ordering::Relaxed);
-        let tagged = TaggedEvent {
-            pos,
-            lane: self.lane.load(Ordering::Relaxed),
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            event: OwnedEvent::from_event(event),
-        };
-        if self.auto_task_position {
-            if let Event::TaskEmitted { .. } = event {
-                self.pos.store(pos + 1, Ordering::Relaxed);
-            }
-        }
-        self.events.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(tagged);
-    }
-}
-
-/// Stable-sort `events` by `(pos, lane, seq)` and re-emit them through
-/// `probe` — the final step of deterministic trace reduction. With tags
-/// assigned as described on [`TaggingSink`], the replayed stream is
-/// bit-identical to what a serial run would have written.
-pub fn replay_sorted(mut events: Vec<TaggedEvent>, probe: &Probe) {
-    if !probe.is_enabled() {
-        return;
-    }
-    events.sort_by_key(TaggedEvent::key);
-    for e in &events {
-        probe.emit(|| e.event.as_event());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tagging_sink_survives_poisoned_lock() {
-        let sink = Arc::new(TaggingSink::manual());
-        let probe = Probe::new(sink.clone());
-        sink.set_position(0, lane::LOAD);
-        probe.emit(|| Event::Fetch { tensor: "A", bytes: 8 });
-        // Poison the events mutex the way a panicking worker would: die
-        // while holding the guard.
-        let poisoner = sink.clone();
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.events.lock().expect("first lock");
-            panic!("worker dies holding the trace lock");
-        })
-        .join();
-        assert!(sink.events.is_poisoned(), "setup must actually poison");
-        // The reducer must still record and drain instead of cascading.
-        probe.emit(|| Event::Fetch { tensor: "B", bytes: 16 });
-        let drained = sink.drain();
-        assert_eq!(drained.len(), 2, "events recorded before and after the poison survive");
-    }
 
     #[test]
     fn jsonl_sink_survives_poisoned_lock() {
@@ -894,93 +734,5 @@ mod tests {
             let owned = OwnedEvent::from_event(e);
             assert_eq!(&owned.as_event(), e, "round trip must preserve the event");
         }
-    }
-
-    #[test]
-    fn auto_gen_sink_advances_position_on_task_emitted() {
-        let sink = Arc::new(TaggingSink::auto_gen());
-        let p = Probe::new(sink.clone());
-        p.emit(|| Event::TilePlanned {
-            task: 0,
-            grow_steps: 0,
-            rejected_grows: 0,
-            fallbacks: 0,
-            meta_words: 0,
-        });
-        p.emit(|| Event::TaskEmitted { index: 0 });
-        p.emit(|| Event::TaskSkipped { total_skipped: 1 });
-        p.emit(|| Event::TaskEmitted { index: 1 });
-        p.emit(|| Event::TaskSkipped { total_skipped: 2 });
-        let tags: Vec<(u64, u8)> = sink.drain().iter().map(|t| (t.pos, t.lane)).collect();
-        // Plan + emit of task 0 share pos 0; the inter-task skip and emit of
-        // task 1 share pos 1; the trailing skip sorts after both tasks.
-        assert_eq!(
-            tags,
-            vec![(0, lane::GEN), (0, lane::GEN), (1, lane::GEN), (1, lane::GEN), (2, lane::GEN)]
-        );
-    }
-
-    #[test]
-    fn replay_sorted_restores_serial_interleaving() {
-        // Simulate: gen events for 2 tasks in one sink, engine events for
-        // task 1 before task 0 across two "workers", merge events from a
-        // reducer sink. The replayed order must interleave per task:
-        // gen(0), load(0), merge(0), extract(0), gen(1), load(1), ...
-        let gen = Arc::new(TaggingSink::auto_gen());
-        let pg = Probe::new(gen.clone());
-        pg.emit(|| Event::TaskEmitted { index: 0 });
-        pg.emit(|| Event::TaskEmitted { index: 1 });
-
-        let w1 = Arc::new(TaggingSink::manual());
-        let p1 = Probe::new(w1.clone());
-        w1.set_position(1, lane::LOAD);
-        p1.emit(|| Event::Fetch { tensor: "A", bytes: 1 });
-        w1.set_position(1, lane::EXTRACT);
-        p1.emit(|| Event::Extraction { aggregate: 1, md_build: 0, distribute: 0 });
-
-        let w0 = Arc::new(TaggingSink::manual());
-        let p0 = Probe::new(w0.clone());
-        w0.set_position(0, lane::LOAD);
-        p0.emit(|| Event::Fetch { tensor: "A", bytes: 0 });
-        w0.set_position(0, lane::EXTRACT);
-        p0.emit(|| Event::Extraction { aggregate: 0, md_build: 0, distribute: 0 });
-
-        let red = Arc::new(TaggingSink::manual());
-        let pr = Probe::new(red.clone());
-        red.set_position(0, lane::MERGE);
-        pr.emit(|| Event::Spill { bytes: 0 });
-        red.set_position(1, lane::MERGE);
-        pr.emit(|| Event::Spill { bytes: 1 });
-        red.set_position(u64::MAX, lane::FINISH);
-        pr.emit(|| Event::Phase { phase: "writeback", cycles: 0, bytes: 0 });
-
-        let mut all = gen.drain();
-        all.extend(w1.drain());
-        all.extend(w0.drain());
-        all.extend(red.drain());
-
-        let out = Arc::new(Mutex::new(Vec::new()));
-        struct Collect(Arc<Mutex<Vec<String>>>);
-        impl EventSink for Collect {
-            fn record(&self, event: &Event<'_>) {
-                self.0.lock().expect("lock").push(event.kind().to_string());
-            }
-        }
-        replay_sorted(all, &Probe::new(Arc::new(Collect(out.clone()))));
-        let kinds = out.lock().expect("lock").clone();
-        assert_eq!(
-            kinds,
-            vec![
-                "task_emitted", // gen 0
-                "fetch",        // load 0
-                "spill",        // merge 0
-                "extraction",   // extract 0
-                "task_emitted", // gen 1
-                "fetch",
-                "spill",
-                "extraction",
-                "phase", // end-of-run
-            ]
-        );
     }
 }

@@ -6,20 +6,19 @@
 //! failure replays exactly. The scenarios pin the recovery invariants the
 //! fault-tolerant execution layer promises:
 //!
-//! 1. **Retry determinism** — a shard that panics and is retried yields a
-//!    report *and trace* byte-identical to the fault-free run, at every
-//!    thread count. Shard workers are pure functions of the task list, so
-//!    a rebuilt shard reproduces its events exactly; the panicked
-//!    attempt's partial events are discarded wholesale (no loss, no
-//!    duplication — the poisoned attempt leaks nothing).
-//! 2. **Typed failure** — when retries are exhausted, the caller gets
+//! 1. **Typed failure** — a shard that panics fails the run on its first
+//!    attempt (workers are pure functions of the task list, so a re-run
+//!    would panic again): the caller gets
 //!    [`drt_accel::error::DrtError::ShardPanicked`] naming the failing
-//!    task range, with a partial report whose phase bytes still partition
-//!    its committed traffic.
-//! 3. **Graceful deadline** — a slow shard that blows a deadline degrades
+//!    task range, with a partial report over the shards below it whose
+//!    phase bytes still partition its committed traffic, and a trace that
+//!    is a prefix of the fault-free trace plus one `aborted` record. A
+//!    one-thread run with an injector takes the sharded path, so this
+//!    holds at every thread count.
+//! 2. **Graceful deadline** — a slow shard that blows a deadline degrades
 //!    (never panics): the report says why, and a traced run's JSONL stays
 //!    parseable, ending with exactly one `aborted` record.
-//! 4. **Prefix commit** — cancellation commits a deterministic prefix of
+//! 3. **Prefix commit** — cancellation commits a deterministic prefix of
 //!    the task stream: two identical cancelled runs are bit-identical,
 //!    and the committed events are a subsequence of the fault-free trace.
 //!
@@ -36,7 +35,7 @@ use drt_core::chaos::FaultInjector;
 use drt_core::probe::{event_json, Event, EventSink, Probe};
 use drt_tensor::CsMatrix;
 use drt_workloads::patterns::unstructured;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -55,7 +54,7 @@ pub struct ChaosOptions {
 
 impl Default for ChaosOptions {
     fn default() -> ChaosOptions {
-        ChaosOptions { seed: 0, quick: false, threads: vec![2, 4] }
+        ChaosOptions { seed: 0, quick: false, threads: vec![1, 2] }
     }
 }
 
@@ -97,57 +96,43 @@ impl EventSink for LineSink {
     }
 }
 
-/// Panics in `before_task` at one chosen task index, for the first
-/// `fail_attempts` times it is reached. With `fail_attempts = 1` and
-/// retries enabled the fault recovers; with `u32::MAX` it never does.
+/// Panics once: in `before_task` at one chosen task index, or in
+/// `before_shard` — before the shard records anything — at one chosen
+/// shard. Disarmed after it fires, so a re-run of the shard would pass:
+/// a run that still fails proves the panic surfaced on its first attempt.
 #[derive(Debug)]
-struct PanicAtTask {
-    task: u64,
-    remaining: AtomicU32,
+struct PanicOnce {
+    task: Option<u64>,
+    shard: Option<usize>,
+    armed: AtomicBool,
 }
 
-impl PanicAtTask {
-    fn new(task: u64, fail_attempts: u32) -> PanicAtTask {
-        PanicAtTask { task, remaining: AtomicU32::new(fail_attempts) }
+impl PanicOnce {
+    fn at_task(task: u64) -> PanicOnce {
+        PanicOnce { task: Some(task), shard: None, armed: AtomicBool::new(true) }
     }
-}
 
-impl FaultInjector for PanicAtTask {
-    fn before_task(&self, task: u64) {
-        if task == self.task
-            && self
-                .remaining
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok()
-        {
-            panic!("chaos: injected panic at task {task}");
+    fn at_shard(shard: usize) -> PanicOnce {
+        PanicOnce { task: None, shard: Some(shard), armed: AtomicBool::new(true) }
+    }
+
+    fn fire(&self, site: &str) {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            panic!("chaos: injected panic at {site}");
         }
     }
 }
 
-/// Panics in `before_shard` — before the shard records anything — for the
-/// first `fail_attempts` attempts of one chosen shard.
-#[derive(Debug)]
-struct PanicAtShard {
-    shard: usize,
-    remaining: AtomicU32,
-}
-
-impl PanicAtShard {
-    fn new(shard: usize, fail_attempts: u32) -> PanicAtShard {
-        PanicAtShard { shard, remaining: AtomicU32::new(fail_attempts) }
+impl FaultInjector for PanicOnce {
+    fn before_shard(&self, shard: usize) {
+        if self.shard == Some(shard) {
+            self.fire(&format!("shard {shard}"));
+        }
     }
-}
 
-impl FaultInjector for PanicAtShard {
-    fn before_shard(&self, shard: usize, _attempt: u32) {
-        if shard == self.shard
-            && self
-                .remaining
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok()
-        {
-            panic!("chaos: injected panic in shard {shard}");
+    fn before_task(&self, task: u64) {
+        if self.task == Some(task) {
+            self.fire(&format!("task {task}"));
         }
     }
 }
@@ -225,65 +210,34 @@ fn parse_failure(lines: &[String]) -> Option<String> {
     None
 }
 
-/// Scenario 1+2: a seeded panic (mid-shard or at shard entry), one retry
-/// budget, and the run must be byte-identical to fault-free.
-fn check_retry_recovers(
+/// Scenario 1: a seeded panic (mid-shard or at shard entry) surfaces as
+/// `DrtError::ShardPanicked` on its first attempt, naming the failing
+/// shard's task range (which contains `target`, when given), with a
+/// partial report over exactly the shards below it whose phase bytes
+/// partition its traffic, and a trace that is a prefix of the fault-free
+/// trace followed by its phase summaries and one `aborted` record.
+fn check_panic_fails_typed(
     a: &CsMatrix,
     b: &CsMatrix,
     threads: usize,
-    injector: Arc<dyn FaultInjector>,
-    site: &str,
+    injector: PanicOnce,
+    target: Option<u64>,
 ) -> Option<String> {
-    let (want_report, want_trace) = baseline(a, b, threads);
+    let (_, full_trace) = baseline(a, b, threads);
     let sink = Arc::new(LineSink::default());
     let got = session(threads)
         .probe(Probe::new(sink.clone()))
-        .retries(2)
-        .chaos(injector)
+        .chaos(Arc::new(injector))
         .run_ref(WorkloadRef::Spmspm { a, b });
-    let report = match got {
-        Ok(RunOutcome::Complete(r)) => r,
-        Ok(RunOutcome::Degraded(r)) => {
-            return Some(format!("{site}: degraded instead of recovering: {:?}", r.degradation))
+    let (partial, task_range, message) = match got {
+        Err(DrtError::ShardPanicked { partial, task_range, message }) => {
+            (partial, task_range, message)
         }
-        Err(e) => return Some(format!("{site}: errored instead of recovering: {e}")),
-    };
-    if let Some(diff) = want_report.bit_diff(&report) {
-        return Some(format!("{site}: retried report differs from fault-free: {diff}"));
-    }
-    let trace = sink.lines();
-    if trace != want_trace {
-        return Some(format!(
-            "{site}: retried trace differs from fault-free ({} vs {} lines)",
-            trace.len(),
-            want_trace.len()
-        ));
-    }
-    None
-}
-
-/// Scenario 3: a shard that panics through every retry must surface
-/// `DrtError::ShardPanicked` naming the failing range, with an internally
-/// consistent partial report.
-fn check_exhausted_retries(a: &CsMatrix, b: &CsMatrix, threads: usize) -> Option<String> {
-    let (full, _) = baseline(a, b, threads);
-    let target = full.tasks.saturating_sub(1);
-    let got = session(threads)
-        .retries(1)
-        .chaos(Arc::new(PanicAtTask::new(target, u32::MAX)))
-        .run_ref(WorkloadRef::Spmspm { a, b });
-    let (partial, task_range, message, attempts) = match got {
-        Err(DrtError::ShardPanicked { partial, task_range, message, attempts }) => {
-            (partial, task_range, message, attempts)
-        }
-        Ok(_) => return Some("run succeeded despite a permanently panicking shard".into()),
+        Ok(_) => return Some("run succeeded despite a panicking shard".into()),
         Err(e) => return Some(format!("wrong error type: {e}")),
     };
-    if attempts != 2 {
-        return Some(format!("expected 2 attempts (1 + 1 retry), got {attempts}"));
-    }
-    if !(task_range.start <= target && target < task_range.end) {
-        return Some(format!("failing range {task_range:?} does not contain task {target}"));
+    if target.is_some_and(|t| !task_range.contains(&t)) {
+        return Some(format!("failing range {task_range:?} does not contain task {target:?}"));
     }
     if !message.contains("chaos") {
         return Some(format!("panic payload lost: {message:?}"));
@@ -294,16 +248,28 @@ fn check_exhausted_retries(a: &CsMatrix, b: &CsMatrix, threads: usize) -> Option
     if let Some(v) = partial.phase_partition_violation() {
         return Some(format!("partial report phase bytes inconsistent: {v}"));
     }
-    if partial.tasks > full.tasks {
+    if partial.tasks != task_range.start {
         return Some(format!(
-            "partial committed {} tasks, more than the {} that exist",
-            partial.tasks, full.tasks
+            "partial committed {} tasks; the shards below the failing one hold {}",
+            partial.tasks, task_range.start
         ));
+    }
+    let trace = sink.lines();
+    if !trace.last().is_some_and(|l| l.contains("\"reason\": \"shard_panicked\"")) {
+        return Some("trace does not end with a shard_panicked aborted record".into());
+    }
+    let per_task: Vec<String> = trace
+        .iter()
+        .filter(|l| !l.contains("\"event\": \"aborted\"") && !l.contains("\"event\": \"phase\""))
+        .cloned()
+        .collect();
+    if !full_trace.starts_with(&per_task) {
+        return Some("committed events are not a prefix of the fault-free trace".into());
     }
     None
 }
 
-/// Scenario 4: slow shard + deadline → degraded (never a panic), with a
+/// Scenario 2: slow shard + deadline → degraded (never a panic), with a
 /// parseable trace ending in exactly one `aborted` record.
 fn check_deadline_degrades(a: &CsMatrix, b: &CsMatrix, threads: usize) -> Option<String> {
     let sink = Arc::new(LineSink::default());
@@ -347,7 +313,7 @@ fn check_deadline_degrades(a: &CsMatrix, b: &CsMatrix, threads: usize) -> Option
     }
 }
 
-/// Scenario 5: serial cancellation commits a deterministic prefix — two
+/// Scenario 3: serial cancellation commits a deterministic prefix — two
 /// identical cancelled runs are bit-identical, and the committed events
 /// are a subsequence of the fault-free trace.
 fn check_cancel_prefix(a: &CsMatrix, b: &CsMatrix) -> Option<String> {
@@ -433,18 +399,15 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosSummary {
         for &t in &opts.threads {
             check(
                 &mut summary,
-                &format!("{wl}/t{t}/retry-mid-shard"),
-                check_retry_recovers(a, a, t, Arc::new(PanicAtTask::new(mid, 1)), "mid-shard"),
+                &format!("{wl}/t{t}/panic-mid-shard"),
+                check_panic_fails_typed(a, a, t, PanicOnce::at_task(mid), Some(mid)),
             );
+            // The last shard, so the shards below it commit a prefix.
+            let last = t.min(full.tasks as usize).saturating_sub(1);
             check(
                 &mut summary,
-                &format!("{wl}/t{t}/retry-shard-entry"),
-                check_retry_recovers(a, a, t, Arc::new(PanicAtShard::new(0, 1)), "shard-entry"),
-            );
-            check(
-                &mut summary,
-                &format!("{wl}/t{t}/exhausted-retries"),
-                check_exhausted_retries(a, a, t),
+                &format!("{wl}/t{t}/panic-shard-entry"),
+                check_panic_fails_typed(a, a, t, PanicOnce::at_shard(last), None),
             );
             check(&mut summary, &format!("{wl}/t{t}/deadline"), check_deadline_degrades(a, a, t));
         }

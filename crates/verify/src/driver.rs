@@ -1,12 +1,10 @@
 //! The randomized differential driver: every registry variant × thread
-//! count × shard schedule, against the dense oracle and the model
-//! invariants, over the seeded workload corpus — with greedy shrinking
+//! count, against the dense oracle and the model invariants, over the seeded workload corpus — with greedy shrinking
 //! and `.mtx` reproducer emission on failure.
 
 use crate::invariants::{check_engine_stream, check_report};
 use crate::oracle::{accumulation_tolerance, compare_to_dense_tol, dense_spmspm};
 use crate::shrink::{shrink, write_reproducer};
-use drt_accel::engine::ShardSchedule;
 use drt_accel::session::Session;
 use drt_accel::spec::{AccelSpec, Registry};
 use drt_accel::workload::{Request, Workload};
@@ -61,7 +59,7 @@ pub struct Failure {
     pub variant: String,
     /// Corpus workload label.
     pub workload: String,
-    /// Thread count and schedule label of the failing run.
+    /// Thread-count label of the failing run.
     pub exec: String,
     /// The (shrunk) failure description.
     pub detail: String,
@@ -74,7 +72,7 @@ pub struct Failure {
 /// Aggregate outcome of a driver invocation.
 #[derive(Debug, Default)]
 pub struct VerifySummary {
-    /// Variant runs checked (variant × workload × exec policy).
+    /// Variant runs checked (variant × workload × thread count).
     pub runs: usize,
     /// Failures found, shrunk, and (optionally) written out.
     pub failures: Vec<Failure>,
@@ -93,21 +91,7 @@ pub fn verify_hierarchy() -> HierarchySpec {
     HierarchySpec::default().scaled_down(256)
 }
 
-/// The execution policies each variant is checked under.
-fn exec_grid(threads: &[usize]) -> Vec<(String, usize, ShardSchedule)> {
-    let mut grid = Vec::new();
-    for &t in threads {
-        grid.push((format!("t{t}/static"), t, ShardSchedule::Static));
-        grid.push((
-            format!("t{t}/stealing"),
-            t,
-            ShardSchedule::WorkStealing { tasks_per_shard: 2 },
-        ));
-    }
-    grid
-}
-
-/// Check one variant on one workload under one execution policy: run it,
+/// Check one variant on one workload at one thread count: run it,
 /// compare any functional output against the dense oracle, and check
 /// every model invariant. `None` = clean; `Some(msg)` = first violation.
 pub fn check_variant(
@@ -115,13 +99,9 @@ pub fn check_variant(
     a: &CsMatrix,
     b: &CsMatrix,
     threads: usize,
-    schedule: ShardSchedule,
     max_ulp: u64,
 ) -> Option<String> {
-    let session = Session::new(spec.clone())
-        .hierarchy(&verify_hierarchy())
-        .threads(threads)
-        .schedule(schedule);
+    let session = Session::new(spec.clone()).hierarchy(&verify_hierarchy()).threads(threads);
     // The sweep runs through the typed-request path (`Session::execute`)
     // — the same entry the serving layer dispatches — so the unified
     // Workload/Request/Response surface stays under the oracle's eye for
@@ -162,27 +142,16 @@ pub fn verify_all(opts: &VerifyOptions) -> VerifySummary {
         let seed = opts.seed.wrapping_add(1000 * iter as u64);
         for pair in differential_pairs(seed, opts.quick) {
             for spec in registry.iter() {
-                for (exec_label, threads, schedule) in exec_grid(&opts.threads) {
+                for &threads in &opts.threads {
                     summary.runs += 1;
-                    let fail = check_variant(
-                        spec,
-                        &pair.a,
-                        &pair.b,
-                        threads,
-                        schedule.clone(),
-                        opts.max_ulp,
-                    );
+                    let fail = check_variant(spec, &pair.a, &pair.b, threads, opts.max_ulp);
                     let Some(_) = fail else { continue };
                     let prop = |a: &CsMatrix, b: &CsMatrix| {
-                        check_variant(spec, a, b, threads, schedule.clone(), opts.max_ulp)
+                        check_variant(spec, a, b, threads, opts.max_ulp)
                     };
                     let shrunk = shrink(&pair.a, &pair.b, &prop);
-                    let stem = format!(
-                        "{}-{}-{}",
-                        spec.name,
-                        sanitize(&pair.label),
-                        exec_label.replace('/', "-")
-                    );
+                    let exec_label = format!("t{threads}");
+                    let stem = format!("{}-{}-{exec_label}", spec.name, sanitize(&pair.label));
                     let reproducer = opts
                         .reproducer_dir
                         .as_ref()
@@ -223,8 +192,7 @@ mod tests {
     use super::*;
 
     /// Every registry variant must pass oracle + invariants on a small
-    /// corpus at both thread counts and both schedules — the in-tree
-    /// version of the CI gate.
+    /// corpus at both thread counts — the in-tree version of the CI gate.
     #[test]
     fn registry_passes_quick_sweep() {
         let opts = VerifyOptions { quick: true, iters: 1, ..VerifyOptions::default() };

@@ -1,7 +1,7 @@
 //! Model-invariant checks over [`RunReport`]s and engine task streams.
 //!
 //! Four invariants hold for every variant the registry can produce,
-//! regardless of tiling scheme, thread count, or shard schedule:
+//! regardless of tiling scheme or thread count:
 //!
 //! 1. **Phase partition** — per-phase byte totals partition the DRAM
 //!    traffic: every counted byte is attributed to exactly one pipeline

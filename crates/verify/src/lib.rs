@@ -15,8 +15,7 @@
 //!   footprints fit their buffer partitions, and task streams cover the
 //!   iteration space exactly once.
 //! * [`driver`] — the randomized sweep: all registry variants × thread
-//!   counts {1, 4} × shard schedules, over the seeded
-//!   [`drt_workloads::corpus`].
+//!   counts {1, 4}, over the seeded [`drt_workloads::corpus`].
 //! * [`pipelines`] — the staged-pipeline differentials (MTTKRP, TTV,
 //!   A·B·C, fused SDDMM→SpMM) against the dense oracles, with
 //!   thread-count bit-identity, stage-partition invariants, the
@@ -33,9 +32,10 @@
 //!   from-scratch run of the patched operands at every thread count.
 //!   Folded into [`driver::verify_all`].
 //! * [`chaos`] — execution-layer chaos injection (worker panics, slow
-//!   shards, cancellation) proving the recovery machinery recovers:
-//!   retried runs bit-identical to fault-free, degraded reports
-//!   internally consistent, traces parseable to the last record.
+//!   shards, cancellation) proving the recovery machinery holds: a
+//!   panic surfaces as a typed error with a consistent partial report,
+//!   degraded reports are internally consistent, and traces stay
+//!   parseable to the last record.
 //! * [`chaos_serve`] — serve-layer chaos injection against a live
 //!   [`drt_serve::Server`] (crashing, poison, and slow requests)
 //!   proving the survivability invariants: every admitted ticket

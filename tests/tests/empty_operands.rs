@@ -4,7 +4,7 @@
 //! in `drt-verify` reduces failing cases toward these degenerate shapes,
 //! so every one of them must produce a clean report instead of a panic.
 
-use drt_accel::engine::{EngineConfig, ShardSchedule, Tiling};
+use drt_accel::engine::{EngineConfig, Tiling};
 use drt_accel::session::Session;
 use drt_accel::spec::Registry;
 use drt_core::config::DrtConfig;
@@ -80,11 +80,8 @@ fn engine_empty_reports_are_thread_invariant() {
     for tiling in [Tiling::Drt, suc_tiling()] {
         for (a, b) in empty_shapes() {
             let serial = engine_session(tiling.clone()).run_spmspm(&a, &b).expect("serial");
-            let sharded = engine_session(tiling.clone())
-                .threads(4)
-                .schedule(ShardSchedule::WorkStealing { tasks_per_shard: 2 })
-                .run_spmspm(&a, &b)
-                .expect("sharded");
+            let sharded =
+                engine_session(tiling.clone()).threads(4).run_spmspm(&a, &b).expect("sharded");
             assert!(
                 serial.bit_diff(&sharded).is_none(),
                 "{tiling:?}: {:?}",
