@@ -50,8 +50,9 @@
 //!   closed-form S-U-C sweep or the TACO-like CPU model (Figure 9).
 //! * [`workload`] — the unified typed request API: one
 //!   [`workload::Workload`] enum covering every session entry point,
-//!   wrapped in [`workload::Request`] / [`workload::Response`] pairs that
-//!   standalone sessions and the `drt-serve` pool execute identically.
+//!   wrapped in a [`workload::Request`] that standalone sessions and the
+//!   `drt-serve` pool execute identically, each answering with a
+//!   [`report::RunOutcome`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

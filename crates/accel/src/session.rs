@@ -46,7 +46,7 @@ use crate::incremental::TaskStore;
 use crate::pipeline::{PipelineInput, PipelineSpec, Stage};
 use crate::report::{RunOutcome, RunReport};
 use crate::spec::{AccelSpec, Registry, RunCtx};
-use crate::workload::{Request, Response, Workload, WorkloadRef};
+use crate::workload::{Request, Workload, WorkloadRef};
 use drt_core::budget::ExecBudget;
 use drt_core::cancel::CancelToken;
 use drt_core::chaos::FaultInjector;
@@ -312,8 +312,8 @@ impl Session {
     /// # Errors
     ///
     /// Same conditions as [`Session::run_ref`].
-    pub fn execute(&self, req: &Request) -> Result<Response, DrtError> {
-        self.for_request(req).run_workload(&req.workload).map(|outcome| Response { outcome })
+    pub fn execute(&self, req: &Request) -> Result<RunOutcome, DrtError> {
+        self.for_request(req).run_workload(&req.workload)
     }
 
     /// The session specialized to one request: a request deadline is

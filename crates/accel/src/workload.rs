@@ -1,12 +1,12 @@
 //! The unified typed request API: one [`Workload`] enum covering every
 //! kind of run a [`crate::session::Session`] can execute, wrapped in a
 //! [`Request`] (workload + priority + deadline + budget) and answered
-//! with a [`Response`] (a [`RunOutcome`]).
+//! with a [`crate::report::RunOutcome`].
 //!
 //! A serving layer needs a single owned, queueable, cheaply-clonable
 //! description of "what to run". That is exactly what [`Workload`] is:
-//! operands ride behind [`Arc`]s so a request can be queued, retried, or
-//! fanned out without copying matrix data, and
+//! operands ride behind [`Arc`]s so a request can be queued or fanned
+//! out without copying matrix data, and
 //! [`crate::session::Session::execute`] runs any of them through the one
 //! code path every session run takes ([`crate::session::Session::run_ref`]
 //! over the borrowed [`WorkloadRef`]). A request executed by
@@ -20,7 +20,6 @@
 //! setting) and by caches as a key.
 
 use crate::pipeline::{PipelineInput, PipelineSpec, Stage};
-use crate::report::{RunOutcome, RunReport};
 use drt_core::budget::ExecBudget;
 use drt_tensor::{CsMatrix, CsfTensor, DenseMatrix, MajorAxis};
 use std::sync::Arc;
@@ -65,7 +64,7 @@ impl Priority {
 /// Who a request is served on behalf of. Tenant 0 is the anonymous
 /// default — single-tenant callers never have to think about it — and
 /// any other id names a tenant for the serving layer's per-tenant
-/// quotas, fair-share scheduling, and stats rows. Standalone sessions
+/// fair-share scheduling and stats rows. Standalone sessions
 /// ignore it entirely (they have no queue to be fair about).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TenantId(pub u64);
@@ -135,7 +134,7 @@ pub enum WorkloadRef<'a> {
 
 /// One typed unit of work — everything a [`crate::session::Session`] can
 /// run, in one enum. Operands are [`Arc`]-shared so workloads clone in
-/// O(1) (queues, retries, and fan-out never copy matrix data).
+/// O(1) (queues and fan-out never copy matrix data).
 #[derive(Debug, Clone)]
 pub enum Workload {
     /// `Z = A · B`, sparse × sparse (the paper's core kernel).
@@ -316,8 +315,7 @@ pub struct Request {
     /// request can only tighten, never loosen, the server's caps.
     pub budget: ExecBudget,
     /// Which tenant submitted it (ignored by standalone sessions; the
-    /// serving layer keys quotas, fair-share scheduling, and stats rows
-    /// on it).
+    /// serving layer keys fair-share scheduling and stats rows on it).
     pub tenant: TenantId,
 }
 
@@ -369,26 +367,6 @@ impl Request {
     /// for an identical recurring workload.
     pub fn is_memoizable(&self) -> bool {
         self.deadline.is_none() && !self.budget.is_limited()
-    }
-}
-
-/// The answer to a [`Request`]: the run's outcome (complete or degraded,
-/// with the same [`RunReport`] taxonomy as every session entry point).
-#[derive(Debug, Clone)]
-pub struct Response {
-    /// The run outcome; degraded runs carry `report().degradation`.
-    pub outcome: RunOutcome,
-}
-
-impl Response {
-    /// The report, complete or degraded.
-    pub fn report(&self) -> &RunReport {
-        self.outcome.report()
-    }
-
-    /// Whether the run degraded (budget fallback, deadline, cancel).
-    pub fn is_degraded(&self) -> bool {
-        self.outcome.is_degraded()
     }
 }
 

@@ -226,14 +226,8 @@ fn main() {
     // every counter at zero and every request completed, so these lines
     // are byte-stable and the golden pins them.
     println!(
-        "survivability: panics {} | crashed {} | retried {} | quarantined {} | \
-         quarantine-rejected {} | tenant-rejected {}",
-        stats.worker_panics,
-        stats.crashed,
-        stats.retried,
-        stats.quarantined,
-        stats.quarantine_rejected,
-        stats.tenant_rejected,
+        "survivability: crashed {} | quarantined {} | quarantine-rejected {}",
+        stats.crashed, stats.quarantined, stats.quarantine_rejected,
     );
     for (name, id) in &tenants {
         let row = stats.tenant(*id).copied().unwrap_or_default();
@@ -300,12 +294,9 @@ fn main() {
                 ("batches", JsonVal::U(stats.batches)),
                 ("batched_requests", JsonVal::U(stats.batched_requests)),
                 ("max_queue_depth", JsonVal::U(stats.max_queue_depth as u64)),
-                ("worker_panics", JsonVal::U(stats.worker_panics)),
                 ("crashed", JsonVal::U(stats.crashed)),
-                ("retried", JsonVal::U(stats.retried)),
                 ("quarantined", JsonVal::U(stats.quarantined)),
                 ("quarantine_rejected", JsonVal::U(stats.quarantine_rejected)),
-                ("tenant_rejected", JsonVal::U(stats.tenant_rejected)),
                 ("errors", JsonVal::U(errors as u64)),
             ],
         );

@@ -248,13 +248,11 @@ pub fn try_run_request(
     let session =
         Session::from_registry(name).map_err(|e| e.to_string())?.with_run_ctx(ctx.clone());
     match session.execute(req) {
-        Ok(resp) => match resp.outcome {
-            RunOutcome::Complete(r) => Ok(r),
-            RunOutcome::Degraded(r) => {
-                let why = r.degradation.map(|d| d.detail).unwrap_or_else(|| "unknown".into());
-                Err(format!("{name}: run degraded: {why}"))
-            }
-        },
+        Ok(RunOutcome::Complete(r)) => Ok(r),
+        Ok(RunOutcome::Degraded(r)) => {
+            let why = r.degradation.map(|d| d.detail).unwrap_or_else(|| "unknown".into());
+            Err(format!("{name}: run degraded: {why}"))
+        }
         Err(e) => Err(format!("{name}: {e}")),
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The engine's shard workers call [`FaultInjector`] at two sites — once
 //! per shard before any task runs, and once per task before its phases
-//! execute — and the serving layer calls it once per request execution
-//! attempt, before the request touches the session. A production run
+//! execute — and the serving layer calls it once per request execution,
+//! before the request touches the session. A production run
 //! passes no injector (the call sites are a branch on `None`);
 //! `drt-verify`'s chaos harnesses install seeded injectors that panic,
 //! sleep, or cancel at chosen indices to prove the recovery machinery
@@ -28,9 +28,9 @@ pub trait FaultInjector: Send + Sync + std::fmt::Debug {
     /// task index (stable across thread counts).
     fn before_task(&self, _task: u64) {}
 
-    /// Called by a serving worker before each request execution
-    /// *attempt* (a retried request gets a fresh `seq`). `seq` is the
-    /// server's global execution counter — deterministic at pool size 1
+    /// Called by a serving worker before each request execution (each
+    /// request runs once; a resubmission gets a fresh `seq`). `seq` is
+    /// the server's global execution counter — deterministic at pool size 1
     /// — and `fingerprint` is the workload's content fingerprint, so an
     /// injector can poison one specific workload regardless of arrival
     /// order.
@@ -45,9 +45,9 @@ pub struct NoFaults;
 impl FaultInjector for NoFaults {}
 
 /// Serve scenario: panic inside the worker when the `nth` request
-/// execution attempt starts, for the first `times` attempts at or past
-/// it. With `times = 1` the crash is transient (a retry succeeds); with
-/// `u32::MAX` every execution from `nth` on crashes.
+/// execution starts, for the first `times` executions at or past it.
+/// With `times = 1` the crash is transient (a resubmission succeeds);
+/// with `u32::MAX` every execution from `nth` on crashes.
 #[derive(Debug)]
 pub struct PanicInWorker {
     nth: u64,
@@ -55,7 +55,7 @@ pub struct PanicInWorker {
 }
 
 impl PanicInWorker {
-    /// Crash the `nth` execution attempt (0-based), `times` times.
+    /// Crash the `nth` request execution (0-based), `times` times.
     pub fn new(nth: u64, times: u32) -> PanicInWorker {
         PanicInWorker { nth, remaining: AtomicU32::new(times) }
     }
@@ -74,9 +74,9 @@ impl FaultInjector for PanicInWorker {
     }
 }
 
-/// Serve scenario: a poison workload. Every execution attempt of the
-/// workload with this content fingerprint panics, forever — the shape
-/// quarantine exists to contain.
+/// Serve scenario: a poison workload. Every execution of the workload
+/// with this content fingerprint panics, forever — the shape quarantine
+/// exists to contain.
 #[derive(Debug)]
 pub struct PoisonFingerprint {
     fingerprint: u64,
@@ -89,7 +89,7 @@ impl PoisonFingerprint {
         PoisonFingerprint { fingerprint, hits: AtomicU64::new(0) }
     }
 
-    /// How many times the poison fired (crashed execution attempts).
+    /// How many times the poison fired (crashed request executions).
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::SeqCst)
     }
@@ -104,7 +104,7 @@ impl FaultInjector for PoisonFingerprint {
     }
 }
 
-/// Serve scenario: the `nth` request execution attempt blocks for
+/// Serve scenario: the `nth` request execution blocks for
 /// `sleep` before running — a head-of-line-blocking slow request.
 #[derive(Debug)]
 pub struct SlowRequest {
@@ -113,7 +113,7 @@ pub struct SlowRequest {
 }
 
 impl SlowRequest {
-    /// Sleep for `sleep` before executing request attempt `nth`.
+    /// Sleep for `sleep` before executing request `nth`.
     pub fn new(nth: u64, sleep: Duration) -> SlowRequest {
         SlowRequest { nth, sleep }
     }
@@ -145,8 +145,8 @@ mod tests {
         inj.before_request(0, 0);
         inj.before_request(1, 0);
         let caught = std::panic::catch_unwind(|| inj.before_request(2, 0));
-        assert!(caught.is_err(), "nth attempt must panic");
-        // The budget is spent: later attempts pass.
+        assert!(caught.is_err(), "nth execution must panic");
+        // The budget is spent: later executions pass.
         inj.before_request(3, 0);
     }
 
@@ -157,7 +157,7 @@ mod tests {
         for seq in 0..3 {
             assert!(std::panic::catch_unwind(|| inj.before_request(seq, 0xabc)).is_err());
         }
-        assert_eq!(inj.hits(), 3, "every poisoned attempt counts");
+        assert_eq!(inj.hits(), 3, "every poisoned execution counts");
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Server tuning knobs.
 
-use drt_accel::workload::TenantId;
 use drt_core::chaos::FaultInjector;
 use drt_core::par::default_pool_size;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// What admission control does when the queue is under pressure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,46 +30,10 @@ pub enum AdmissionPolicy {
     },
 }
 
-/// Bounded re-execution of *crashed* (panicked) requests. Deadlines,
-/// budgets, and degradation never retry — they are answers, not faults.
-/// Outcomes stay deterministic: session execution is a pure function of
-/// the workload, so a retried run that completes is bit-identical to
-/// what the first attempt would have produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total execution attempts per request (1 = no retry). Every
-    /// crashed attempt counts toward the workload's quarantine
-    /// threshold.
-    pub max_attempts: u32,
-    /// Base backoff slept before attempt `n+1`; doubles each retry
-    /// (`backoff << n`). Zero disables the sleep.
-    pub backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy { max_attempts: 1, backoff: Duration::from_millis(5) }
-    }
-}
-
-impl RetryPolicy {
-    /// No retries: a crashed request resolves
-    /// [`crate::error::ServeError::WorkerCrashed`] on its first panic.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy { max_attempts: 1, backoff: Duration::ZERO }
-    }
-
-    /// Up to `max_attempts` total attempts with a default 5 ms base
-    /// backoff.
-    pub fn attempts(max_attempts: u32) -> RetryPolicy {
-        RetryPolicy { max_attempts: max_attempts.max(1), ..RetryPolicy::default() }
-    }
-}
-
 /// Server configuration. `Default` is a sensible production shape:
 /// one worker per core, a bounded queue, reject-on-full admission,
 /// small-kernel batching, report caching for recurring workloads,
-/// no crash retries, and poison-workload quarantine after 3 crashes.
+/// and poison-workload quarantine after 3 crashes.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads in the pool (each executes requests on its own
@@ -87,7 +49,7 @@ pub struct ServeConfig {
     pub batch_max: usize,
     /// Workloads with `nnz_hint() <= small_nnz` count as small for
     /// batching, and one `small_nnz` of operand data is one cost unit
-    /// for deficit-weighted fair-share scheduling.
+    /// for deficit round-robin fair-share scheduling.
     pub small_nnz: u64,
     /// Cache reports of recurring identical workloads (matched by
     /// content fingerprint). Only memoizable requests — no deadline,
@@ -102,33 +64,14 @@ pub struct ServeConfig {
     /// workload is simply recomputed on its next submit — eviction never
     /// changes a response, only where it came from.
     pub memo_capacity: usize,
-    /// Bounded re-execution of crashed requests (see [`RetryPolicy`]).
-    pub retry: RetryPolicy,
-    /// Crashed execution attempts per workload fingerprint before the
-    /// fingerprint is quarantined: further submissions are rejected at
-    /// admission with [`crate::error::ServeError::Quarantined`] instead
-    /// of crashing another worker. `u32::MAX` disables quarantine.
+    /// Crashed requests per workload fingerprint before the fingerprint
+    /// is quarantined: further submissions are rejected at admission
+    /// with [`crate::error::ServeError::Quarantined`] instead of crashing
+    /// another worker, until
+    /// [`crate::server::Server::clear_quarantine`] lifts it. `u32::MAX`
+    /// disables quarantine.
     pub quarantine_after: u32,
-    /// How long a quarantine lasts. `None` means until
-    /// [`crate::server::Server::clear_quarantine`] clears it manually;
-    /// with a TTL, the first submission after expiry re-admits the
-    /// fingerprint (its crash count restarts from zero — it gets a full
-    /// fresh chance).
-    pub quarantine_ttl: Option<Duration>,
-    /// Per-tenant cap on *queued* (admitted, not yet executing)
-    /// requests. A tenant at its cap is rejected with
-    /// [`crate::error::ServeError::TenantOverQuota`] while other
-    /// tenants' admissions continue. `usize::MAX` disables the cap.
-    pub tenant_max_queued: usize,
-    /// Per-tenant cap on queued + in-flight (dequeued, still executing)
-    /// requests. `usize::MAX` disables the cap.
-    pub tenant_max_in_flight: usize,
-    /// Fair-share weights: tenant → relative service share (default 1).
-    /// A weight-3 tenant receives 3× the deficit refill of a weight-1
-    /// tenant each round-robin cycle, so under contention it is served
-    /// roughly 3× the work. Weights are clamped to ≥ 1.
-    pub tenant_weights: Vec<(TenantId, u32)>,
-    /// Fault injector called before every request execution attempt
+    /// Fault injector called before every request execution
     /// (chaos tests only; `None` in production). See
     /// [`drt_core::chaos::FaultInjector::before_request`].
     pub chaos: Option<Arc<dyn FaultInjector>>,
@@ -144,12 +87,7 @@ impl Default for ServeConfig {
             small_nnz: 4096,
             memoize: true,
             memo_capacity: 256,
-            retry: RetryPolicy::default(),
             quarantine_after: 3,
-            quarantine_ttl: None,
-            tenant_max_queued: usize::MAX,
-            tenant_max_in_flight: usize::MAX,
-            tenant_weights: Vec::new(),
             chaos: None,
         }
     }
@@ -206,13 +144,6 @@ impl ServeConfig {
         self
     }
 
-    /// Builder-style: set the crash-retry policy.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> ServeConfig {
-        self.retry = RetryPolicy { max_attempts: retry.max_attempts.max(1), ..retry };
-        self
-    }
-
     /// Builder-style: set the quarantine crash threshold (`u32::MAX`
     /// disables quarantine).
     #[must_use]
@@ -221,48 +152,11 @@ impl ServeConfig {
         self
     }
 
-    /// Builder-style: let quarantines expire after `ttl`.
-    #[must_use]
-    pub fn with_quarantine_ttl(mut self, ttl: Duration) -> ServeConfig {
-        self.quarantine_ttl = Some(ttl);
-        self
-    }
-
-    /// Builder-style: set both per-tenant quotas (`usize::MAX` disables
-    /// one).
-    #[must_use]
-    pub fn with_tenant_quotas(mut self, max_queued: usize, max_in_flight: usize) -> ServeConfig {
-        self.tenant_max_queued = max_queued.max(1);
-        self.tenant_max_in_flight = max_in_flight.max(1);
-        self
-    }
-
-    /// Builder-style: set one tenant's fair-share weight (clamped ≥ 1;
-    /// unlisted tenants weigh 1).
-    #[must_use]
-    pub fn with_tenant_weight(mut self, tenant: TenantId, weight: u32) -> ServeConfig {
-        let weight = weight.max(1);
-        match self.tenant_weights.iter_mut().find(|(t, _)| *t == tenant) {
-            Some(slot) => slot.1 = weight,
-            None => self.tenant_weights.push((tenant, weight)),
-        }
-        self
-    }
-
     /// Builder-style: install a chaos fault injector (tests only).
     #[must_use]
     pub fn with_chaos(mut self, chaos: Arc<dyn FaultInjector>) -> ServeConfig {
         self.chaos = Some(chaos);
         self
-    }
-
-    /// The fair-share weight for `tenant` (configured, else 1).
-    pub fn tenant_weight(&self, tenant: TenantId) -> u32 {
-        self.tenant_weights
-            .iter()
-            .find(|(t, _)| *t == tenant)
-            .map(|(_, w)| (*w).max(1))
-            .unwrap_or(1)
     }
 }
 
@@ -277,37 +171,18 @@ mod tests {
             .with_queue_capacity(0)
             .with_batch_max(0)
             .with_memo_capacity(0)
-            .with_retry(RetryPolicy { max_attempts: 0, backoff: Duration::ZERO })
-            .with_quarantine_after(0)
-            .with_tenant_quotas(0, 0)
-            .with_tenant_weight(TenantId(1), 0);
+            .with_quarantine_after(0);
         assert_eq!(cfg.workers, 1);
         assert_eq!(cfg.queue_capacity, 1);
         assert_eq!(cfg.batch_max, 1);
         assert_eq!(cfg.memo_capacity, 1);
-        assert_eq!(cfg.retry.max_attempts, 1);
         assert_eq!(cfg.quarantine_after, 1);
-        assert_eq!(cfg.tenant_max_queued, 1);
-        assert_eq!(cfg.tenant_max_in_flight, 1);
-        assert_eq!(cfg.tenant_weight(TenantId(1)), 1);
-    }
-
-    #[test]
-    fn tenant_weights_update_in_place_and_default_to_one() {
-        let cfg = ServeConfig::default()
-            .with_tenant_weight(TenantId(5), 3)
-            .with_tenant_weight(TenantId(5), 4);
-        assert_eq!(cfg.tenant_weights.len(), 1, "re-setting a weight must not duplicate");
-        assert_eq!(cfg.tenant_weight(TenantId(5)), 4);
-        assert_eq!(cfg.tenant_weight(TenantId(9)), 1, "unlisted tenants weigh 1");
     }
 
     #[test]
     fn default_is_no_retry_with_quarantine_armed() {
         let cfg = ServeConfig::default();
-        assert_eq!(cfg.retry.max_attempts, 1);
         assert_eq!(cfg.quarantine_after, 3);
-        assert!(cfg.quarantine_ttl.is_none());
         assert!(cfg.chaos.is_none());
     }
 }

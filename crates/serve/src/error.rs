@@ -1,18 +1,17 @@
 //! The serving layer's error taxonomy.
 //!
 //! Admission failures ([`ServeError::Rejected`], [`ServeError::ShuttingDown`],
-//! [`ServeError::Quarantined`], [`ServeError::TenantOverQuota`]) happen at
-//! submit time and mean the request never entered the queue. Execution
-//! failures wrap the session layer's typed [`DrtError`], or — when a
-//! panic escapes the session entirely — surface as
-//! [`ServeError::WorkerCrashed`], the supervision layer's proof that a
-//! crashed request resolves its ticket instead of hanging it. Note that
+//! [`ServeError::Quarantined`]) happen at submit time and mean the
+//! request never entered the queue. Execution failures wrap the session
+//! layer's typed [`DrtError`], or — when a panic escapes the session
+//! entirely — surface as [`ServeError::WorkerCrashed`] on the request's
+//! one execution, the supervision layer's proof that a crashed
+//! request resolves its ticket instead of hanging it. Note that
 //! degraded runs (deadline, budget, load-shed) are *not* errors: they
 //! come back as normal responses whose reports carry a `degradation`
 //! record, exactly as standalone sessions behave.
 
 use drt_accel::error::DrtError;
-use drt_accel::workload::TenantId;
 
 /// Why a request could not be served.
 #[derive(Debug)]
@@ -27,38 +26,26 @@ pub enum ServeError {
     },
     /// Admission control rejected the request: its workload fingerprint
     /// crashed workers [`crate::config::ServeConfig::quarantine_after`]
-    /// times and is quarantined. Resubmit after the quarantine TTL (if
-    /// configured) or after
+    /// times and is quarantined. Resubmit after
     /// [`crate::server::Server::clear_quarantine`].
     Quarantined {
         /// The poisoned workload's content fingerprint.
         fingerprint: u64,
-        /// Crashed execution attempts recorded against it.
+        /// Crashed requests recorded against it.
         crashes: u32,
-    },
-    /// Admission control rejected the request: its tenant is at a
-    /// per-tenant quota. Other tenants' admissions are unaffected.
-    TenantOverQuota {
-        /// The tenant at quota.
-        tenant: TenantId,
-        /// The tenant's queued requests at rejection time.
-        queued: usize,
-        /// The tenant's in-flight (dequeued, executing) requests.
-        in_flight: usize,
     },
     /// The server is shutting down and accepts no new work.
     ShuttingDown,
     /// The worker executing the request disappeared before responding
     /// (its response channel closed) — only possible after an abort.
     WorkerLost,
-    /// Every execution attempt of the request panicked. The worker
-    /// survived (panic isolation), the ticket resolved (this error), and
-    /// the crash was counted toward the workload's quarantine threshold.
+    /// The request's execution panicked. The worker survived (panic
+    /// isolation), the ticket resolved (this error), and the crash was
+    /// counted toward the workload's quarantine threshold. Execution is a
+    /// pure function of the request, so the request is not re-run.
     WorkerCrashed {
-        /// The final attempt's stringified panic payload.
+        /// The stringified panic payload.
         message: String,
-        /// Execution attempts made (1 + retries).
-        attempts: u32,
     },
     /// A worker thread could not be spawned at server start; workers
     /// spawned before the failure were cleanly shut down.
@@ -84,16 +71,10 @@ impl std::fmt::Display for ServeError {
                     "admission rejected: workload {fingerprint:#x} quarantined after {crashes} crash(es)"
                 )
             }
-            ServeError::TenantOverQuota { tenant, queued, in_flight } => {
-                write!(
-                    f,
-                    "admission rejected: {tenant} over quota ({queued} queued, {in_flight} in flight)"
-                )
-            }
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::WorkerLost => write!(f, "worker lost before responding"),
-            ServeError::WorkerCrashed { message, attempts } => {
-                write!(f, "request crashed its worker ({attempts} attempt(s)): {message}")
+            ServeError::WorkerCrashed { message } => {
+                write!(f, "request crashed its worker: {message}")
             }
             ServeError::Spawn { worker, message } => {
                 write!(f, "cannot spawn serve worker {worker}: {message}")
@@ -127,13 +108,10 @@ mod tests {
         let s = ServeError::Rejected { queue_len: 7, capacity: 8 }.to_string();
         assert!(s.contains("7/8"), "{s}");
         assert!(ServeError::ShuttingDown.to_string().contains("shutting down"));
-        let s = ServeError::WorkerCrashed { message: "boom".into(), attempts: 2 }.to_string();
-        assert!(s.contains("boom") && s.contains("2 attempt"), "{s}");
+        let s = ServeError::WorkerCrashed { message: "boom".into() }.to_string();
+        assert!(s.contains("boom") && s.contains("crashed"), "{s}");
         let s = ServeError::Quarantined { fingerprint: 0xab, crashes: 3 }.to_string();
         assert!(s.contains("0xab") && s.contains("3 crash"), "{s}");
-        let s = ServeError::TenantOverQuota { tenant: TenantId(4), queued: 2, in_flight: 1 }
-            .to_string();
-        assert!(s.contains("tenant-4") && s.contains("2 queued"), "{s}");
         let s = ServeError::Spawn { worker: 3, message: "EAGAIN".into() }.to_string();
         assert!(s.contains("worker 3") && s.contains("EAGAIN"), "{s}");
     }

@@ -21,19 +21,18 @@
 //!   graceful-degradation machinery the engine uses for budget
 //!   exhaustion, repurposed as hysteretic load shedding.
 //! * **Priority scheduling with per-tenant fair share** — interactive >
-//!   normal > batch; within a class, tenants are served by
-//!   deficit-weighted round-robin (weights via
-//!   [`ServeConfig::with_tenant_weight`]), FIFO within each tenant, so
-//!   one flooding tenant cannot starve the others. Per-tenant quotas
-//!   ([`ServeConfig::with_tenant_quotas`]) bound any tenant's queue and
-//!   in-flight footprint at admission.
-//! * **Worker supervision** — request execution runs under panic
+//!   normal > batch; within a class, tenants are served by deficit
+//!   round-robin over request cost, FIFO within each tenant, so one
+//!   flooding tenant cannot starve the others. [`StatsSnapshot`] keeps
+//!   one counter row per tenant.
+//! * **Worker supervision** — each request executes once under panic
 //!   isolation: a crashing workload resolves its ticket with
-//!   [`ServeError::WorkerCrashed`] (optionally after
-//!   [`RetryPolicy`] re-attempts) while the worker
-//!   survives. Workloads that keep crashing are quarantined by content
-//!   fingerprint ([`ServeError::Quarantined`]) so a poison request
-//!   cannot grind the pool down.
+//!   [`ServeError::WorkerCrashed`] while the worker survives. Workloads
+//!   that keep crashing are quarantined by content fingerprint
+//!   ([`ServeError::Quarantined`]) after
+//!   [`ServeConfig::quarantine_after`] crashes, so a poison request
+//!   cannot grind the pool down; [`Server::clear_quarantine`] lifts a
+//!   quarantine.
 //! * **Small-kernel batching** — a worker drains up to
 //!   [`ServeConfig::batch_max`] consecutive small requests in one trip
 //!   to the queue lock, amortizing contention under high request rates.
@@ -70,10 +69,8 @@
 //! )?;
 //! let served = ticket.wait()?;
 //! match served.response {
-//!     Ok(response) => println!("{} cycles", response.report().compute_cycles),
-//!     Err(ServeError::WorkerCrashed { message, attempts }) => {
-//!         eprintln!("crashed after {attempts} attempt(s): {message}");
-//!     }
+//!     Ok(outcome) => println!("{} cycles", outcome.report().compute_cycles),
+//!     Err(ServeError::WorkerCrashed { message }) => eprintln!("crashed: {message}"),
 //!     Err(e) => eprintln!("not served: {e}"),
 //! }
 //! server.shutdown();
@@ -86,7 +83,7 @@ mod queue;
 pub mod server;
 pub mod stats;
 
-pub use config::{AdmissionPolicy, RetryPolicy, ServeConfig};
+pub use config::{AdmissionPolicy, ServeConfig};
 pub use error::ServeError;
 pub use server::{Served, Server, Ticket};
 pub use stats::{ServeStats, StatsSnapshot, TenantCounters};

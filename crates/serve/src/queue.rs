@@ -1,16 +1,15 @@
 //! The bounded multi-tenant priority queue with admission control and
-//! deficit-weighted fair-share scheduling.
+//! deficit round-robin fair-share scheduling.
 //!
 //! A `Mutex + Condvar` multi-producer multi-consumer queue. Service
 //! order is strict [`Priority`] classes (interactive first); *within*
 //! each class, requests sit in per-tenant FIFO lanes served by deficit
 //! round-robin (DRR): the scheduler rotates over the class's active
-//! tenants, refilling each visited lane's deficit counter by the
-//! tenant's configured weight, and serves a lane's head once its deficit
-//! covers the head's cost (one cost unit per
-//! [`ServeConfig::small_nnz`] of operand data, capped so one huge
-//! request cannot stall the rotation accounting). The result: under
-//! contention every tenant receives service proportional to its weight
+//! tenants, refilling each visited lane's deficit counter by one unit,
+//! and serves a lane's head once its deficit covers the head's cost (one
+//! cost unit per [`ServeConfig::small_nnz`] of operand data, capped so
+//! one huge request cannot stall the rotation accounting). The result:
+//! under contention every tenant receives an equal share of the work
 //! regardless of how many requests it floods in, FIFO order within each
 //! tenant is preserved, a tenant that goes idle loses its saved-up
 //! deficit, and single-tenant traffic degenerates to plain
@@ -20,9 +19,6 @@
 //! Admission runs under the same lock as the push, so every check and
 //! the enqueue are atomic:
 //!
-//! * the tenant is at a per-tenant quota → **rejected**
-//!   ([`crate::error::ServeError::TenantOverQuota`]) — one tenant
-//!   flooding the queue cannot starve the others out of admission;
 //! * depth `>= capacity` → the request is **rejected** (never queued) —
 //!   the queue is strictly bounded;
 //! * shedding latched (policy [`AdmissionPolicy::DegradeThenReject`])
@@ -43,7 +39,7 @@ use crate::config::{AdmissionPolicy, ServeConfig};
 use crate::error::ServeError;
 use crate::server::Served;
 use drt_accel::workload::{Priority, Request, TenantId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
@@ -96,7 +92,7 @@ fn class_index(p: Priority) -> usize {
 struct TenantLane {
     tenant: TenantId,
     /// DRR deficit: how much cost this lane may spend before the
-    /// rotation moves on. Refilled by the tenant's weight per visit;
+    /// rotation moves on. Refilled by one unit per visit;
     /// forfeited when the lane empties (an idle tenant does not bank
     /// credit).
     deficit: u64,
@@ -130,11 +126,11 @@ impl ClassQueue {
 
     /// Advance the DRR rotation (refilling deficits) until the lane that
     /// will serve next can afford its head; returns that lane's index.
-    /// Terminates because every visit adds a weight ≥ 1 to some lane
-    /// whose head cost is capped. Settling mutates only scheduler state
+    /// Terminates because every visit adds one unit to some lane whose
+    /// head cost is capped. Settling mutates only scheduler state
     /// (cursor, deficits), never the lanes' contents, so peek-then-pop
     /// under one lock serves exactly the settled entry.
-    fn settle(&mut self, cfg: &ServeConfig) -> Option<usize> {
+    fn settle(&mut self) -> Option<usize> {
         if self.lanes.is_empty() {
             return None;
         }
@@ -147,19 +143,19 @@ impl ClassQueue {
             if lane.deficit >= cost {
                 return Some(self.cursor);
             }
-            lane.deficit += u64::from(cfg.tenant_weight(lane.tenant));
+            lane.deficit += 1;
             self.cursor += 1;
         }
     }
 
     /// The entry the next [`ClassQueue::pop`] will serve.
-    fn peek(&mut self, cfg: &ServeConfig) -> Option<&QueuedRequest> {
-        let idx = self.settle(cfg)?;
+    fn peek(&mut self) -> Option<&QueuedRequest> {
+        let idx = self.settle()?;
         self.lanes[idx].fifo.front()
     }
 
-    fn pop(&mut self, cfg: &ServeConfig) -> Option<QueuedRequest> {
-        let idx = self.settle(cfg)?;
+    fn pop(&mut self) -> Option<QueuedRequest> {
+        let idx = self.settle()?;
         let lane = &mut self.lanes[idx];
         let qr = lane.fifo.pop_front().expect("settled lane holds >= 1 entry");
         lane.deficit -= qr.cost;
@@ -181,15 +177,6 @@ impl ClassQueue {
     }
 }
 
-/// One tenant's live load, for quota enforcement.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct TenantLoad {
-    /// Admitted, not yet dequeued.
-    pub queued: usize,
-    /// Dequeued, still executing (or being answered).
-    pub in_flight: usize,
-}
-
 #[derive(Debug)]
 struct QueueState {
     classes: [ClassQueue; 3],
@@ -197,7 +184,6 @@ struct QueueState {
     /// Load-shed hysteresis latch (see [`AdmissionPolicy`]).
     shedding: bool,
     shutdown: bool,
-    tenants: HashMap<TenantId, TenantLoad>,
 }
 
 /// The shared request queue (see module docs for the admission rules).
@@ -225,7 +211,6 @@ impl RequestQueue {
                 len: 0,
                 shedding: false,
                 shutdown: false,
-                tenants: HashMap::new(),
             }),
             available: Condvar::new(),
         }
@@ -242,17 +227,6 @@ impl RequestQueue {
         let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
         if st.shutdown {
             return Err(ServeError::ShuttingDown);
-        }
-        let tenant = qr.req.tenant;
-        let load = st.tenants.get(&tenant).copied().unwrap_or_default();
-        if load.queued >= cfg.tenant_max_queued
-            || load.queued + load.in_flight >= cfg.tenant_max_in_flight
-        {
-            return Err(ServeError::TenantOverQuota {
-                tenant,
-                queued: load.queued,
-                in_flight: load.in_flight,
-            });
         }
         let depth = st.len;
         if depth >= cfg.queue_capacity {
@@ -276,7 +250,6 @@ impl RequestQueue {
             }
         };
         qr.shed = admitted == Admitted::Shed;
-        st.tenants.entry(tenant).or_default().queued += 1;
         st.classes[class_index(qr.req.priority)].push(qr);
         st.len += 1;
         let depth = st.len;
@@ -290,24 +263,22 @@ impl RequestQueue {
     /// further entries while both the already-popped tail and the next
     /// entry in service order are *small* workloads (service order is
     /// preserved — batching never reorders, it only lets one worker take
-    /// several cheap kernels in one trip to the lock). Every popped
-    /// entry moves its tenant's load from queued to in-flight; the
-    /// worker must pair each with [`RequestQueue::finish`]. Returns
-    /// `None` when the queue is shut down and drained.
+    /// several cheap kernels in one trip to the lock). Returns `None`
+    /// when the queue is shut down and drained.
     pub(crate) fn pop_batch(&self, cfg: &ServeConfig) -> Option<Vec<QueuedRequest>> {
         let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
         loop {
             if st.len > 0 {
                 let mut batch = Vec::with_capacity(cfg.batch_max.max(1));
-                let first = Self::pop_locked(&mut st, cfg).expect("len > 0 must pop");
+                let first = Self::pop_locked(&mut st).expect("len > 0 must pop");
                 let mut all_small = first.small;
                 batch.push(first);
                 while all_small && batch.len() < cfg.batch_max.max(1) {
-                    let next_small = Self::peek_locked(&mut st, cfg).is_some_and(|qr| qr.small);
+                    let next_small = Self::peek_locked(&mut st).is_some_and(|qr| qr.small);
                     if !next_small {
                         break;
                     }
-                    let next = Self::pop_locked(&mut st, cfg).expect("peeked entry must pop");
+                    let next = Self::pop_locked(&mut st).expect("peeked entry must pop");
                     all_small = next.small;
                     batch.push(next);
                 }
@@ -320,47 +291,20 @@ impl RequestQueue {
         }
     }
 
-    fn pop_locked(st: &mut QueueState, cfg: &ServeConfig) -> Option<QueuedRequest> {
+    fn pop_locked(st: &mut QueueState) -> Option<QueuedRequest> {
         let class = st.classes.iter_mut().find(|c| !c.is_empty())?;
-        let qr = class.pop(cfg).expect("non-empty class must pop");
+        let qr = class.pop().expect("non-empty class must pop");
         st.len -= 1;
-        let load = st.tenants.entry(qr.req.tenant).or_default();
-        load.queued = load.queued.saturating_sub(1);
-        load.in_flight += 1;
         Some(qr)
     }
 
-    fn peek_locked<'a>(st: &'a mut QueueState, cfg: &ServeConfig) -> Option<&'a QueuedRequest> {
-        st.classes.iter_mut().find(|c| !c.is_empty())?.peek(cfg)
-    }
-
-    /// A worker finished (answered) a popped request: release its
-    /// tenant's in-flight slot.
-    pub(crate) fn finish(&self, tenant: TenantId) {
-        let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(load) = st.tenants.get_mut(&tenant) {
-            load.in_flight = load.in_flight.saturating_sub(1);
-            if *load == TenantLoad::default() {
-                st.tenants.remove(&tenant);
-            }
-        }
+    fn peek_locked(st: &mut QueueState) -> Option<&QueuedRequest> {
+        st.classes.iter_mut().find(|c| !c.is_empty())?.peek()
     }
 
     /// Current depth.
     pub(crate) fn len(&self) -> usize {
         self.state.lock().unwrap_or_else(|p| p.into_inner()).len
-    }
-
-    /// One tenant's live load (tests and error reporting).
-    #[cfg(test)]
-    pub(crate) fn tenant_load(&self, tenant: TenantId) -> TenantLoad {
-        self.state
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .tenants
-            .get(&tenant)
-            .copied()
-            .unwrap_or_default()
     }
 
     /// Stop accepting work and wake every waiting worker. Queued entries
@@ -380,10 +324,6 @@ impl RequestQueue {
             class.drain_to(&mut drained);
         }
         st.len = 0;
-        for load in st.tenants.values_mut() {
-            load.queued = 0;
-        }
-        st.tenants.retain(|_, load| *load != TenantLoad::default());
         drop(st);
         self.available.notify_all();
         // Order is irrelevant here — every entry gets the same answer.
@@ -539,11 +479,12 @@ mod tests {
     }
 
     #[test]
-    fn fair_share_interleaves_tenants_and_honors_weights() {
-        // Two tenants flood the same class; tenant B weighs 3. With unit
-        // costs, each DRR rotation serves A once and B three times.
+    fn fair_share_interleaves_tenants_one_unit_per_visit() {
+        // Two tenants flood the same class with unit-cost requests. Each
+        // DRR visit refills a lane by one unit, so service alternates
+        // strictly between the tenants, FIFO within each.
         let q = RequestQueue::new();
-        let c = cfg(64, 1, AdmissionPolicy::Reject).with_tenant_weight(TenantId(2), 3);
+        let c = cfg(64, 1, AdmissionPolicy::Reject);
         for id in 0..8 {
             q.admit(qr_for(id, Priority::Normal, false, TenantId(1)), &c).expect("admit");
         }
@@ -552,22 +493,15 @@ mod tests {
         }
         let order: Vec<u64> =
             std::iter::from_fn(|| q.pop_batch(&c).map(|b| b[0].id)).take(16).collect();
-        // Per-tenant FIFO: each tenant's ids appear in submission order.
-        let a: Vec<u64> = order.iter().copied().filter(|&i| i < 8).collect();
-        let b: Vec<u64> = order.iter().copied().filter(|&i| i >= 8).collect();
-        assert_eq!(a, (0..8).collect::<Vec<_>>());
-        assert_eq!(b, (8..16).collect::<Vec<_>>());
-        // Weighted share: after 8 pops, B (weight 3) has received ~3/4 of
-        // the service.
-        let b_first_half = order[..8].iter().filter(|&&i| i >= 8).count();
-        assert_eq!(b_first_half, 6, "weight-3 tenant gets 3 of every 4 slots: {order:?}");
+        let alternating: Vec<u64> = (0..8).flat_map(|i| [i, i + 8]).collect();
+        assert_eq!(order, alternating, "unit refill serves one request per tenant per rotation");
     }
 
     #[test]
     fn a_flooding_tenant_cannot_starve_a_light_one() {
         // Tenant 1 floods 12 requests before tenant 2's single request
-        // arrives; equal weights. The DRR rotation must reach tenant 2
-        // within one cycle, not after the flood drains.
+        // arrives. The DRR rotation must reach tenant 2 within one
+        // cycle, not after the flood drains.
         let q = RequestQueue::new();
         let c = cfg(64, 1, AdmissionPolicy::Reject);
         for id in 0..12 {
@@ -578,44 +512,6 @@ mod tests {
             std::iter::from_fn(|| q.pop_batch(&c).map(|b| b[0].id)).take(13).collect();
         let pos = order.iter().position(|&i| i == 99).expect("served");
         assert!(pos <= 2, "light tenant served within one rotation, got position {pos}: {order:?}");
-    }
-
-    #[test]
-    fn tenant_quotas_reject_at_admission() {
-        let q = RequestQueue::new();
-        let c = cfg(64, 1, AdmissionPolicy::Reject).with_tenant_quotas(2, usize::MAX);
-        q.admit(qr_for(0, Priority::Normal, false, TenantId(1)), &c).expect("admit");
-        q.admit(qr_for(1, Priority::Normal, false, TenantId(1)), &c).expect("admit");
-        match q.admit(qr_for(2, Priority::Normal, false, TenantId(1)), &c) {
-            Err(ServeError::TenantOverQuota { tenant, queued: 2, .. }) => {
-                assert_eq!(tenant, TenantId(1));
-            }
-            other => panic!("expected quota rejection, got {other:?}"),
-        }
-        // Another tenant is unaffected.
-        q.admit(qr_for(3, Priority::Normal, false, TenantId(2)), &c).expect("admit");
-        // Draining one request frees a slot for tenant 1 once finished.
-        let popped = q.pop_batch(&c).expect("pop")[0].req.tenant;
-        assert_eq!(popped, TenantId(1));
-        assert_eq!(q.tenant_load(TenantId(1)), TenantLoad { queued: 1, in_flight: 1 });
-        q.admit(qr_for(4, Priority::Normal, false, TenantId(1)), &c).expect("slot freed");
-    }
-
-    #[test]
-    fn in_flight_quota_counts_executing_requests() {
-        let q = RequestQueue::new();
-        let c = cfg(64, 1, AdmissionPolicy::Reject).with_tenant_quotas(usize::MAX, 2);
-        q.admit(qr_for(0, Priority::Normal, false, TenantId(1)), &c).expect("admit");
-        let _executing = q.pop_batch(&c).expect("pop");
-        q.admit(qr_for(1, Priority::Normal, false, TenantId(1)), &c).expect("admit");
-        // queued(1) + in_flight(1) == 2: at the cap.
-        assert!(matches!(
-            q.admit(qr_for(2, Priority::Normal, false, TenantId(1)), &c),
-            Err(ServeError::TenantOverQuota { in_flight: 1, queued: 1, .. })
-        ));
-        // Finishing the in-flight request frees the slot.
-        q.finish(TenantId(1));
-        q.admit(qr_for(3, Priority::Normal, false, TenantId(1)), &c).expect("slot freed");
     }
 
     #[test]
@@ -647,27 +543,23 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// Under any interleaving of admissions and pops, with any
-            /// tenant weights: (1) a popped entry always comes from the
+            /// request costs: (1) a popped entry always comes from the
             /// most urgent non-empty priority class (fair share never
             /// reorders across classes), and (2) each (class, tenant)
             /// stream pops in admission order (DRR interleaves *between*
             /// tenants, never *within* one).
             #[test]
             fn fair_share_preserves_class_order_and_per_tenant_fifo(
-                ops in proptest::collection::vec((0u32..5, 0u32..3, 0u32..4), 1..60),
-                weights in proptest::collection::vec(1u32..5, 4..5),
+                ops in proptest::collection::vec((0u32..5, 0u32..3, 0u32..4, 1u64..5), 1..60),
             ) {
-                let mut c = cfg(1024, 1, AdmissionPolicy::Reject);
-                for (i, w) in weights.iter().enumerate() {
-                    c = c.with_tenant_weight(TenantId(i as u64 + 1), *w);
-                }
+                let c = cfg(1024, 1, AdmissionPolicy::Reject);
                 let q = RequestQueue::new();
                 // Mirror of what is queued: (id, class, tenant).
                 let mut queued: Vec<(u64, usize, u64)> = Vec::new();
                 let mut last_popped: std::collections::HashMap<(usize, u64), u64> =
                     std::collections::HashMap::new();
                 let mut next_id = 0u64;
-                for (op, pri, ten) in ops {
+                for (op, pri, ten, cost) in ops {
                     if op == 0 && !queued.is_empty() {
                         let popped = &q.pop_batch(&c).expect("non-empty queue pops")[0];
                         let class = class_of(popped.req.priority);
@@ -696,7 +588,9 @@ mod tests {
                         next_id += 1;
                         let priority = PRIORITIES[pri as usize];
                         let tenant = TenantId(u64::from(ten) + 1);
-                        q.admit(qr_for(id, priority, false, tenant), &c).expect("admit");
+                        let mut entry = qr_for(id, priority, false, tenant);
+                        entry.cost = cost;
+                        q.admit(entry, &c).expect("admit");
                         queued.push((id, class_of(priority), tenant.0));
                     }
                 }

@@ -6,8 +6,8 @@
 //! ```text
 //! submit(Request) ── admission ──► priority queue ── pop_batch ──► worker
 //!      │  (reject / quarantine /                                     │
-//!      ▼   quota / shed / admit)                                     ▼
-//!   Ticket ◄──────────────── Served { Response, timings } ── execute via
+//!      ▼   shed / admit)                                             ▼
+//!   Ticket ◄────────────── Served { RunOutcome, timings } ── execute via
 //!                                                     Session::for_request_at
 //! ```
 //!
@@ -18,20 +18,19 @@
 //!
 //! # Survivability
 //!
-//! Execution is *supervised*: each attempt runs under
+//! Execution is *supervised*: each request runs once under
 //! [`drt_core::par::run_isolated`], so a panicking workload cannot take
-//! its worker thread down — the panic is caught, stringified, optionally
-//! retried ([`crate::config::RetryPolicy`]), and if every attempt
-//! crashes the ticket resolves [`ServeError::WorkerCrashed`] while the
-//! worker moves on to the next request. Crashes are counted per workload
-//! fingerprint; once a fingerprint reaches
+//! its worker thread down — the panic is caught and stringified, the
+//! ticket resolves [`ServeError::WorkerCrashed`], and the worker moves
+//! on to the next request. Session execution is a pure function of the
+//! request (deadlines and budgets degrade a run, they never panic it),
+//! so a re-run would crash again and none is made. Crashes are counted
+//! per workload fingerprint; once a fingerprint reaches
 //! [`ServeConfig::quarantine_after`] crashes it is quarantined and
 //! further submissions of the same workload are rejected at admission
 //! ([`ServeError::Quarantined`]) instead of being allowed to crash
 //! another worker — the serving-layer analogue of a poison-message
-//! queue. Quarantines expire after
-//! [`ServeConfig::quarantine_ttl`] or via
-//! [`Server::clear_quarantine`].
+//! queue. [`Server::clear_quarantine`] lifts a quarantine.
 //!
 //! [`Workload`]: drt_accel::workload::Workload
 
@@ -41,7 +40,7 @@ use crate::queue::{request_cost, QueuedRequest, RequestQueue};
 use crate::stats::{ServeStats, StatsSnapshot};
 use drt_accel::report::{RunOutcome, RunReport};
 use drt_accel::session::Session;
-use drt_accel::workload::{Request, Response};
+use drt_accel::workload::Request;
 use drt_core::budget::ExecBudget;
 use drt_core::cancel::CancelToken;
 use drt_core::par::run_isolated;
@@ -52,7 +51,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A served request: the response plus serving-side timings. Timings are
+/// A served request: the run outcome plus serving-side timings. Timings are
 /// wall-clock measurements of this process (queue wait, execution) —
 /// the *modeled* accelerator time stays inside the report and is
 /// deterministic.
@@ -60,8 +59,9 @@ use std::time::{Duration, Instant};
 pub struct Served {
     /// Server-assigned request id (submission order).
     pub id: u64,
-    /// The outcome: a response, or a typed serving/run error.
-    pub response: Result<Response, ServeError>,
+    /// The outcome: a complete or degraded run, or a typed serving/run
+    /// error.
+    pub response: Result<RunOutcome, ServeError>,
     /// Time from admission to dequeue.
     pub queue_wait: Duration,
     /// Time executing (zero for cache hits).
@@ -72,9 +72,6 @@ pub struct Served {
     pub cache_hit: bool,
     /// Executed with the load-shed (S-U-C-only) budget.
     pub load_shed: bool,
-    /// Execution attempts made (0 for cache hits and drained requests;
-    /// > 1 means crashed attempts were retried).
-    pub attempts: u32,
     /// Index of the worker that served it.
     pub worker: usize,
 }
@@ -148,14 +145,6 @@ impl MemoCache {
     }
 }
 
-/// One workload fingerprint's crash record. `quarantined_at` is set the
-/// moment the crash count trips [`ServeConfig::quarantine_after`].
-#[derive(Debug, Clone, Copy)]
-struct PoisonEntry {
-    crashes: u32,
-    quarantined_at: Option<Instant>,
-}
-
 struct Shared {
     queue: RequestQueue,
     cfg: ServeConfig,
@@ -165,9 +154,11 @@ struct Shared {
     /// `None` when caching is off (config, or the template is probed —
     /// a cache hit would skip the trace events a probed run owes).
     memo: Option<Mutex<MemoCache>>,
-    /// Crash records per workload fingerprint (poison quarantine).
-    poison: Mutex<HashMap<u64, PoisonEntry>>,
-    /// Global execution-attempt sequence, fed to the chaos injector's
+    /// Crashed requests per workload fingerprint (poison quarantine). A
+    /// fingerprint is quarantined while its count is at or above
+    /// [`ServeConfig::quarantine_after`].
+    poison: Mutex<HashMap<u64, u32>>,
+    /// Global execution sequence, fed to the chaos injector's
     /// `before_request` (deterministic at pool size 1).
     exec_seq: AtomicU64,
     root: CancelToken,
@@ -241,8 +232,7 @@ impl Server {
     /// `Ok(Ticket)` means the request is queued and will be served;
     /// [`ServeError::Rejected`] means the queue was full (resubmit after
     /// backoff); [`ServeError::Quarantined`] means the workload's
-    /// fingerprint crashed too many workers; [`ServeError::TenantOverQuota`]
-    /// means the request's tenant is at a quota;
+    /// fingerprint crashed too many workers;
     /// [`ServeError::ShuttingDown`] means the server no longer accepts
     /// work. A request deadline starts counting *now* — time spent
     /// queued is inside it.
@@ -288,9 +278,6 @@ impl Server {
             }
             Err(e) => {
                 self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                if matches!(e, ServeError::TenantOverQuota { .. }) {
-                    self.shared.stats.tenant_rejected.fetch_add(1, Ordering::Relaxed);
-                }
                 self.shared.stats.tenant(tenant, |c| c.rejected += 1);
                 Err(e)
             }
@@ -298,19 +285,11 @@ impl Server {
     }
 
     /// The quarantine rejection for `fingerprint`, if it is quarantined.
-    /// A TTL that has expired lifts the quarantine here (lazily, at the
-    /// next submission) and resets the fingerprint's crash count.
     fn quarantine_reject(&self, fingerprint: u64) -> Option<ServeError> {
-        let mut poison = self.shared.poison.lock().unwrap_or_else(|p| p.into_inner());
-        let entry = poison.get(&fingerprint).copied()?;
-        let since = entry.quarantined_at?;
-        if let Some(ttl) = self.shared.cfg.quarantine_ttl {
-            if since.elapsed() >= ttl {
-                poison.remove(&fingerprint);
-                return None;
-            }
-        }
-        Some(ServeError::Quarantined { fingerprint, crashes: entry.crashes })
+        let poison = self.shared.poison.lock().unwrap_or_else(|p| p.into_inner());
+        let crashes = *poison.get(&fingerprint)?;
+        (crashes >= self.shared.cfg.quarantine_after)
+            .then_some(ServeError::Quarantined { fingerprint, crashes })
     }
 
     /// Lift the quarantine (and forget the crash count) for a workload
@@ -322,8 +301,9 @@ impl Server {
     /// The currently quarantined workload fingerprints (sorted).
     pub fn quarantined_fingerprints(&self) -> Vec<u64> {
         let poison = self.shared.poison.lock().unwrap_or_else(|p| p.into_inner());
+        let threshold = self.shared.cfg.quarantine_after;
         let mut fps: Vec<u64> =
-            poison.iter().filter(|(_, e)| e.quarantined_at.is_some()).map(|(fp, _)| *fp).collect();
+            poison.iter().filter(|(_, &crashes)| crashes >= threshold).map(|(fp, _)| *fp).collect();
         fps.sort_unstable();
         fps
     }
@@ -370,7 +350,6 @@ impl Server {
                 total_time: qr.submitted_at.elapsed(),
                 cache_hit: false,
                 load_shed: false,
-                attempts: 0,
                 worker: usize::MAX,
             });
         }
@@ -397,22 +376,20 @@ fn worker_loop(worker: usize, shared: &Shared) {
             shared.stats.batched_requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
         }
         for qr in batch {
-            let tenant = qr.req.tenant;
             serve_one(worker, shared, qr);
-            shared.queue.finish(tenant);
         }
     }
 }
 
-/// Record one crashed execution attempt against `fingerprint`; trips the
+/// Record one crashed request against `fingerprint`; trips the
 /// quarantine when the crash count reaches the threshold.
 fn record_crash(shared: &Shared, fingerprint: u64) {
     let mut poison = shared.poison.lock().unwrap_or_else(|p| p.into_inner());
-    let entry =
-        poison.entry(fingerprint).or_insert(PoisonEntry { crashes: 0, quarantined_at: None });
-    entry.crashes = entry.crashes.saturating_add(1);
-    if entry.quarantined_at.is_none() && entry.crashes >= shared.cfg.quarantine_after {
-        entry.quarantined_at = Some(Instant::now());
+    let crashes = poison.entry(fingerprint).or_insert(0);
+    *crashes = crashes.saturating_add(1);
+    // `max(1)`: a fingerprint with a crash record is quarantined at any
+    // threshold of 1 or less, so its first crash is the trip.
+    if *crashes == shared.cfg.quarantine_after.max(1) {
         shared.stats.quarantined.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -438,13 +415,12 @@ fn serve_one(worker: usize, shared: &Shared, qr: QueuedRequest) {
             shared.stats.tenant(tenant, |c| c.completed += 1);
             let _ = qr.tx.send(Served {
                 id: qr.id,
-                response: Ok(Response { outcome: RunOutcome::from_report(report) }),
+                response: Ok(RunOutcome::from_report(report)),
                 queue_wait,
                 exec_time: Duration::ZERO,
                 total_time: qr.submitted_at.elapsed(),
                 cache_hit: true,
                 load_shed: false,
-                attempts: 0,
                 worker,
             });
             return;
@@ -463,36 +439,15 @@ fn serve_one(worker: usize, shared: &Shared, qr: QueuedRequest) {
         &qr.req
     };
 
-    // Supervised execution: each attempt runs under panic isolation, so
-    // a crashing workload resolves its ticket (possibly after retries)
-    // instead of killing the worker thread.
-    let max_attempts = shared.cfg.retry.max_attempts.max(1);
-    let mut attempts = 0u32;
-    let result = loop {
-        attempts += 1;
-        let seq = shared.exec_seq.fetch_add(1, Ordering::Relaxed);
-        let run = run_isolated(|| {
-            if let Some(chaos) = &shared.cfg.chaos {
-                chaos.before_request(seq, qr.fingerprint);
-            }
-            shared.template.for_request_at(req, qr.deadline_at).run_workload(&req.workload)
-        });
-        match run {
-            Ok(r) => break Ok(r),
-            Err(message) => {
-                shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-                record_crash(shared, qr.fingerprint);
-                if attempts >= max_attempts {
-                    break Err(message);
-                }
-                shared.stats.retried.fetch_add(1, Ordering::Relaxed);
-                let backoff = shared.cfg.retry.backoff;
-                if backoff > Duration::ZERO {
-                    std::thread::sleep(backoff.saturating_mul(1u32 << (attempts - 1).min(16)));
-                }
-            }
+    // Supervised execution: the one run is panic-isolated, so a crashing
+    // workload resolves its ticket instead of killing the worker thread.
+    let seq = shared.exec_seq.fetch_add(1, Ordering::Relaxed);
+    let result = run_isolated(|| {
+        if let Some(chaos) = &shared.cfg.chaos {
+            chaos.before_request(seq, qr.fingerprint);
         }
-    };
+        shared.template.for_request_at(req, qr.deadline_at).run_workload(&req.workload)
+    });
     let exec_time = start.elapsed();
 
     let response = match result {
@@ -516,7 +471,7 @@ fn serve_one(worker: usize, shared: &Shared, qr: QueuedRequest) {
                     shared.stats.tenant(tenant, |c| c.degraded += 1);
                 }
             }
-            Ok(Response { outcome })
+            Ok(outcome)
         }
         Ok(Err(e)) => {
             shared.stats.failed.fetch_add(1, Ordering::Relaxed);
@@ -526,7 +481,8 @@ fn serve_one(worker: usize, shared: &Shared, qr: QueuedRequest) {
         Err(message) => {
             shared.stats.crashed.fetch_add(1, Ordering::Relaxed);
             shared.stats.tenant(tenant, |c| c.crashed += 1);
-            Err(ServeError::WorkerCrashed { message, attempts })
+            record_crash(shared, qr.fingerprint);
+            Err(ServeError::WorkerCrashed { message })
         }
     };
     let _ = qr.tx.send(Served {
@@ -537,7 +493,6 @@ fn serve_one(worker: usize, shared: &Shared, qr: QueuedRequest) {
         total_time: qr.submitted_at.elapsed(),
         cache_hit: false,
         load_shed: qr.shed,
-        attempts,
         worker,
     });
 }

@@ -1,6 +1,5 @@
 //! Server-side counters: admission, load shedding, batching, cache
-//! reuse, survivability (crashes, retries, quarantine), and per-tenant
-//! rows. Global counters are atomics — readable at any time without
+//! reuse, survivability (crashes, quarantine), and per-tenant rows. Global counters are atomics — readable at any time without
 //! stopping the pool; per-tenant rows live behind one small mutex.
 
 use drt_accel::workload::TenantId;
@@ -23,12 +22,9 @@ pub struct ServeStats {
     pub(crate) batches: AtomicU64,
     pub(crate) batched_requests: AtomicU64,
     pub(crate) max_queue_depth: AtomicUsize,
-    pub(crate) worker_panics: AtomicU64,
     pub(crate) crashed: AtomicU64,
-    pub(crate) retried: AtomicU64,
     pub(crate) quarantined: AtomicU64,
     pub(crate) quarantine_rejected: AtomicU64,
-    pub(crate) tenant_rejected: AtomicU64,
     pub(crate) per_tenant: Mutex<HashMap<TenantId, TenantCounters>>,
 }
 
@@ -37,7 +33,7 @@ pub struct ServeStats {
 pub struct TenantCounters {
     /// Requests this tenant got admitted.
     pub submitted: u64,
-    /// Requests rejected at admission (capacity, quota, or quarantine).
+    /// Requests rejected at admission (capacity or quarantine).
     pub rejected: u64,
     /// Requests admitted above the load-shed watermark.
     pub shed: u64,
@@ -57,7 +53,7 @@ pub struct StatsSnapshot {
     /// Requests admitted to the queue.
     pub submitted: u64,
     /// Requests refused by admission control (queue full, shutdown,
-    /// quarantine, tenant quota).
+    /// quarantine).
     pub rejected: u64,
     /// Requests admitted above the load-shed watermark (executed with
     /// the S-U-C-only budget).
@@ -81,23 +77,17 @@ pub struct StatsSnapshot {
     pub batched_requests: u64,
     /// Deepest the queue ever got.
     pub max_queue_depth: usize,
-    /// Panics caught by worker supervision (every crashed execution
-    /// attempt, retried ones included). The worker survived each one.
-    pub worker_panics: u64,
-    /// Requests that resolved [`crate::ServeError::WorkerCrashed`]
-    /// (every attempt panicked).
+    /// Requests whose execution panicked and resolved
+    /// [`crate::ServeError::WorkerCrashed`]. The worker survived each
+    /// one.
     pub crashed: u64,
-    /// Retry attempts executed after a crashed attempt.
-    pub retried: u64,
     /// Workload fingerprints whose crash count tripped the quarantine
-    /// threshold (each trip counts once, re-trips after TTL expiry or
-    /// manual clearing count again).
+    /// threshold (each trip counts once; a re-trip after
+    /// [`crate::Server::clear_quarantine`] counts again).
     pub quarantined: u64,
     /// Submissions rejected at admission because their fingerprint was
     /// quarantined.
     pub quarantine_rejected: u64,
-    /// Submissions rejected at admission by a per-tenant quota.
-    pub tenant_rejected: u64,
     /// Per-tenant counter rows, sorted by tenant id (deterministic for
     /// a deterministic admission sequence).
     pub per_tenant: Vec<(TenantId, TenantCounters)>,
@@ -126,12 +116,9 @@ impl ServeStats {
             batches: self.batches.load(Ordering::Relaxed),
             batched_requests: self.batched_requests.load(Ordering::Relaxed),
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
             crashed: self.crashed.load(Ordering::Relaxed),
-            retried: self.retried.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
             quarantine_rejected: self.quarantine_rejected.load(Ordering::Relaxed),
-            tenant_rejected: self.tenant_rejected.load(Ordering::Relaxed),
             per_tenant,
         }
     }

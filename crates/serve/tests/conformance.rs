@@ -9,8 +9,7 @@ use drt_accel::report::RunReport;
 use drt_accel::session::Session;
 use drt_accel::spec::AccelSpec;
 use drt_accel::workload::{Priority, Request, TenantId, Workload};
-use drt_core::chaos::{PanicInWorker, PoisonFingerprint, SlowRequest};
-use drt_serve::config::RetryPolicy;
+use drt_core::chaos::{PanicInWorker, PoisonFingerprint};
 use drt_serve::{AdmissionPolicy, ServeConfig, ServeError, Server};
 use drt_sim::memory::HierarchySpec;
 use drt_workloads::patterns;
@@ -250,7 +249,6 @@ fn a_panicking_workload_resolves_its_ticket_and_the_worker_survives() {
     let poison_fp = workloads[0].fingerprint();
     let cfg = ServeConfig::default()
         .with_workers(1)
-        .with_retry(RetryPolicy::none())
         .with_quarantine_after(u32::MAX)
         .with_chaos(Arc::new(PoisonFingerprint::new(poison_fp)));
     let server = Server::start(session(), cfg).expect("server");
@@ -260,10 +258,10 @@ fn a_panicking_workload_resolves_its_ticket_and_the_worker_survives() {
         .wait()
         .expect("ticket must resolve");
     match crashed.response {
-        Err(ServeError::WorkerCrashed { attempts: 1, ref message }) => {
+        Err(ServeError::WorkerCrashed { ref message }) => {
             assert!(message.contains("poison"), "panic payload surfaces: {message}");
         }
-        other => panic!("expected WorkerCrashed after 1 attempt, got {other:?}"),
+        other => panic!("expected WorkerCrashed, got {other:?}"),
     }
     // The sole worker survived: the next request serves, bit-identical.
     let served = server
@@ -273,30 +271,31 @@ fn a_panicking_workload_resolves_its_ticket_and_the_worker_survives() {
         .expect("served");
     assert_identical("post-crash", served.response.expect("run ok").report(), &expected[1]);
     let stats = server.shutdown();
-    assert_eq!(stats.worker_panics, 1);
     assert_eq!(stats.crashed, 1);
     assert_eq!(stats.completed, 1);
 }
 
-/// A transient crash (panics once, succeeds on retry) must retry up to
-/// the policy bound and produce a response bit-identical to standalone —
-/// retries change attempts, never bits.
+/// Each request executes once: a transient crash (the injector panics
+/// the first execution only) resolves `WorkerCrashed` on that
+/// execution, and a resubmission of the same workload, still below the
+/// quarantine threshold, completes bit-identical to standalone.
 #[test]
-fn a_transient_crash_retries_to_a_bit_identical_response() {
+fn a_transient_crash_resolves_once_and_a_resubmission_is_bit_identical() {
     let w = mixed_batch().swap_remove(0);
     let expected = standalone_reports(std::slice::from_ref(&w)).pop().expect("report");
-    let cfg = ServeConfig::default()
-        .with_workers(1)
-        .with_retry(RetryPolicy { max_attempts: 3, backoff: Duration::ZERO })
-        .with_chaos(Arc::new(PanicInWorker::new(0, 1)));
+    let cfg = ServeConfig::default().with_workers(1).with_chaos(Arc::new(PanicInWorker::new(0, 1)));
     let server = Server::start(session(), cfg).expect("server");
-    let served = server.submit(Request::new(w)).expect("admitted").wait().expect("served");
-    assert_eq!(served.attempts, 2, "one crash, one successful retry");
-    assert_identical("retried", served.response.expect("run ok").report(), &expected);
+    let crashed = server.submit(Request::new(w.clone())).expect("admitted").wait().expect("served");
+    assert!(
+        matches!(crashed.response, Err(ServeError::WorkerCrashed { .. })),
+        "the first execution crashes and is not re-run: {:?}",
+        crashed.response
+    );
+    let served = server.submit(Request::new(w)).expect("below threshold").wait().expect("served");
+    assert!(!served.cache_hit, "a crash is never cached");
+    assert_identical("resubmitted", served.response.expect("run ok").report(), &expected);
     let stats = server.shutdown();
-    assert_eq!(stats.worker_panics, 1);
-    assert_eq!(stats.retried, 1);
-    assert_eq!(stats.crashed, 0, "a recovered request is not a crash outcome");
+    assert_eq!((stats.crashed, stats.completed, stats.quarantined), (1, 1, 0));
 }
 
 /// Quarantine trips at exactly `quarantine_after` crashes: crashing
@@ -312,7 +311,6 @@ fn quarantine_trips_at_exactly_the_threshold_and_clears() {
     let injector = Arc::new(PoisonFingerprint::new(fp));
     let cfg = ServeConfig::default()
         .with_workers(1)
-        .with_retry(RetryPolicy::none())
         .with_quarantine_after(2)
         .with_chaos(injector.clone());
     let server = Server::start(session(), cfg).expect("server");
@@ -349,62 +347,42 @@ fn quarantine_trips_at_exactly_the_threshold_and_clears() {
     let stats = server.shutdown();
     assert_eq!(stats.quarantined, 1, "the threshold tripped exactly once");
     assert_eq!(stats.quarantine_rejected, 1);
-    assert_eq!(stats.worker_panics, 3);
+    assert_eq!(stats.crashed, 3);
 }
 
-/// An expired quarantine TTL lifts the quarantine lazily at the next
-/// submission, which then executes normally.
+/// The per-tenant stats rows attribute every outcome to the tenant that
+/// submitted it: alice's poison request crashes, its resubmission is
+/// rejected by the quarantine, and her clean request completes; bob's
+/// row sees none of it.
 #[test]
-fn a_quarantine_ttl_expires_and_readmits() {
-    let w = mixed_batch().swap_remove(0);
-    // Poison only the first execution attempt: after the TTL the
-    // readmitted run must succeed.
-    let cfg = ServeConfig::default()
-        .with_workers(1)
-        .with_retry(RetryPolicy::none())
-        .with_quarantine_after(1)
-        .with_quarantine_ttl(Duration::from_millis(50))
-        .with_chaos(Arc::new(PanicInWorker::new(0, 1)));
-    let server = Server::start(session(), cfg).expect("server");
-    let served = server.submit(Request::new(w.clone())).expect("admitted").wait().expect("served");
-    assert!(matches!(served.response, Err(ServeError::WorkerCrashed { .. })));
-    assert!(matches!(server.submit(Request::new(w.clone())), Err(ServeError::Quarantined { .. })));
-    std::thread::sleep(Duration::from_millis(60));
-    let served = server.submit(Request::new(w)).expect("TTL expired: admitted").wait();
-    assert!(served.expect("served").response.is_ok(), "post-TTL run executes normally");
-}
-
-/// Per-tenant quotas reject at admission while the tenant's earlier
-/// request is still in flight; other tenants are unaffected; and the
-/// per-tenant stats rows attribute every outcome to the right tenant.
-#[test]
-fn tenant_quotas_and_per_tenant_stats_isolate_tenants() {
-    let w = mixed_batch().swap_remove(0);
+fn per_tenant_stats_isolate_tenants() {
+    let workloads = mixed_batch();
+    let (poisoned, clean) = (workloads[0].clone(), workloads[1].clone());
     let alice = TenantId::from_name("alice");
     let bob = TenantId::from_name("bob");
-    // Slow down the first execution so alice's first request is still
-    // queued-or-in-flight when her second submission arrives.
     let cfg = ServeConfig::default()
         .with_workers(1)
         .with_memoize(false)
-        .with_tenant_quotas(usize::MAX, 1)
-        .with_chaos(Arc::new(SlowRequest::new(0, Duration::from_millis(250))));
+        .with_quarantine_after(1)
+        .with_chaos(Arc::new(PoisonFingerprint::new(poisoned.fingerprint())));
     let server = Server::start(session(), cfg).expect("server");
-    let t1 = server.submit(Request::new(w.clone()).with_tenant(alice)).expect("admitted");
-    match server.submit(Request::new(w.clone()).with_tenant(alice)) {
-        Err(ServeError::TenantOverQuota { tenant, .. }) => assert_eq!(tenant, alice),
-        other => panic!("expected TenantOverQuota, got {other:?}"),
-    }
-    // Bob's admission is untouched by alice's quota.
-    let t2 = server.submit(Request::new(w).with_tenant(bob)).expect("other tenant admitted");
-    assert!(t1.wait().expect("served").response.is_ok());
-    assert!(t2.wait().expect("served").response.is_ok());
+    let submit = |w: &Workload, t: TenantId| server.submit(Request::new(w.clone()).with_tenant(t));
+    let crashed = submit(&poisoned, alice).expect("admitted").wait().expect("served");
+    assert!(matches!(crashed.response, Err(ServeError::WorkerCrashed { .. })));
+    assert!(matches!(submit(&poisoned, alice), Err(ServeError::Quarantined { .. })));
+    assert!(submit(&clean, alice).expect("admitted").wait().expect("served").response.is_ok());
+    assert!(submit(&clean, bob).expect("admitted").wait().expect("served").response.is_ok());
     let stats = server.shutdown();
-    assert_eq!(stats.tenant_rejected, 1);
     let alice_row = stats.tenant(alice).expect("alice row");
-    assert_eq!((alice_row.submitted, alice_row.rejected, alice_row.completed), (1, 1, 1));
+    assert_eq!(
+        (alice_row.submitted, alice_row.rejected, alice_row.completed, alice_row.crashed),
+        (2, 1, 1, 1)
+    );
     let bob_row = stats.tenant(bob).expect("bob row");
-    assert_eq!((bob_row.submitted, bob_row.rejected, bob_row.completed), (1, 0, 1));
+    assert_eq!(
+        (bob_row.submitted, bob_row.rejected, bob_row.completed, bob_row.crashed),
+        (1, 0, 1, 0)
+    );
 }
 
 /// `Server::start` surfaces thread-spawn failure as a typed error. A

@@ -14,13 +14,14 @@
 //!    crashes, never the bits of who survives.
 //! 3. **Quarantine precision** — a poison workload (persistent panic,
 //!    matched by content fingerprint) is quarantined after *exactly*
-//!    [`ServeConfig::quarantine_after`] crashed attempts: each crash up
+//!    [`ServeConfig::quarantine_after`] crashed requests: each crash up
 //!    to the threshold executes, the very next submission is rejected at
 //!    admission, and the injector's hit counter proves no quarantined
 //!    submission ever reached a worker.
-//! 4. **Recovered retries are invisible** — a transient crash under a
-//!    retry budget resolves `Ok`, bit-identical, with the crash visible
-//!    only in the stats.
+//! 4. **One attempt, then a clean resubmission** — a transient crash
+//!    resolves [`ServeError::WorkerCrashed`] on the request's one
+//!    execution; resubmitting the same workload, still below the
+//!    quarantine threshold, completes bit-identical to standalone.
 //!
 //! Injection decisions are seeded and wall-clock-free (faults fire at
 //! fixed execution sequence numbers or fingerprints), so failures
@@ -34,7 +35,6 @@ use drt_accel::session::Session;
 use drt_accel::spec::AccelSpec;
 use drt_accel::workload::{Request, Workload};
 use drt_core::chaos::{PanicInWorker, PoisonFingerprint, SlowRequest};
-use drt_serve::config::RetryPolicy;
 use drt_serve::{ServeConfig, ServeError, Served, Server, Ticket};
 use drt_workloads::patterns::unstructured;
 use std::sync::Arc;
@@ -101,8 +101,8 @@ fn check(summary: &mut ChaosSummary, label: &str, failure: Option<String>) {
     }
 }
 
-/// Scenario 1+2: crash the first `crashes` execution attempts at a given
-/// pool size, no retries. Every ticket must resolve; exactly `crashes`
+/// Scenario 1+2: crash the first `crashes` request executions at a
+/// given pool size. Every ticket must resolve; exactly `crashes`
 /// of them as [`ServeError::WorkerCrashed`] (at pool size 1, which ones
 /// is deterministic: the first `crashes` in service order); every
 /// survivor bit-identical to standalone.
@@ -113,7 +113,6 @@ fn check_crash_liveness(opts: &ChaosServeOptions, pool: usize, crashes: u32) -> 
     let cfg = ServeConfig::default()
         .with_workers(pool)
         .with_memoize(false)
-        .with_retry(RetryPolicy::none())
         .with_quarantine_after(u32::MAX)
         .with_chaos(Arc::new(PanicInWorker::new(0, crashes)));
     let server = match Server::start(session(), cfg) {
@@ -140,11 +139,8 @@ fn check_crash_liveness(opts: &ChaosServeOptions, pool: usize, crashes: u32) -> 
                     return Some(format!("survivor {i} diverged from standalone: {diff}"));
                 }
             }
-            Err(ServeError::WorkerCrashed { ref message, attempts }) => {
+            Err(ServeError::WorkerCrashed { ref message }) => {
                 crashed += 1;
-                if attempts != 1 {
-                    return Some(format!("no-retry crash reports {attempts} attempts"));
-                }
                 if !message.contains("chaos") {
                     return Some(format!("panic payload lost: {message:?}"));
                 }
@@ -156,11 +152,8 @@ fn check_crash_liveness(opts: &ChaosServeOptions, pool: usize, crashes: u32) -> 
         return Some(format!("expected exactly {crashes} crashed tickets, saw {crashed}"));
     }
     let stats = server.shutdown();
-    if stats.worker_panics != u64::from(crashes) || stats.crashed != u64::from(crashes) {
-        return Some(format!(
-            "stats disagree: {} panics / {} crashed, expected {crashes}",
-            stats.worker_panics, stats.crashed
-        ));
+    if stats.crashed != u64::from(crashes) {
+        return Some(format!("stats disagree: {} crashed, expected {crashes}", stats.crashed));
     }
     if stats.completed != (n as u64 - u64::from(crashes)) {
         return Some(format!("completed {} of {} non-crashed requests", stats.completed, n));
@@ -180,7 +173,6 @@ fn check_quarantine_precision(opts: &ChaosServeOptions) -> Option<String> {
     let cfg = ServeConfig::default()
         .with_workers(1)
         .with_memoize(false)
-        .with_retry(RetryPolicy::none())
         .with_quarantine_after(threshold)
         .with_chaos(injector.clone());
     let server = match Server::start(session(), cfg) {
@@ -239,44 +231,48 @@ fn check_quarantine_precision(opts: &ChaosServeOptions) -> Option<String> {
     None
 }
 
-/// Scenario 4: a transient crash with a retry budget resolves `Ok`,
-/// bit-identical, crash visible only in the stats.
-fn check_retry_recovers(opts: &ChaosServeOptions) -> Option<String> {
+/// Scenario 4: a transient crash resolves `WorkerCrashed` on the
+/// request's one execution; a resubmission of the same workload, still
+/// below the quarantine threshold, completes bit-identical to
+/// standalone.
+fn check_transient_crash_resubmits(opts: &ChaosServeOptions) -> Option<String> {
     let wls = workloads(opts.seed + 2000, 1);
     let expected = standalone_reports(&wls);
     let cfg = ServeConfig::default()
         .with_workers(1)
         .with_memoize(false)
-        .with_retry(RetryPolicy { max_attempts: 2, backoff: Duration::ZERO })
         .with_chaos(Arc::new(PanicInWorker::new(0, 1)));
     let server = match Server::start(session(), cfg) {
         Ok(s) => s,
         Err(e) => return Some(format!("server failed to start: {e}")),
     };
-    let ticket = match server.submit(Request::new(wls[0].clone())) {
-        Ok(t) => t,
-        Err(e) => return Some(format!("admission refused: {e}")),
+    let submit = |what: &str| -> Result<Served, String> {
+        let ticket = server
+            .submit(Request::new(wls[0].clone()))
+            .map_err(|e| format!("{what} refused: {e}"))?;
+        wait_bounded(&ticket).ok_or_else(|| format!("{what} ticket did not resolve"))
     };
-    let served = match wait_bounded(&ticket) {
-        Some(s) => s,
-        None => return Some("retried ticket did not resolve".into()),
-    };
-    if served.attempts != 2 {
-        return Some(format!("expected 2 attempts, saw {}", served.attempts));
+    match submit("first submission") {
+        Ok(s) if matches!(s.response, Err(ServeError::WorkerCrashed { .. })) => {}
+        Ok(s) => {
+            return Some(format!("transient crash did not resolve WorkerCrashed: {:?}", s.response))
+        }
+        Err(e) => return Some(e),
     }
-    match served.response {
-        Ok(resp) => {
-            if let Some(diff) = expected[0].bit_diff(resp.report()) {
-                return Some(format!("retried report diverged from standalone: {diff}"));
+    match submit("resubmission").map(|s| s.response) {
+        Ok(Ok(outcome)) => {
+            if let Some(diff) = expected[0].bit_diff(outcome.report()) {
+                return Some(format!("resubmitted report diverged from standalone: {diff}"));
             }
         }
-        Err(e) => return Some(format!("retry did not recover: {e}")),
+        Ok(Err(e)) => return Some(format!("resubmission failed: {e}")),
+        Err(e) => return Some(e),
     }
     let stats = server.shutdown();
-    if stats.retried != 1 || stats.worker_panics != 1 || stats.crashed != 0 {
+    if stats.crashed != 1 || stats.completed != 1 || stats.quarantined != 0 {
         return Some(format!(
-            "stats disagree: retried={} panics={} crashed={}",
-            stats.retried, stats.worker_panics, stats.crashed
+            "stats disagree: crashed={} completed={} quarantined={}",
+            stats.crashed, stats.completed, stats.quarantined
         ));
     }
     None
@@ -335,7 +331,7 @@ pub fn run_chaos_serve(opts: &ChaosServeOptions) -> ChaosSummary {
         check(&mut summary, "pool4/crash-liveness", check_crash_liveness(opts, 4, 2));
     }
     check(&mut summary, "pool1/quarantine-precision", check_quarantine_precision(opts));
-    check(&mut summary, "pool1/retry-recovers", check_retry_recovers(opts));
+    check(&mut summary, "pool1/transient-crash-resubmits", check_transient_crash_resubmits(opts));
     check(&mut summary, "pool1/slow-head-of-line", check_slow_head_of_line(opts));
     summary
 }

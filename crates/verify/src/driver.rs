@@ -104,12 +104,12 @@ pub fn check_variant(
     let session = Session::new(spec.clone()).hierarchy(&verify_hierarchy()).threads(threads);
     // The sweep runs through the typed-request path (`Session::execute`)
     // — the same entry the serving layer dispatches — so the unified
-    // Workload/Request/Response surface stays under the oracle's eye for
+    // Workload/Request surface stays under the oracle's eye for
     // every variant. A default request executes exactly like
     // `run_spmspm`, bit for bit.
     let req = Request::new(Workload::spmspm(a.clone(), b.clone()));
     let report = match session.execute(&req) {
-        Ok(resp) => resp.outcome.into_report(),
+        Ok(outcome) => outcome.into_report(),
         Err(e) => return Some(format!("{}: run failed: {e}", spec.name)),
     };
     let reference = dense_spmspm(a, b);

@@ -40,7 +40,9 @@
 //!   [`drt_serve::Server`] (crashing, poison, and slow requests)
 //!   proving the survivability invariants: every admitted ticket
 //!   resolves, survivors stay bit-identical to standalone, quarantine
-//!   trips at exactly its threshold, retried crashes recover invisibly.
+//!   trips at exactly its threshold, and a transient crash resolves
+//!   `WorkerCrashed` on its one execution while a resubmission of the
+//!   same workload completes bit-identical.
 //!
 //! The `verify` binary in `drt-bench` fronts [`driver::verify_all`] with
 //! `--seed/--iters/--quick` flags and is wired into CI as a gate.
