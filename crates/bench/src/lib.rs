@@ -91,18 +91,31 @@ impl Default for BenchOpts {
 }
 
 impl BenchOpts {
-    /// Parse from `std::env::args` (unknown flags are ignored).
+    /// Parse from `std::env::args` (unknown flags are ignored). A
+    /// `--scale` that is not a positive integer prints the error and exits
+    /// with status 2.
     pub fn from_args() -> BenchOpts {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        BenchOpts::parse(&args).unwrap_or_else(|err| {
+            eprintln!("error: {err}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parse the arguments after the program name. The workloads divide by
+    /// `--scale`, so it must be a positive integer; every other flag
+    /// ignores a missing or unparsable value.
+    fn parse(args: &[String]) -> Result<BenchOpts, String> {
         let mut opts = BenchOpts::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
+        let mut i = 0;
         while i < args.len() {
             match args[i].as_str() {
                 "--scale" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.scale = v;
-                        i += 1;
-                    }
+                    let value = args.get(i + 1).map(String::as_str).unwrap_or("");
+                    opts.scale = value.parse().ok().filter(|&v| v > 0).ok_or_else(|| {
+                        format!("--scale takes a positive integer, got {value:?}")
+                    })?;
+                    i += 1;
                 }
                 "--seed" => {
                     if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
@@ -141,7 +154,7 @@ impl BenchOpts {
             }
             i += 1;
         }
-        opts
+        Ok(opts)
     }
 
     /// The accelerator hierarchy at this scale (buffers shrink with the
@@ -410,6 +423,21 @@ mod tests {
         assert!(!o.json);
         assert!(o.trace.is_none());
         assert!(!o.probe().is_enabled());
+    }
+
+    #[test]
+    fn scale_must_be_a_positive_integer() {
+        let parse = |args: &[&str]| {
+            BenchOpts::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+        };
+        assert_eq!(parse(&["--scale", "4", "--quick"]).map(|o| (o.scale, o.quick)), Ok((4, true)));
+        for bad in [&["--scale", "0"][..], &["--scale", "-2"], &["--scale", "x"], &["--scale"]] {
+            let err = parse(bad).expect_err("rejected");
+            assert!(err.contains("--scale"), "{err}");
+        }
+        // The other flags still skip a value they cannot parse.
+        let o = parse(&["--seed", "x", "--threads", "2"]).expect("parses");
+        assert_eq!((o.seed, o.threads), (BenchOpts::default().seed, Some(2)));
     }
 
     #[test]

@@ -59,15 +59,6 @@ impl Partitions {
     pub fn total(&self) -> u64 {
         self.bytes.values().sum()
     }
-
-    /// Scale every partition by `factor` (used for hierarchical tiling:
-    /// the same shares at PE-buffer capacity).
-    pub fn scaled_to(&self, new_total: u64) -> Partitions {
-        let old = self.total().max(1);
-        Partitions {
-            bytes: self.bytes.iter().map(|(n, &b)| (n.clone(), b * new_total / old)).collect(),
-        }
-    }
 }
 
 /// Full configuration of one DRT invocation.
@@ -148,14 +139,6 @@ mod tests {
     #[should_panic(expected = "over capacity")]
     fn split_rejects_over_allocation() {
         let _ = Partitions::split(100, &[("A", 0.7), ("B", 0.7)]);
-    }
-
-    #[test]
-    fn scaled_to_preserves_shares() {
-        let p = Partitions::split(1000, &[("A", 0.2), ("B", 0.8)]);
-        let q = p.scaled_to(100);
-        assert_eq!(q.get("A"), 20);
-        assert_eq!(q.get("B"), 80);
     }
 
     #[test]

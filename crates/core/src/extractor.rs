@@ -118,15 +118,6 @@ impl ExtractorModel {
         let distribute = bytes.div_ceil(self.distribute_bytes_per_cycle as u64);
         ExtractionCost { aggregate, md_build, distribute }
     }
-
-    /// Extraction overhead of a task stream relative to its compute time:
-    /// the extra cycles extraction adds when compute takes
-    /// `compute_cycles` and extraction (pipelined) takes `extract_cycles`
-    /// per §4.2.3's second overlap level (task formation at level `j`
-    /// overlaps processing at level `j−1`).
-    pub fn exposed_cycles(&self, extract_pipelined: u64, compute_cycles: u64) -> u64 {
-        extract_pipelined.saturating_sub(compute_cycles)
-    }
 }
 
 #[cfg(test)]
@@ -173,12 +164,5 @@ mod tests {
         assert!(c.distribute > c.aggregate + c.md_build);
         assert_eq!(c.pipelined(), c.distribute);
         assert!(c.serialized() > c.pipelined());
-    }
-
-    #[test]
-    fn exposed_cycles_hidden_by_compute() {
-        let m = ExtractorModel::parallel();
-        assert_eq!(m.exposed_cycles(100, 5000), 0);
-        assert_eq!(m.exposed_cycles(5000, 100), 4900);
     }
 }

@@ -330,9 +330,8 @@ pub fn write_json_fields(out: &mut String, fields: &[(&str, JsonValue<'_>)]) {
 /// Render one event as a single-line JSON object.
 ///
 /// Every row carries an `"event"` key with the [`Event::kind`] tag plus
-/// the event's own fields; optional `extra` fields (e.g. a run label) are
-/// appended to every row.
-pub fn event_json(event: &Event<'_>, extra: &[(&str, JsonValue<'_>)]) -> String {
+/// the event's own fields.
+pub fn event_json(event: &Event<'_>) -> String {
     let mut fields: Vec<(&str, JsonValue<'_>)> = vec![("event", JsonValue::S(event.kind()))];
     match *event {
         Event::TilePlanned { task, grow_steps, rejected_grows, fallbacks, meta_words } => {
@@ -381,7 +380,6 @@ pub fn event_json(event: &Event<'_>, extra: &[(&str, JsonValue<'_>)]) -> String 
             fields.push(("completed_tasks", JsonValue::U(completed_tasks)));
         }
     }
-    fields.extend(extra.iter().cloned());
     let mut out = String::new();
     write_json_fields(&mut out, &fields);
     out
@@ -390,28 +388,18 @@ pub fn event_json(event: &Event<'_>, extra: &[(&str, JsonValue<'_>)]) -> String 
 /// Writes one JSON object per event, newline-delimited, to any writer.
 pub struct JsonlSink {
     writer: Mutex<Box<dyn std::io::Write + Send>>,
-    label: Option<String>,
 }
 
 impl fmt::Debug for JsonlSink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("JsonlSink").field("label", &self.label).finish_non_exhaustive()
+        f.debug_struct("JsonlSink").finish_non_exhaustive()
     }
 }
 
 impl JsonlSink {
     /// A sink writing to `writer`.
     pub fn new(writer: Box<dyn std::io::Write + Send>) -> JsonlSink {
-        JsonlSink { writer: Mutex::new(writer), label: None }
-    }
-
-    /// A sink that stamps every row with a `"run"` label (useful when
-    /// several variants append to one trace file).
-    pub fn with_label(
-        writer: Box<dyn std::io::Write + Send>,
-        label: impl Into<String>,
-    ) -> JsonlSink {
-        JsonlSink { writer: Mutex::new(writer), label: Some(label.into()) }
+        JsonlSink { writer: Mutex::new(writer) }
     }
 
     /// A sink appending to the file at `path`.
@@ -440,11 +428,7 @@ impl Drop for JsonlSink {
 
 impl EventSink for JsonlSink {
     fn record(&self, event: &Event<'_>) {
-        let extra: Vec<(&str, JsonValue<'_>)> = match &self.label {
-            Some(l) => vec![("run", JsonValue::S(l))],
-            None => Vec::new(),
-        };
-        let row = event_json(event, &extra);
+        let row = event_json(event);
         let mut w = self.writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let _ = writeln!(w, "{row}");
     }
@@ -670,14 +654,13 @@ mod tests {
 
     #[test]
     fn event_rows_carry_event_key_and_fields() {
-        let row = event_json(&Event::Fetch { tensor: "A", bytes: 10 }, &[]);
+        let row = event_json(&Event::Fetch { tensor: "A", bytes: 10 });
         assert_eq!(row, "{\"event\": \"fetch\", \"tensor\": \"A\", \"bytes\": 10}");
-        let labeled = event_json(
-            &Event::Phase { phase: "load", cycles: 0, bytes: 5 },
-            &[("run", JsonValue::S("x"))],
+        let phase = event_json(&Event::Phase { phase: "load", cycles: 0, bytes: 5 });
+        assert_eq!(
+            phase,
+            "{\"event\": \"phase\", \"phase\": \"load\", \"cycles\": 0, \"bytes\": 5}"
         );
-        assert!(labeled.starts_with("{\"event\": \"phase\""));
-        assert!(labeled.ends_with("\"run\": \"x\"}"));
     }
 
     #[test]
@@ -695,18 +678,17 @@ mod tests {
             }
         }
         let buf = StdArc::new(StdMutex::new(Vec::new()));
-        let sink = JsonlSink::with_label(Box::new(Shared(buf.clone())), "t");
+        let sink = JsonlSink::new(Box::new(Shared(buf.clone())));
         let p = Probe::new(Arc::new(sink));
         p.emit(|| Event::Spill { bytes: 7 });
         p.emit(|| Event::TaskEmitted { index: 3 });
         drop(p);
         let text = String::from_utf8(buf.lock().expect("lock").clone()).expect("utf8");
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for l in lines {
-            assert!(l.starts_with("{\"event\": \""));
-            assert!(l.ends_with("\"run\": \"t\"}"));
-        }
+        assert_eq!(
+            lines,
+            ["{\"event\": \"spill\", \"bytes\": 7}", "{\"event\": \"task_emitted\", \"index\": 3}"]
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! happens offline (outside the timed kernel), matching the paper's setup.
 
 use crate::spmspm::gustavson;
-use drt_tensor::{CsMatrix, DeltaBatch, MajorAxis};
+use drt_tensor::{CsMatrix, MajorAxis};
 
 /// One frontier expansion: `F' = bool(F · S)` (values forced to 1.0).
 ///
@@ -55,43 +55,6 @@ pub fn msbfs(f0: &CsMatrix, s: &CsMatrix, max_iters: usize) -> Vec<CsMatrix> {
     levels
 }
 
-/// MS-BFS with delta-maintained state — the first consumer of the
-/// `drt-tensor` delta layer. Where [`msbfs`] rebuilds `visited` and
-/// `frontier` from full entry lists every level, this variant patches
-/// them in place with [`DeltaBatch`]es: the visited set grows by a
-/// pure-insert batch (visited filtering guarantees no overlap), and the
-/// frontier advances by the [`DeltaBatch::diff`] between consecutive
-/// levels — the shape an incremental engine consumes to re-run only the
-/// tasks a level transition actually touched. Level-for-level identical
-/// to [`msbfs`] (pinned by test).
-pub fn msbfs_delta(f0: &CsMatrix, s: &CsMatrix, max_iters: usize) -> Vec<CsMatrix> {
-    let mut visited = f0.clone();
-    let mut frontier = f0.clone();
-    let mut levels = vec![f0.clone()];
-    for _ in 1..max_iters {
-        if frontier.nnz() == 0 {
-            break;
-        }
-        let expanded = frontier_step(&frontier, s);
-        let next = filter_visited(&expanded, &visited);
-        if next.nnz() == 0 {
-            break;
-        }
-        // visited ∪= next, as an in-place pure-insert delta.
-        let mut grow = DeltaBatch::new();
-        for (r, c, _) in next.iter() {
-            grow.upsert(r, c, 1.0);
-        }
-        visited.apply_delta(&grow);
-        // frontier → next, as the in-place diff between the two levels.
-        let step = DeltaBatch::diff(&frontier, &next);
-        frontier.apply_delta(&step);
-        debug_assert_eq!(frontier, next, "patched frontier must equal the rebuilt level");
-        levels.push(frontier.clone());
-    }
-    levels
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,18 +89,6 @@ mod tests {
         assert_eq!(levels.len(), w.frontiers.len());
         for (ours, theirs) in levels.iter().zip(&w.frontiers) {
             assert!(ours.logically_eq(theirs), "frontier level mismatch");
-        }
-    }
-
-    #[test]
-    fn delta_maintained_msbfs_matches_rebuilding_msbfs() {
-        let s = unstructured(64, 64, 512, 2.0, 3);
-        let w = msbfs::build(&s, 16, 12, 3);
-        let rebuilt = super::msbfs(&w.frontiers[0], &w.adjacency, 12);
-        let patched = msbfs_delta(&w.frontiers[0], &w.adjacency, 12);
-        assert_eq!(rebuilt.len(), patched.len());
-        for (lvl, (a, b)) in rebuilt.iter().zip(&patched).enumerate() {
-            assert!(a.logically_eq(b), "level {lvl}: delta-maintained frontier diverged");
         }
     }
 

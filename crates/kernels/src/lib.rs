@@ -12,12 +12,9 @@
 //! * [`gram`] — the higher-order Gram kernel `G_il = χ_ijk · χ_ljk`
 //!   (§5.1.2).
 //! * [`bfs`] — multi-source BFS frontier expansion via Boolean SpMSpM.
-//! * [`graph`] — graph analytics on top of SpMSpM: triangle counting,
-//!   Markov-clustering expansion, Jaccard similarity (the §1 motivating
-//!   applications).
 //! * [`spmm`] — the mixed sparse/dense kernels from ExTensor's menu
 //!   (SpMM and SDDMM, paper Table 2).
-//! * [`ttv`] — tensor-times-vector/matrix (Table 2's TTM/V).
+//! * [`ttv`] — tensor-times-vector (from Table 2's TTM/V).
 //! * [`mttkrp`] — matricized tensor times Khatri-Rao product (the §7
 //!   tensor-decomposition target).
 //! * [`sddmm`] — the fused SDDMM→SpMM "GNN attention" chain, with the
@@ -28,7 +25,6 @@
 
 pub mod bfs;
 pub mod gram;
-pub mod graph;
 pub mod mttkrp;
 pub mod sddmm;
 pub mod spmm;

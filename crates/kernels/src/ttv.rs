@@ -1,13 +1,8 @@
-//! Tensor-times-vector and tensor-times-matrix (paper Table 2 lists
-//! TTM/V among ExTensor's kernels).
-//!
-//! * [`ttv`] — contract a 3-tensor's last mode with a dense vector:
-//!   `Y_ij = Σ_k χ_ijk · v_k`.
-//! * [`ttm`] — contract the last mode with a dense matrix:
-//!   `Y_ijr = Σ_k χ_ijk · M_kr`, returned as the mode-(0,1) unfolding
-//!   `(i·J + j, r)` sparse matrix.
+//! Tensor-times-vector (paper Table 2 lists TTM/V among ExTensor's
+//! kernels): [`ttv`] contracts a 3-tensor's last mode with a dense vector,
+//! `Y_ij = Σ_k χ_ijk · v_k`.
 
-use drt_tensor::{CsMatrix, CsfTensor, DenseMatrix, MajorAxis};
+use drt_tensor::{CsMatrix, CsfTensor, MajorAxis};
 
 /// Tensor-times-vector over the last mode: `Y_ij = Σ_k χ_ijk v_k`.
 ///
@@ -26,31 +21,6 @@ pub fn ttv(x: &CsfTensor, v: &[f64]) -> CsMatrix {
     }
     let out = CsMatrix::from_entries(x.shape()[0], x.shape()[1], entries, MajorAxis::Row);
     // Contributions along k summed by construction; drop cancellations.
-    let nz: Vec<(u32, u32, f64)> = out.iter().filter(|&(_, _, v)| v != 0.0).collect();
-    CsMatrix::from_entries(out.nrows(), out.ncols(), nz, MajorAxis::Row)
-}
-
-/// Tensor-times-matrix over the last mode: `Y_ijr = Σ_k χ_ijk M_kr`,
-/// returned as the `(I·J) × R` unfolding.
-///
-/// # Panics
-///
-/// Panics when `x` is not a 3-tensor or `m.nrows() != x.shape()[2]`.
-pub fn ttm(x: &CsfTensor, m: &DenseMatrix) -> CsMatrix {
-    assert_eq!(x.ndim(), 3, "ttm expects a 3-tensor");
-    assert_eq!(m.nrows(), x.shape()[2], "matrix rows must match mode 2");
-    let j_dim = x.shape()[1];
-    let mut entries: Vec<(u32, u32, f64)> = Vec::new();
-    for (p, val) in x.iter_points() {
-        let row = p[0] * j_dim + p[1];
-        for r in 0..m.ncols() {
-            let w = m.get(p[2], r);
-            if w != 0.0 {
-                entries.push((row, r, val * w));
-            }
-        }
-    }
-    let out = CsMatrix::from_entries(x.shape()[0] * j_dim, m.ncols(), entries, MajorAxis::Row);
     let nz: Vec<(u32, u32, f64)> = out.iter().filter(|&(_, _, v)| v != 0.0).collect();
     CsMatrix::from_entries(out.nrows(), out.ncols(), nz, MajorAxis::Row)
 }
@@ -84,23 +54,6 @@ mod tests {
         let x = tensor();
         let y = ttv(&x, &[0.0; 4]);
         assert_eq!(y.nnz(), 0);
-    }
-
-    #[test]
-    fn ttm_matches_per_column_ttv() {
-        let x = tensor();
-        let mut m = DenseMatrix::zeros(4, 2);
-        m.set(0, 0, 1.0);
-        m.set(2, 0, 5.0);
-        m.set(3, 1, 7.0);
-        let y = ttm(&x, &m);
-        for r in 0..2 {
-            let col: Vec<f64> = (0..4).map(|k| m.get(k, r)).collect();
-            let yr = ttv(&x, &col);
-            for (i, j, v) in yr.iter() {
-                assert_eq!(y.get(i * 3 + j, r), v, "column {r} point ({i},{j})");
-            }
-        }
     }
 
     #[test]

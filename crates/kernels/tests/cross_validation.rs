@@ -61,28 +61,4 @@ proptest! {
         let oracle = gustavson(&m, &m.to_transposed().to_major(MajorAxis::Row)).z;
         prop_assert!(g.approx_eq(&oracle, 1e-9), "gram must equal M·M^T of the unfolding");
     }
-
-    #[test]
-    fn triangle_count_is_degree_bounded(edges in proptest::collection::vec((0u32..16, 0u32..16), 1..60)) {
-        let mut uniq: Vec<(u32, u32, f64)> = Vec::new();
-        for (u, v) in edges {
-            if u != v {
-                uniq.push((u, v, 1.0));
-                uniq.push((v, u, 1.0));
-            }
-        }
-        // Clamp duplicate edges back to weight 1.
-        let a0 = CsMatrix::from_entries(16, 16, uniq, MajorAxis::Row);
-        let ones: Vec<(u32, u32, f64)> = a0.iter().map(|(r, c, _)| (r, c, 1.0)).collect();
-        let a = CsMatrix::from_entries(16, 16, ones, MajorAxis::Row);
-        let (count, support) = drt_kernels::graph::triangle_count(&a);
-        // Each triangle contributes 6 support entries of weight ≥ 1.
-        let support_sum: f64 = support.values().iter().sum();
-        prop_assert_eq!(count, (support_sum / 6.0).round() as u64);
-        // Triangle count bounded by C(nnz/2, 3)-ish; cheap sanity: no
-        // triangles without at least 3 edges.
-        if a.nnz() < 6 {
-            prop_assert_eq!(count, 0);
-        }
-    }
 }

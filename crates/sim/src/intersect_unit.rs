@@ -10,8 +10,6 @@
 //! * **Serial-optimal** — an oracle that sustains one effectual MACC per
 //!   cycle per PE regardless of sparsity (visualizes potential).
 
-use drt_tensor::intersect::{IntersectCounts, IntersectResult};
-
 /// Which intersection unit a PE uses.
 ///
 /// # Example
@@ -37,35 +35,10 @@ pub enum IntersectUnit {
 }
 
 impl IntersectUnit {
-    /// Cycles to intersect one fiber pair, given the measured intersection
-    /// work (`advances`/`comparisons` from the skip-based reference walk)
-    /// and the number of matches.
-    pub fn cycles(&self, work: &IntersectResult) -> u64 {
-        let serial = (work.advances + work.comparisons).max(work.matches.len()) as u64;
-        match *self {
-            IntersectUnit::SkipBased => serial,
-            IntersectUnit::Parallel(p) => {
-                let p = p.max(1) as u64;
-                // Lanes divide the scanning work but every match still
-                // issues a MACC.
-                (serial.div_ceil(p)).max(work.matches.len() as u64)
-            }
-            IntersectUnit::SerialOptimal => work.matches.len() as u64,
-        }
-    }
-
-    /// Cycles from an allocation-free counting walk
-    /// ([`drt_tensor::intersect::two_finger_counts`] /
-    /// [`drt_tensor::intersect::gallop_counts`]) — identical numbers to
-    /// [`IntersectUnit::cycles`] on the materializing walk's result,
-    /// without ever building the match list.
-    pub fn cycles_counts(&self, work: &IntersectCounts) -> u64 {
-        self.cycles_from_counts(work.advances as u64 + work.comparisons as u64, work.matches as u64)
-    }
-
-    /// Cycles from pre-aggregated work counters (for models that sum
-    /// intersection work across many fiber pairs without keeping each
-    /// [`IntersectResult`]).
+    /// Cycles from aggregated work counters: `scan_steps` pointer advances
+    /// and comparisons, summed over any number of fiber pairs, producing
+    /// `matches` effectual MACCs. Lanes divide the scanning work, but every
+    /// match still issues a MACC.
     pub fn cycles_from_counts(&self, scan_steps: u64, matches: u64) -> u64 {
         let serial = scan_steps.max(matches);
         match *self {
@@ -88,50 +61,25 @@ impl IntersectUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drt_tensor::intersect::gallop;
 
     #[test]
     fn ordering_skip_ge_parallel_ge_optimal() {
-        let a: Vec<u32> = (0..1000).step_by(3).collect();
-        let b: Vec<u32> = (0..1000).step_by(5).collect();
-        let w = gallop(&a, &b);
-        let skip = IntersectUnit::SkipBased.cycles(&w);
-        let par = IntersectUnit::Parallel(8).cycles(&w);
-        let opt = IntersectUnit::SerialOptimal.cycles(&w);
-        assert!(skip >= par, "skip {skip} >= parallel {par}");
-        assert!(par >= opt, "parallel {par} >= optimal {opt}");
-        assert_eq!(opt, w.matches.len() as u64);
+        for (scan, matches) in [(0, 0), (1, 1), (1000, 80), (5000, 4999), (37, 100)] {
+            let skip = IntersectUnit::SkipBased.cycles_from_counts(scan, matches);
+            let par = IntersectUnit::Parallel(8).cycles_from_counts(scan, matches);
+            let opt = IntersectUnit::SerialOptimal.cycles_from_counts(scan, matches);
+            assert!(skip >= par, "skip {skip} >= parallel {par}");
+            assert!(par >= opt, "parallel {par} >= optimal {opt}");
+            assert_eq!(opt, matches);
+        }
     }
 
     #[test]
     fn parallel_never_beats_match_count() {
-        let a: Vec<u32> = (0..64).collect();
-        let w = gallop(&a, &a);
-        // Fully matching fibers: 64 MACCs minimum even with many lanes.
-        assert_eq!(IntersectUnit::Parallel(1024).cycles(&w), 64);
-    }
-
-    #[test]
-    fn counts_api_matches_result_api() {
-        let a: Vec<u32> = (0..200).step_by(2).collect();
-        let b: Vec<u32> = (0..200).step_by(7).collect();
-        let w = gallop(&a, &b);
-        let direct = IntersectUnit::SkipBased.cycles(&w);
-        let counted = IntersectUnit::SkipBased
-            .cycles_from_counts((w.advances + w.comparisons) as u64, w.matches.len() as u64);
-        assert_eq!(direct, counted);
-    }
-
-    #[test]
-    fn count_only_walk_gives_identical_cycles() {
-        let a: Vec<u32> = (0..300).step_by(2).collect();
-        let b: Vec<u32> = (0..300).step_by(3).collect();
-        let w = gallop(&a, &b);
-        let counts = drt_tensor::intersect::gallop_counts(&a, &b);
-        for unit in
-            [IntersectUnit::SkipBased, IntersectUnit::Parallel(8), IntersectUnit::SerialOptimal]
-        {
-            assert_eq!(unit.cycles(&w), unit.cycles_counts(&counts), "{}", unit.label());
+        // Fully matching 64-long fibers: 64 MACCs minimum even with many lanes.
+        assert_eq!(IntersectUnit::Parallel(1024).cycles_from_counts(128, 64), 64);
+        for lanes in [1, 2, 8, 1024] {
+            assert!(IntersectUnit::Parallel(lanes).cycles_from_counts(300, 90) >= 90);
         }
     }
 

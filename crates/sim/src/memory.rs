@@ -44,11 +44,6 @@ impl DramModel {
     pub fn seconds_for(&self, bytes: u64) -> f64 {
         self.effective_bytes(bytes) as f64 / self.bandwidth_bytes_per_sec
     }
-
-    /// Cycles at `clock_hz` to move `bytes`.
-    pub fn cycles_for(&self, bytes: u64, clock_hz: f64) -> u64 {
-        (self.seconds_for(bytes) * clock_hz).ceil() as u64
-    }
 }
 
 /// One on-chip buffer level.

@@ -80,11 +80,6 @@ impl CooMatrix {
         &self.entries
     }
 
-    /// Consumes the builder, returning the raw triplets.
-    pub fn into_entries(self) -> Vec<(Coord, Coord, Value)> {
-        self.entries
-    }
-
     /// Builds a COO matrix from an iterator of triplets, validating bounds.
     ///
     /// # Errors

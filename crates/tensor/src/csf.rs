@@ -125,24 +125,6 @@ impl CsfTensor {
         &self.vals
     }
 
-    /// Segment-array entry `idx` at level `l` (used by the fibertree view).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `l` or `idx` is out of range.
-    pub fn seg_at(&self, l: usize, idx: usize) -> usize {
-        self.segs[l][idx]
-    }
-
-    /// Coordinate at position `pos` of level `l`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `l` or `pos` is out of range.
-    pub fn coord_at(&self, l: usize, pos: usize) -> Coord {
-        self.coords[l][pos]
-    }
-
     /// Look up one element (zero when absent).
     ///
     /// # Panics
@@ -215,26 +197,6 @@ impl CsfTensor {
         }
         (lo..hi).map(|pos| self.count_box(level + 1, pos, ranges)).sum()
     }
-
-    /// Extract the sub-tensor covering `box_ranges`, rebased to the box's
-    /// base point.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `box_ranges.len() != self.ndim()`.
-    pub fn extract_box(&self, box_ranges: &[CoordRange]) -> CsfTensor {
-        assert_eq!(box_ranges.len(), self.ndim(), "one range per dimension");
-        let mut coo =
-            CooTensor::new(box_ranges.iter().map(|r| r.end.saturating_sub(r.start)).collect());
-        for (p, v) in self.iter_points() {
-            if p.iter().zip(box_ranges).all(|(&c, r)| r.contains(&c)) {
-                let rebased: Vec<Coord> =
-                    p.iter().zip(box_ranges).map(|(&c, r)| c - r.start).collect();
-                coo.push(&rebased, v).expect("rebased point in box shape");
-            }
-        }
-        CsfTensor::from_coo(coo)
-    }
 }
 
 #[cfg(test)]
@@ -293,16 +255,6 @@ mod tests {
         assert_eq!(t.nnz_in_box(&[0..1, 0..1, 2..5]), 1);
         assert_eq!(t.nnz_in_box(&[2..3, 1..2, 1..3]), 2);
         assert_eq!(t.nnz_in_box(&[1..2, 0..3, 0..5]), 0);
-    }
-
-    #[test]
-    fn extract_box_rebases() {
-        let t = sample();
-        let sub = t.extract_box(&[2..3, 1..2, 1..3]);
-        assert_eq!(sub.shape(), &[1, 1, 2]);
-        assert_eq!(sub.nnz(), 2);
-        assert_eq!(sub.get(&[0, 0, 0]), 5.0);
-        assert_eq!(sub.get(&[0, 0, 1]), 6.0);
     }
 
     #[test]

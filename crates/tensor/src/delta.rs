@@ -163,22 +163,6 @@ impl DeltaBatch {
         }
         out
     }
-
-    /// The distinct major indices (rows for a CSR target) this batch
-    /// touches, ascending. These are the *dirty fibers* an apply rewrites.
-    pub fn dirty_majors(&self, major: MajorAxis) -> Vec<Coord> {
-        let mut v: Vec<Coord> = self
-            .ops
-            .iter()
-            .map(|&(r, c, _)| match major {
-                MajorAxis::Row => r,
-                MajorAxis::Col => c,
-            })
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -227,13 +211,5 @@ mod tests {
         // Only genuinely changed coordinates are recorded.
         let norm = d.normalized(MajorAxis::Row);
         assert_eq!(norm, vec![(0, 3, None), (2, 0, Some(-3.0)), (4, 4, Some(9.0)), (5, 2, None)]);
-    }
-
-    #[test]
-    fn dirty_majors_are_sorted_unique() {
-        let mut d = DeltaBatch::new();
-        d.upsert(4, 0, 1.0).delete(1, 2).upsert(4, 3, 2.0);
-        assert_eq!(d.dirty_majors(MajorAxis::Row), vec![1, 4]);
-        assert_eq!(d.dirty_majors(MajorAxis::Col), vec![0, 2, 3]);
     }
 }

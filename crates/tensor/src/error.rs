@@ -4,7 +4,7 @@ use std::fmt;
 /// Error type for fallible tensor operations.
 ///
 /// Covers construction-time validation (out-of-bounds points, rank
-/// mismatches) and format parsing. All variants carry enough context to
+/// mismatches) and matrix-text parsing. All variants carry enough context to
 /// diagnose the offending call without a debugger.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -29,11 +29,6 @@ pub enum TensorError {
         /// Human-readable description of the incompatibility.
         detail: String,
     },
-    /// A `T-[uc]+` format string could not be parsed.
-    ParseFormat {
-        /// The rejected input.
-        input: String,
-    },
     /// A matrix-market-style text payload could not be parsed.
     ParseMatrix {
         /// 1-based line number of the failure.
@@ -54,9 +49,6 @@ impl fmt::Display for TensorError {
             }
             TensorError::ShapeMismatch { detail } => {
                 write!(f, "incompatible operand shapes: {detail}")
-            }
-            TensorError::ParseFormat { input } => {
-                write!(f, "invalid T-[uc]+ format string {input:?}")
             }
             TensorError::ParseMatrix { line, detail } => {
                 write!(f, "invalid matrix text at line {line}: {detail}")

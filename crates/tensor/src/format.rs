@@ -1,123 +1,13 @@
-//! `T-[uc]+` format descriptors and footprint accounting.
+//! Footprint accounting for `T-[uc]+` formats.
 //!
 //! The paper (Section 2.2) classifies compressed representations by whether
-//! each dimension is **U**ncompressed or **C**ompressed: CSR is `T-UC`, a
-//! doubly compressed matrix is `T-CC`, a two-level-tiled CSR is `T-??UC`,
-//! and so on. All DRAM-traffic accounting in the simulators is expressed in
+//! each dimension is **U**ncompressed or **C**ompressed: CSR is `T-UC`, CSF
+//! is all-compressed, and so on. All DRAM-traffic accounting in the simulators is expressed in
 //! bytes of *footprint* — metadata plus data for a tensor in a given
 //! representation — so this module is the single source of truth for byte
 //! counts.
 
-use crate::{CsMatrix, CsfTensor, TensorError};
-use std::fmt;
-use std::str::FromStr;
-
-/// Whether one tensor dimension is stored Uncompressed or Compressed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DimFormat {
-    /// Uncompressed: a dense pointer/offset per coordinate in the dimension.
-    U,
-    /// Compressed: coordinate-payload lists (segment + coordinate arrays).
-    C,
-}
-
-/// A `T-[uc]+` format descriptor: one [`DimFormat`] per tensor dimension,
-/// outermost first.
-///
-/// # Example
-///
-/// ```rust
-/// use drt_tensor::format::{DimFormat, FormatDescriptor};
-///
-/// let csr: FormatDescriptor = "T-UC".parse()?;
-/// assert_eq!(csr.dims(), &[DimFormat::U, DimFormat::C]);
-/// assert_eq!(csr.to_string(), "T-UC");
-/// # Ok::<(), drt_tensor::TensorError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct FormatDescriptor {
-    dims: Vec<DimFormat>,
-}
-
-impl FormatDescriptor {
-    /// Construct from an explicit per-dimension list.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `dims` is empty.
-    pub fn new(dims: Vec<DimFormat>) -> FormatDescriptor {
-        assert!(!dims.is_empty(), "format needs at least one dimension");
-        FormatDescriptor { dims }
-    }
-
-    /// CSR/CSC: uncompressed major over compressed minor.
-    pub fn uc() -> FormatDescriptor {
-        FormatDescriptor::new(vec![DimFormat::U, DimFormat::C])
-    }
-
-    /// Doubly compressed matrix (e.g. DCSR).
-    pub fn cc() -> FormatDescriptor {
-        FormatDescriptor::new(vec![DimFormat::C, DimFormat::C])
-    }
-
-    /// Fully compressed N-dimensional CSF.
-    pub fn csf(ndim: usize) -> FormatDescriptor {
-        FormatDescriptor::new(vec![DimFormat::C; ndim])
-    }
-
-    /// The per-dimension formats, outermost first.
-    pub fn dims(&self) -> &[DimFormat] {
-        &self.dims
-    }
-
-    /// Number of dimensions described.
-    pub fn ndim(&self) -> usize {
-        self.dims.len()
-    }
-
-    /// Prepend tiling dimensions (paper §2.3: tiling a CSR matrix 2-D gives
-    /// `T-??UC` — two new outer dimensions).
-    pub fn tiled(&self, outer: &[DimFormat]) -> FormatDescriptor {
-        let mut dims = outer.to_vec();
-        dims.extend_from_slice(&self.dims);
-        FormatDescriptor::new(dims)
-    }
-}
-
-impl fmt::Display for FormatDescriptor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "T-")?;
-        for d in &self.dims {
-            match d {
-                DimFormat::U => write!(f, "U")?,
-                DimFormat::C => write!(f, "C")?,
-            }
-        }
-        Ok(())
-    }
-}
-
-impl FromStr for FormatDescriptor {
-    type Err = TensorError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let body = s
-            .strip_prefix("T-")
-            .ok_or_else(|| TensorError::ParseFormat { input: s.to_string() })?;
-        if body.is_empty() {
-            return Err(TensorError::ParseFormat { input: s.to_string() });
-        }
-        let dims = body
-            .chars()
-            .map(|c| match c {
-                'U' | 'u' => Ok(DimFormat::U),
-                'C' | 'c' => Ok(DimFormat::C),
-                _ => Err(TensorError::ParseFormat { input: s.to_string() }),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(FormatDescriptor::new(dims))
-    }
-}
+use crate::{CsMatrix, CsfTensor};
 
 /// Word sizes used to convert element counts into bytes.
 ///
@@ -148,16 +38,6 @@ impl SizeModel {
             + m.nnz() * self.value_bytes
     }
 
-    /// Footprint in bytes of a matrix stored doubly compressed (`T-CC`):
-    /// only occupied fibers contribute metadata. `occupied_fibers` is the
-    /// number of non-empty major fibers.
-    pub fn cc_matrix_bytes(&self, nnz: usize, occupied_fibers: usize) -> usize {
-        // Root fiber: one coordinate + one segment entry per occupied fiber.
-        (occupied_fibers + 1) * self.seg_bytes
-            + occupied_fibers * self.coord_bytes
-            + nnz * (self.coord_bytes + self.value_bytes)
-    }
-
     /// Footprint in bytes of a CSF tensor (all-compressed levels).
     pub fn csf_bytes(&self, t: &CsfTensor) -> usize {
         let mut bytes = 0;
@@ -185,44 +65,12 @@ mod tests {
     use crate::{CooMatrix, MajorAxis};
 
     #[test]
-    fn parse_and_display_roundtrip() {
-        for s in ["T-UC", "T-CC", "T-UUUC", "T-CUCU"] {
-            let d: FormatDescriptor = s.parse().expect("valid");
-            assert_eq!(d.to_string(), s);
-        }
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!("UC".parse::<FormatDescriptor>().is_err());
-        assert!("T-".parse::<FormatDescriptor>().is_err());
-        assert!("T-UX".parse::<FormatDescriptor>().is_err());
-    }
-
-    #[test]
-    fn tiled_prepends_outer_dims() {
-        let csr = FormatDescriptor::uc();
-        let tiled = csr.tiled(&[DimFormat::C, DimFormat::C]);
-        assert_eq!(tiled.to_string(), "T-CCUC");
-        assert_eq!(tiled.ndim(), 4);
-    }
-
-    #[test]
     fn cs_matrix_footprint_counts_all_arrays() {
         let coo = CooMatrix::from_triplets(4, 4, vec![(0, 1, 1.0), (2, 3, 2.0)]).expect("ok");
         let m = CsMatrix::from_coo(&coo, MajorAxis::Row);
         let sm = SizeModel::default();
         // seg: 5 * 4 = 20; coords: 2 * 4 = 8; vals: 2 * 8 = 16.
         assert_eq!(sm.cs_matrix_bytes(&m), 20 + 8 + 16);
-    }
-
-    #[test]
-    fn cc_footprint_smaller_for_hypersparse() {
-        let sm = SizeModel::default();
-        // 10 nnz spread over 2 occupied fibers of a 1000-row matrix:
-        // T-CC avoids the 1001-entry segment array.
-        let cc = sm.cc_matrix_bytes(10, 2);
-        assert!(cc < (1000 + 1) * sm.seg_bytes + 10 * (sm.coord_bytes + sm.value_bytes));
     }
 
     #[test]

@@ -2,296 +2,34 @@
 //! tensor algebra (paper §2.1: effectual computation requires intersecting
 //! the non-zero coordinates of co-iterated fibers).
 //!
-//! Two algorithms are provided, both over sorted coordinate slices:
-//!
-//! * [`two_finger`] — the classic merge-style scan; cost is linear in the
-//!   sum of fiber lengths.
-//! * [`gallop`] — skip-based intersection (ExTensor's intersection unit is
-//!   skip-based): the shorter fiber leads and the longer fiber is advanced
-//!   by doubling searches, so highly mismatched fibers cost
-//!   `O(short · log long)`.
-//!
-//! Every function returns an [`IntersectResult`] carrying exact work
-//! counters (element advances and comparisons). The accelerator models in
-//! `drt-sim` convert these into cycles for the paper's three intersection
-//! units (serial skip-based, parallel-P, serial-optimal — Figure 12).
-//!
-//! Paths that only need the counters — cycle models, scan-volume
-//! accounting — should use the allocation-free variants
-//! [`two_finger_counts`] / [`gallop_counts`] (identical counters, no
-//! match list) or [`match_count`] (just the match tally, branchless).
+//! [`sparse_dot`] is the scalar kernel of inner-product SpMSpM: a
+//! two-finger (merge) walk over two sorted coordinate slices that
+//! multiplies and sums the matching values. The accelerator models never
+//! walk coordinates to cost an intersection; `drt-sim`'s `IntersectUnit`
+//! prices one from its fiber lengths and match count in closed form.
 
 use crate::Coord;
-
-/// Outcome of intersecting two sorted coordinate lists.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IntersectResult {
-    /// Matching coordinates with their positions in each input:
-    /// `(coord, pos_a, pos_b)`.
-    pub matches: Vec<(Coord, usize, usize)>,
-    /// Total pointer advances performed (serial skip-based work).
-    pub advances: usize,
-    /// Total coordinate comparisons performed.
-    pub comparisons: usize,
-}
-
-impl IntersectResult {
-    /// Number of matching coordinates (effectual co-iteration points).
-    pub fn len(&self) -> usize {
-        self.matches.len()
-    }
-
-    /// Whether no coordinates matched.
-    pub fn is_empty(&self) -> bool {
-        self.matches.is_empty()
-    }
-
-    /// This result's work counters without the match list.
-    pub fn counts(&self) -> IntersectCounts {
-        IntersectCounts {
-            matches: self.matches.len(),
-            advances: self.advances,
-            comparisons: self.comparisons,
-        }
-    }
-}
-
-/// Count-only outcome of intersecting two sorted coordinate lists: the
-/// same work counters as [`IntersectResult`] with the match list replaced
-/// by its length. Produced by [`two_finger_counts`] / [`gallop_counts`]
-/// for paths — cycle models, scan-volume accounting — that never consume
-/// individual matches and should not pay to materialize them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IntersectCounts {
-    /// Number of matching coordinates (effectual co-iteration points).
-    pub matches: usize,
-    /// Total pointer advances performed (serial skip-based work).
-    pub advances: usize,
-    /// Total coordinate comparisons performed.
-    pub comparisons: usize,
-}
-
-/// Where an intersection walk sends its matches. Inlined away for the
-/// count-only sink, so one walk implementation serves both the
-/// materializing and the counting entry points with identical counters.
-trait MatchSink {
-    fn push(&mut self, coord: Coord, pos_a: usize, pos_b: usize);
-}
-
-/// Collects matches into an [`IntersectResult`]'s vector.
-struct Collect(Vec<(Coord, usize, usize)>);
-
-impl MatchSink for Collect {
-    #[inline]
-    fn push(&mut self, coord: Coord, pos_a: usize, pos_b: usize) {
-        self.0.push((coord, pos_a, pos_b));
-    }
-}
-
-/// Discards matches (their count is tracked by the walk itself).
-struct Discard;
-
-impl MatchSink for Discard {
-    #[inline]
-    fn push(&mut self, _coord: Coord, _pos_a: usize, _pos_b: usize) {}
-}
-
-/// Two-finger (merge) intersection of two sorted coordinate slices.
-///
-/// # Example
-///
-/// ```rust
-/// use drt_tensor::intersect::two_finger;
-///
-/// let r = two_finger(&[1, 3, 5, 7], &[2, 3, 4, 7, 9]);
-/// let coords: Vec<u32> = r.matches.iter().map(|m| m.0).collect();
-/// assert_eq!(coords, vec![3, 7]);
-/// ```
-pub fn two_finger(a: &[Coord], b: &[Coord]) -> IntersectResult {
-    let mut sink = Collect(Vec::new());
-    let counts = two_finger_walk(a, b, &mut sink);
-    IntersectResult { matches: sink.0, advances: counts.advances, comparisons: counts.comparisons }
-}
-
-/// [`two_finger`] without materializing the match list: identical
-/// `matches`/`advances`/`comparisons` counters (one shared walk serves
-/// both entry points), no allocation. The branchless merge loop is the
-/// chunk-friendly scan shape that autovectorizes where the branchy
-/// three-way compare cannot.
-pub fn two_finger_counts(a: &[Coord], b: &[Coord]) -> IntersectCounts {
-    if a.is_empty() || b.is_empty() {
-        return IntersectCounts::default();
-    }
-    // Branchless reformulation of the two-finger walk. Per iteration the
-    // reference walk does one comparison and advances i, j, or both (on a
-    // match), so: comparisons == iterations, advances == i+j consumed,
-    // matches == iterations where both moved. Tracking only the three
-    // tallies keeps the loop free of unpredictable branches and of any
-    // stores to a match vector.
-    let (mut i, mut j) = (0usize, 0usize);
-    let (mut matches, mut comparisons) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i], b[j]);
-        comparisons += 1;
-        matches += usize::from(x == y);
-        i += usize::from(x <= y);
-        j += usize::from(y <= x);
-    }
-    IntersectCounts { matches, advances: i + j, comparisons }
-}
-
-/// The reference two-finger walk, parameterized over what happens to each
-/// match. Returns the work counters; the sink sees every match in order.
-#[inline]
-fn two_finger_walk<S: MatchSink>(a: &[Coord], b: &[Coord], sink: &mut S) -> IntersectCounts {
-    let mut out = IntersectCounts::default();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        out.comparisons += 1;
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Equal => {
-                sink.push(a[i], i, j);
-                out.matches += 1;
-                i += 1;
-                j += 1;
-                out.advances += 2;
-            }
-            std::cmp::Ordering::Less => {
-                i += 1;
-                out.advances += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                j += 1;
-                out.advances += 1;
-            }
-        }
-    }
-    out
-}
-
-/// Count only the matching coordinates of two sorted slices — the
-/// effectual co-iteration points — with no work-counter bookkeeping at
-/// all. The cheapest intersection query; use it when neither the matches
-/// nor the scan-work counters are needed.
-pub fn match_count(a: &[Coord], b: &[Coord]) -> usize {
-    let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i], b[j]);
-        n += usize::from(x == y);
-        i += usize::from(x <= y);
-        j += usize::from(y <= x);
-    }
-    n
-}
-
-/// Skip-based (galloping) intersection: the shorter list leads, the longer
-/// is advanced with doubling searches.
-///
-/// Produces the same matches as [`two_finger`] but with work proportional to
-/// `short · log(long)`, modelling ExTensor's skip-based intersection unit.
-pub fn gallop(a: &[Coord], b: &[Coord]) -> IntersectResult {
-    let mut sink = Collect(Vec::new());
-    // Keep the match positions oriented (a, b) even when b leads.
-    let counts = if a.len() <= b.len() {
-        gallop_walk(a, b, false, &mut sink)
-    } else {
-        gallop_walk(b, a, true, &mut sink)
-    };
-    IntersectResult { matches: sink.0, advances: counts.advances, comparisons: counts.comparisons }
-}
-
-/// [`gallop`] without materializing the match list: identical counters
-/// (the same walk runs with a discarding sink), no allocation.
-pub fn gallop_counts(a: &[Coord], b: &[Coord]) -> IntersectCounts {
-    if a.len() <= b.len() {
-        gallop_walk(a, b, false, &mut Discard)
-    } else {
-        gallop_walk(b, a, true, &mut Discard)
-    }
-}
-
-/// The skip-based reference walk, parameterized over what happens to each
-/// match (inlined away for [`gallop_counts`]).
-#[inline]
-fn gallop_walk<S: MatchSink>(
-    short: &[Coord],
-    long: &[Coord],
-    swapped: bool,
-    sink: &mut S,
-) -> IntersectCounts {
-    let mut out = IntersectCounts::default();
-    let mut base = 0usize;
-    for (si, &c) in short.iter().enumerate() {
-        out.advances += 1;
-        // Doubling search for the first position in `long[base..]` with
-        // coordinate >= c.
-        let mut step = 1usize;
-        let mut lo = base;
-        while lo + step < long.len() && long[lo + step] < c {
-            out.comparisons += 1;
-            lo += step;
-            step *= 2;
-        }
-        let hi = (lo + step + 1).min(long.len());
-        let slice = &long[lo..hi];
-        let off = slice.partition_point(|&x| x < c);
-        out.comparisons += (slice.len().max(1)).ilog2() as usize + 1;
-        let pos = lo + off;
-        base = pos;
-        if pos < long.len() && long[pos] == c {
-            out.comparisons += 1;
-            let (pa, pb) = if swapped { (pos, si) } else { (si, pos) };
-            sink.push(c, pa, pb);
-            out.matches += 1;
-            base = pos + 1;
-        }
-        if base >= long.len() {
-            // Remaining short coordinates cannot match; the leader still
-            // advances through them in a serial unit, but a skip unit stops.
-            break;
-        }
-    }
-    out
-}
-
-/// Intersect two fibers and combine matching values with `f`, returning the
-/// combined `(coord, f(va, vb))` pairs. This is the "intersect then MACC"
-/// inner loop of inner-product SpMSpM.
-///
-/// # Panics
-///
-/// Panics when either fiber's coordinate and value slices differ in length.
-pub fn intersect_values<F>(
-    a_coords: &[Coord],
-    a_vals: &[f64],
-    b_coords: &[Coord],
-    b_vals: &[f64],
-    mut f: F,
-) -> Vec<(Coord, f64)>
-where
-    F: FnMut(f64, f64) -> f64,
-{
-    assert_eq!(a_coords.len(), a_vals.len(), "fiber a: parallel arrays");
-    assert_eq!(b_coords.len(), b_vals.len(), "fiber b: parallel arrays");
-    two_finger(a_coords, b_coords)
-        .matches
-        .into_iter()
-        .map(|(c, pa, pb)| (c, f(a_vals[pa], b_vals[pb])))
-        .collect()
-}
 
 /// Dot product of two sparse fibers (sum over the coordinate intersection),
 /// plus the number of effectual multiplies. The scalar kernel of
 /// inner-product SpMSpM.
 ///
-/// Accumulates directly during the two-finger walk — no intermediate
-/// match list — in the same left-to-right order as summing
-/// [`intersect_values`] pairs, so results are bit-identical to the
-/// materializing formulation.
+/// Accumulates during one two-finger walk, with no intermediate match
+/// list, summing the products in increasing coordinate order (`a`'s
+/// order).
 ///
 /// # Panics
 ///
 /// Panics when either fiber's coordinate and value slices differ in length.
+///
+/// # Example
+///
+/// ```rust
+/// use drt_tensor::intersect::sparse_dot;
+///
+/// let (dot, n) = sparse_dot(&[1, 3, 5, 7], &[1.0, 2.0, 3.0, 4.0], &[2, 3, 7], &[9.0, 10.0, 0.5]);
+/// assert_eq!((dot, n), (22.0, 2));
+/// ```
 pub fn sparse_dot(
     a_coords: &[Coord],
     a_vals: &[f64],
@@ -300,82 +38,45 @@ pub fn sparse_dot(
 ) -> (f64, usize) {
     assert_eq!(a_coords.len(), a_vals.len(), "fiber a: parallel arrays");
     assert_eq!(b_coords.len(), b_vals.len(), "fiber b: parallel arrays");
-    struct Dot<'v> {
-        a_vals: &'v [f64],
-        b_vals: &'v [f64],
-        sum: f64,
-    }
-    impl MatchSink for Dot<'_> {
-        #[inline]
-        fn push(&mut self, _coord: Coord, pa: usize, pb: usize) {
-            self.sum += self.a_vals[pa] * self.b_vals[pb];
+    let (mut i, mut j) = (0usize, 0usize);
+    let (mut sum, mut matches) = (0.0, 0usize);
+    while i < a_coords.len() && j < b_coords.len() {
+        match a_coords[i].cmp(&b_coords[j]) {
+            std::cmp::Ordering::Equal => {
+                sum += a_vals[i] * b_vals[j];
+                matches += 1;
+                i += 1;
+                j += 1;
+            }
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
         }
     }
-    let mut sink = Dot { a_vals, b_vals, sum: 0.0 };
-    let counts = two_finger_walk(a_coords, b_coords, &mut sink);
-    (sink.sum, counts.matches)
+    (sum, matches)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn coords(r: &IntersectResult) -> Vec<Coord> {
-        r.matches.iter().map(|m| m.0).collect()
-    }
-
     #[test]
     fn two_finger_basic() {
-        let r = two_finger(&[0, 2, 4, 6], &[1, 2, 3, 6]);
-        assert_eq!(coords(&r), vec![2, 6]);
-        assert!(r.advances > 0);
+        let (v, n) = sparse_dot(&[0, 2, 4, 6], &[1.0; 4], &[1, 2, 3, 6], &[10.0, 20.0, 30.0, 40.0]);
+        assert_eq!((v, n), (60.0, 2));
     }
 
     #[test]
     fn two_finger_disjoint_and_empty() {
-        assert!(two_finger(&[1, 3], &[2, 4]).is_empty());
-        assert!(two_finger(&[], &[1, 2]).is_empty());
-        assert_eq!(two_finger(&[], &[1, 2]).advances, 0);
+        assert_eq!(sparse_dot(&[1, 3], &[1.0, 1.0], &[2, 4], &[1.0, 1.0]), (0.0, 0));
+        assert_eq!(sparse_dot(&[], &[], &[1, 2], &[1.0, 1.0]), (0.0, 0));
+        assert_eq!(sparse_dot(&[1, 2], &[1.0, 1.0], &[], &[]), (0.0, 0));
     }
 
     #[test]
-    fn gallop_matches_two_finger() {
-        let a: Vec<Coord> = (0..200).step_by(3).collect();
-        let b: Vec<Coord> = (0..200).step_by(7).collect();
-        assert_eq!(coords(&gallop(&a, &b)), coords(&two_finger(&a, &b)));
-    }
-
-    #[test]
-    fn gallop_matches_when_first_is_longer() {
-        let a: Vec<Coord> = (0..500).collect();
-        let b: Vec<Coord> = vec![3, 250, 499];
-        let g = gallop(&a, &b);
-        assert_eq!(coords(&g), vec![3, 250, 499]);
-        // Positions stay oriented (a, b).
-        assert_eq!(g.matches[0], (3, 3, 0));
-        assert_eq!(g.matches[2], (499, 499, 2));
-    }
-
-    #[test]
-    fn gallop_cheaper_on_skewed_inputs() {
-        let a: Vec<Coord> = (0..10_000).collect();
-        let b: Vec<Coord> = vec![9_999];
-        let g = gallop(&a, &b);
-        let t = two_finger(&a, &b);
-        assert_eq!(coords(&g), coords(&t));
-        assert!(
-            g.comparisons + g.advances < (t.comparisons + t.advances) / 10,
-            "gallop should skip most of the long fiber ({} vs {})",
-            g.comparisons + g.advances,
-            t.comparisons + t.advances
-        );
-    }
-
-    #[test]
-    fn intersect_values_multiplies_matches() {
-        let got =
-            intersect_values(&[1, 2, 5], &[1.0, 2.0, 3.0], &[2, 5], &[10.0, 100.0], |a, b| a * b);
-        assert_eq!(got, vec![(2, 20.0), (5, 300.0)]);
+    fn identical_fibers_fully_match() {
+        let a: Vec<Coord> = (0..50).collect();
+        let ones = vec![1.0; 50];
+        assert_eq!(sparse_dot(&a, &ones, &a, &ones), (50.0, 50));
     }
 
     #[test]
@@ -386,53 +87,19 @@ mod tests {
     }
 
     #[test]
-    fn identical_fibers_fully_match() {
-        let a: Vec<Coord> = (0..50).collect();
-        let r = gallop(&a, &a);
-        assert_eq!(r.len(), 50);
-    }
-
-    fn count_cases() -> Vec<(Vec<Coord>, Vec<Coord>)> {
-        vec![
-            (vec![], vec![]),
-            (vec![], vec![1, 2, 3]),
-            (vec![5], vec![5]),
-            (vec![0, 2, 4, 6], vec![1, 2, 3, 6]),
-            ((0..200).step_by(3).collect(), (0..200).step_by(7).collect()),
-            ((0..500).collect(), vec![3, 250, 499]),
-            (vec![3, 250, 499], (0..500).collect()),
-            ((0..64).collect(), (0..64).collect()),
-            ((0..10_000).collect(), vec![9_999]),
-        ]
-    }
-
-    #[test]
-    fn two_finger_counts_agree_with_reference() {
-        for (a, b) in count_cases() {
-            let full = two_finger(&a, &b);
-            assert_eq!(two_finger_counts(&a, &b), full.counts(), "a={a:?} b={b:?}");
-            assert_eq!(match_count(&a, &b), full.len(), "a={a:?} b={b:?}");
-        }
-    }
-
-    #[test]
-    fn gallop_counts_agree_with_reference() {
-        for (a, b) in count_cases() {
-            let full = gallop(&a, &b);
-            assert_eq!(gallop_counts(&a, &b), full.counts(), "a={a:?} b={b:?}");
-        }
-    }
-
-    #[test]
     fn sparse_dot_matches_materializing_formulation() {
         let a_c: Vec<Coord> = (0..300).step_by(3).collect();
         let a_v: Vec<f64> = a_c.iter().map(|&c| c as f64 * 0.5 - 20.0).collect();
         let b_c: Vec<Coord> = (0..300).step_by(4).collect();
         let b_v: Vec<f64> = b_c.iter().map(|&c| 1.0 / (c as f64 + 1.0)).collect();
-        let pairs = intersect_values(&a_c, &a_v, &b_c, &b_v, |x, y| x * y);
-        let reference: f64 = pairs.iter().map(|&(_, v)| v).sum();
+        let products: Vec<f64> = a_c
+            .iter()
+            .zip(&a_v)
+            .filter_map(|(c, &x)| b_c.binary_search(c).ok().map(|pb| x * b_v[pb]))
+            .collect();
+        let reference: f64 = products.iter().sum();
         let (dot, n) = sparse_dot(&a_c, &a_v, &b_c, &b_v);
         assert_eq!(dot.to_bits(), reference.to_bits(), "same accumulation order, same bits");
-        assert_eq!(n, pairs.len());
+        assert_eq!(n, products.len());
     }
 }

@@ -11,27 +11,14 @@
 //!   family's two-dimensional workhorse.
 //! * [`CsfTensor`] — compressed sparse fiber for N-dimensional tensors
 //!   (the representation TACO and ExTensor traverse).
-//! * [`dcsr`] — doubly compressed (`T-CC`) matrices whose empty rows cost
-//!   nothing, the fix the paper prescribes for hypersparse metadata
-//!   overhead (§6.3).
-//! * [`fibertree`] — the format-agnostic fibertree view used throughout the
-//!   paper's exposition (Figure 2c): a tensor is a tree of coordinate/payload
-//!   lists, and each list is a *fiber*.
-//! * [`mod@format`] — `T-[uc]+` format descriptors and footprint accounting
-//!   (bytes of metadata + data), used for all DRAM-traffic bookkeeping.
+//! * [`mod@format`] — `SizeModel`, the footprint accounting (bytes of
+//!   metadata + data) used for all DRAM-traffic bookkeeping.
 //! * [`CsView`] — borrowed, origin-rebased rectangle views over a
 //!   [`CsMatrix`] (the zero-copy counterpart of
 //!   [`CsMatrix::extract_rect`]), which the engine's per-task compute
 //!   path co-iterates without materializing tiles.
-//! * [`intersect`] — coordinate-intersection algorithms (two-finger and
-//!   galloping/skip-based) with exact work counters, which the accelerator
-//!   models turn into intersection-unit cycle counts. Count-only variants
-//!   ([`intersect::two_finger_counts`], [`intersect::gallop_counts`],
-//!   [`intersect::match_count`]) serve paths that never consume the match
-//!   list.
-//! * [`ops`] — elementwise/structural operations (union add, Hadamard,
-//!   pattern masks, triangular filters) that sparse pipelines compose
-//!   around contractions.
+//! * [`intersect`] — [`intersect::sparse_dot`], the two-finger
+//!   coordinate intersection that inner-product SpMSpM multiplies along.
 //! * [`stats`] — sparsity statistics (density, row-variation coefficient)
 //!   used to order workloads in the paper's figures.
 //!
@@ -65,12 +52,9 @@ mod dense;
 mod error;
 mod view;
 
-pub mod dcsr;
-pub mod fibertree;
 pub mod format;
 pub mod intersect;
 pub mod mtx;
-pub mod ops;
 pub mod stats;
 
 pub use coo::{CooMatrix, CooTensor};

@@ -1,9 +1,8 @@
 //! Property-based tests for the sparse tensor substrate.
 
-use drt_tensor::fibertree::{flatten, FiberTree};
 use drt_tensor::format::SizeModel;
-use drt_tensor::intersect::{gallop, two_finger};
-use drt_tensor::{CooMatrix, CooTensor, CsMatrix, CsfTensor, DenseMatrix, MajorAxis};
+use drt_tensor::intersect::sparse_dot;
+use drt_tensor::{CooMatrix, CooTensor, CsMatrix, CsfTensor, MajorAxis};
 use proptest::prelude::*;
 
 /// Strategy: a random sparse matrix up to `max_dim` square with up to
@@ -20,6 +19,15 @@ fn arb_matrix(
 
 fn arb_sorted_coords(max: u32, len: usize) -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::btree_set(0..max, 0..len).prop_map(|s| s.into_iter().collect())
+}
+
+/// Strategy: one sparse fiber, sorted unique coordinates below `max` with a
+/// value per coordinate.
+fn arb_fiber(max: u32, len: usize) -> impl Strategy<Value = (Vec<u32>, Vec<f64>)> {
+    arb_sorted_coords(max, len).prop_flat_map(|coords| {
+        let n = coords.len();
+        (Just(coords), proptest::collection::vec(-10.0..10.0f64, n..n + 1))
+    })
 }
 
 proptest! {
@@ -86,76 +94,23 @@ proptest! {
         prop_assert!(m.approx_eq(&tt, 0.0));
     }
 
+    // The dot product against a brute-force definition: every coordinate
+    // of `a` found in `b` by binary search, products summed from +0.0 in
+    // `a`'s order.
     #[test]
-    fn gallop_equals_two_finger(a in arb_sorted_coords(300, 60), b in arb_sorted_coords(300, 60)) {
-        let g = gallop(&a, &b);
-        let t = two_finger(&a, &b);
-        prop_assert_eq!(g.matches, t.matches);
-    }
-
-    // Deliberately skewed lengths so `gallop`'s leader-swap branch
-    // (`a.len() > b.len()` → b leads) runs on every case, in both
-    // orientations. Match sets must agree coordinate-for-coordinate AND
-    // index-pair-for-index-pair: positions stay oriented (a, b) even when
-    // the inner loop led with b.
-    #[test]
-    fn gallop_equals_two_finger_under_leader_swap(
-        long in arb_sorted_coords(400, 120),
-        short in arb_sorted_coords(400, 12),
+    fn sparse_dot_matches_brute_force(
+        (ac, av) in arb_fiber(250, 60),
+        (bc, bv) in arb_fiber(250, 60),
     ) {
-        for (a, b) in [(&long, &short), (&short, &long)] {
-            let g = gallop(a, b);
-            let t = two_finger(a, b);
-            prop_assert_eq!(&g.matches, &t.matches);
-            for &(coord, pa, pb) in &g.matches {
-                prop_assert_eq!(a[pa], coord);
-                prop_assert_eq!(b[pb], coord);
-            }
-        }
-    }
-
-    // Force the early-exit path: the long fiber is bounded below 100 while
-    // the short fiber reaches past it, so the doubling search runs off the
-    // end of `long` (`base >= long.len()`) with short coordinates left over.
-    #[test]
-    fn gallop_early_exit_matches_two_finger(
-        long in arb_sorted_coords(100, 80),
-        short_low in arb_sorted_coords(100, 6),
-        short_high in arb_sorted_coords(300, 6),
-    ) {
-        // Sorted concatenation whose tail lies beyond anything in `long`.
-        let short: Vec<u32> = short_low
-            .into_iter()
-            .chain(short_high.into_iter().map(|c| c + 100))
-            .collect();
-        for (a, b) in [(&short, &long), (&long, &short)] {
-            let g = gallop(a, b);
-            let t = two_finger(a, b);
-            prop_assert_eq!(g.matches, t.matches);
-        }
-    }
-
-    // The match set itself, validated against a brute-force definition:
-    // exactly the coordinate/position triples present in both fibers.
-    #[test]
-    fn intersection_matches_brute_force_set(
-        a in arb_sorted_coords(250, 60),
-        b in arb_sorted_coords(250, 60),
-    ) {
-        let brute: Vec<(u32, usize, usize)> = a
+        let products: Vec<f64> = ac
             .iter()
-            .enumerate()
-            .filter_map(|(ia, &c)| b.binary_search(&c).ok().map(|ib| (c, ia, ib)))
+            .zip(&av)
+            .filter_map(|(c, &x)| bc.binary_search(c).ok().map(|ib| x * bv[ib]))
             .collect();
-        prop_assert_eq!(&two_finger(&a, &b).matches, &brute);
-        prop_assert_eq!(&gallop(&a, &b).matches, &brute);
-    }
-
-    #[test]
-    fn intersection_is_commutative_in_coords(a in arb_sorted_coords(200, 50), b in arb_sorted_coords(200, 50)) {
-        let ab: Vec<u32> = two_finger(&a, &b).matches.iter().map(|m| m.0).collect();
-        let ba: Vec<u32> = two_finger(&b, &a).matches.iter().map(|m| m.0).collect();
-        prop_assert_eq!(ab, ba);
+        let brute = products.iter().fold(0.0, |sum, p| sum + p);
+        let (dot, matches) = sparse_dot(&ac, &av, &bc, &bv);
+        prop_assert_eq!(dot.to_bits(), brute.to_bits());
+        prop_assert_eq!(matches, products.len());
     }
 
     #[test]
@@ -171,18 +126,6 @@ proptest! {
             .count();
         prop_assert_eq!(t.nnz_in_box(&[0..6, 3..9, 4..12]), expected);
         prop_assert_eq!(t.nnz_in_box(&[0..12, 0..12, 0..12]), t.nnz());
-    }
-
-    #[test]
-    fn fibertree_flatten_matches_dense((r, c, entries) in arb_matrix(20, 50)) {
-        let coo = CooMatrix::from_triplets(r, c, entries).unwrap();
-        let m = CsMatrix::from_coo(&coo, MajorAxis::Row);
-        let d = DenseMatrix::from_sparse(&m);
-        for (p, v) in flatten(&m) {
-            prop_assert!((d.get(p[0], p[1]) - v).abs() < 1e-9);
-        }
-        prop_assert_eq!(flatten(&m).len(), m.nnz());
-        prop_assert_eq!(m.depth(), 2);
     }
 
     #[test]

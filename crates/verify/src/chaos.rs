@@ -91,7 +91,7 @@ impl LineSink {
 
 impl EventSink for LineSink {
     fn record(&self, event: &Event<'_>) {
-        let row = event_json(event, &[]);
+        let row = event_json(event);
         self.lines.lock().unwrap_or_else(|p| p.into_inner()).push(row);
     }
 }

@@ -1,7 +1,7 @@
 //! Dense/naive reference oracles and ULP-tolerance comparison.
 //!
 //! The paper's core claim is that DRT changes *data orchestration only*:
-//! every variant must compute the same `Z = A · B` (or Gram / SpMM) a
+//! every variant must compute the same `Z = A · B` (or Gram) a
 //! naive dense evaluation produces. The oracles here are deliberately the
 //! dumbest possible implementations — dense triple loops — so they share
 //! no code, formats, or iteration order with the simulated machines.
@@ -39,12 +39,6 @@ fn monotonic(x: f64) -> i128 {
 /// classic `i`/`j`/`k` triple loop.
 pub fn dense_spmspm(a: &CsMatrix, b: &CsMatrix) -> DenseMatrix {
     DenseMatrix::from_sparse(a).matmul(&DenseMatrix::from_sparse(b))
-}
-
-/// Dense reference SpMM (`A` sparse, `D` dense) — the sparse operand is
-/// densified too, so the reference ignores sparsity entirely.
-pub fn dense_spmm(a: &CsMatrix, d: &DenseMatrix) -> DenseMatrix {
-    DenseMatrix::from_sparse(a).matmul(d)
 }
 
 /// Dense reference Gram: `G[i][l] = Σ_{j,k} X[i][j][k] · X[l][j][k]`,

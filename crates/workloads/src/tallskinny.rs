@@ -20,12 +20,6 @@ pub fn tall_skinny(m: &CsMatrix, aspect: u32) -> CsMatrix {
     m.extract_rect(0..m.nrows(), 0..cols)
 }
 
-/// The short-long companion: `tall_skinny(m, aspect)` transposed, i.e. a
-/// `cols × nrows` matrix.
-pub fn short_long(m: &CsMatrix, aspect: u32) -> CsMatrix {
-    tall_skinny(m, aspect).to_transposed().to_major(MajorAxis::Row)
-}
-
 /// The Figure 7 workload pair for one catalog matrix: `(F, Fᵀ)` at the given
 /// aspect ratio. The paper evaluates both `Fᵀ·F` (short-long times
 /// tall-skinny) and `F·Fᵀ` (tall-skinny times short-long).
@@ -55,8 +49,7 @@ mod tests {
     #[test]
     fn short_long_is_transpose() {
         let m = unstructured(128, 128, 800, 2.0, 2);
-        let f = tall_skinny(&m, 4);
-        let s = short_long(&m, 4);
+        let (f, s) = figure7_pair(&m, 4);
         assert_eq!(s.nrows(), f.ncols());
         assert_eq!(s.ncols(), f.nrows());
         for (r, c, v) in f.iter() {
